@@ -11,6 +11,7 @@ with torsion sourced by one off-diagonal metric function.
 __version__ = "0.1.0"
 
 from .algebra import (
+    ExponentOverflowError,
     LinearSystem,
     Rational,
     RationalMatrix,

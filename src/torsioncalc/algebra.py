@@ -10,7 +10,9 @@ downstream must produce residuals that are *exactly* zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 # A rational scalar.  ``int`` values are accepted everywhere a Rational is;
 # they are exact and considerably faster, so integer-only pipelines never pay
@@ -24,6 +26,12 @@ MAX_DIMENSION = 6
 # stays far below 255 for every operation in this package.
 _SHIFT = 8
 _MASK = 0xFF
+# the top bit of every slot: a key without these bits has exponents < 128
+_HIGH_BITS = sum(0x80 << (_SHIFT * k) for k in range(MAX_DIMENSION))
+
+
+class ExponentOverflowError(ValueError):
+    """A product's exponent would not fit its 8-bit packed slot."""
 
 
 def _pack(exponents) -> int:
@@ -39,6 +47,22 @@ def _pack(exponents) -> int:
 
 def _unpack(key: int, dim: int) -> tuple:
     return tuple((key >> (_SHIFT * k)) & _MASK for k in range(dim))
+
+
+def _check_product_exponents(ta: dict, tb: dict, dim: int) -> None:
+    """Raise ExponentOverflowError when, in some coordinate, the maximum
+    exponents of ``ta`` and ``tb`` sum past 255; the product's packed keys
+    would otherwise carry into the next coordinate."""
+    if not (reduce(or_, ta, 0) | reduce(or_, tb, 0)) & _HIGH_BITS:
+        return  # every exponent is below 128, so no sum reaches 256
+    for k in range(dim):
+        shift = _SHIFT * k
+        ea = max(((key >> shift) & _MASK for key in ta), default=0)
+        eb = max(((key >> shift) & _MASK for key in tb), default=0)
+        if ea + eb > _MASK:
+            raise ExponentOverflowError(
+                f"x{k}: exponents {ea} + {eb} exceed the packed limit {_MASK}"
+            )
 
 
 def _fma_terms(acc: dict, ta: dict, tb: dict, sign: int = 1) -> None:
@@ -182,6 +206,7 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             self._check_same_dim(other)
+            _check_product_exponents(self._terms, other._terms, self.dim)
             acc = {}
             _fma_terms(acc, self._terms, other._terms)
             return ScalarField(self.dim, _strip_zeros(acc))

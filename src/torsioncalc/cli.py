@@ -5,8 +5,9 @@ emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 (with ``--scope catalogue|all|mixed``), ``rank-rho`` and ``cosmology``.
 Exit status is 0 exactly when no check failed.
 
-Set TORSIONCALC_WORKERS to parallelise instance sweeps; results are reduced
-in a fixed order so the report bytes do not depend on the worker count.
+Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
+per CPU); results are reduced in a fixed order so the report bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -188,10 +189,16 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def worker_count() -> int:
+    """Pool size from TORSIONCALC_WORKERS (default 1), capped at the CPU
+    count; a non-integer or a value below 1 is a ConfigError."""
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV}: expected a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _parallel_map(fn, items):
@@ -236,7 +243,7 @@ def _mixed_task(args):
         ok = True
         for _ in range(per_combo):
             weights = MixWeights.random(rng)
-            if not (ws.lhs(ic.pqrs) - ws.rhs_mixed(ic, weights)).is_zero():
+            if not ws.mixed_residual(ic, weights).is_zero():
                 ok = False
         out.append((ic.tag, ok))
     return out
@@ -449,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        worker_count()  # reject a bad TORSIONCALC_WORKERS before any work
         config = load_config(args.config)
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     LinearSystem,
@@ -250,10 +251,17 @@ class IdentityWorkspace:
 
         return self._get(("dd", p, q), build)
 
+    def dd_swapped(self, p: int, q: int) -> TensorField:
+        """a p|n q|m: :meth:`dd` with m and n swapped, cached per ordered pair."""
+        return self._get(("dd_swapped", p, q), lambda: self.dd(p, q).swap_last_lower())
+
+    def _lhs_pieces(self, pqrs):
+        p, q, r, s = pqrs
+        return [(1, self.dd(p, q)), (-1, self.dd_swapped(r, s))]
+
     def lhs(self, pqrs) -> TensorField:
         """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
-        p, q, r, s = pqrs
-        return self.dd(p, q) - self.dd(r, s).swap_last_lower()
+        return _combine(self.dim, *self._lhs_pieces(pqrs))
 
     # curvature and torsion blocks -------------------------------------------
 
@@ -498,20 +506,23 @@ class IdentityWorkspace:
 
         return self._get(("basis", k), build)
 
+    def _rhs_pieces(self, coeffs: IdentityCoefficients):
+        pieces = [(1, self.r_commutator())]
+        pieces += [(ck, self.basis(k)) for k, ck in enumerate(coeffs.c, start=1) if ck]
+        return pieces
+
     def rhs(self, coeffs: IdentityCoefficients) -> TensorField:
         """Right side of the family identity for one coefficient vector."""
-        total = self.r_commutator()
-        for k, ck in enumerate(coeffs.c, start=1):
-            if ck == 1:
-                total = total + self.basis(k)
-            elif ck == -1:
-                total = total - self.basis(k)
-            elif ck:
-                total = total + self.basis(k).scale(ck)
-        return total
+        return _combine(self.dim, *self._rhs_pieces(coeffs))
 
     def residual(self, coeffs: IdentityCoefficients) -> TensorField:
-        return self.lhs(coeffs.pqrs) - self.rhs(coeffs)
+        """Left minus right side in one pass over the cached column tensors;
+        linear in :func:`identity_row` of ``coeffs``."""
+        return _combine(
+            self.dim,
+            *self._lhs_pieces(coeffs.pqrs),
+            *_negated(self._rhs_pieces(coeffs)),
+        )
 
     def _contracted(self, name: str) -> TensorField:
         """Cached a-contractions of the cross blocks used by the expanded
@@ -551,12 +562,8 @@ class IdentityWorkspace:
         ]
         return _combine(self.dim, *pieces)
 
-    def rhs_mixed(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
-        """The family with the five derivative terms written as rule-1/2/3
-        mixtures; bracket coefficients pick up the substitution leftovers.
-
-        Expressed against the cached basis: pattern k of the torsion-quadratic
-        brackets absorbs -2 c_k times the substitution sign combinations."""
+    def _mixed_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
+        """Weighted column tensors of :meth:`rhs_mixed`; weights are rational."""
         c = (None,) + coeffs.c
         xu = [None] + [weights.split_signs(k)[0] for k in range(1, 6)]
         xl = [None] + [weights.split_signs(k)[1] for k in range(1, 6)]
@@ -583,18 +590,41 @@ class IdentityWorkspace:
             (c[16] + c[2] * xu[2] - c[5] * xl[5], self.basis(16)),
             (c[17] + c[1] * xu[1] - c[4] * xl[4], self.basis(17)),
         ]
-        return _combine(self.dim, *pieces)
+        return pieces
+
+    def rhs_mixed(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
+        """The family with the five derivative terms written as rule-1/2/3
+        mixtures; bracket coefficients pick up the substitution leftovers.
+
+        Expressed against the cached basis: pattern k of the torsion-quadratic
+        brackets absorbs -2 c_k times the substitution sign combinations."""
+        return _combine(self.dim, *self._mixed_pieces(coeffs, weights))
+
+    def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
+        """D * (lhs - rhs_mixed) in one pass, D the lcm of the weights'
+        denominators.  Every weight is scaled to an integer, so the
+        accumulation runs on ints; the result is zero exactly when the
+        rational residual is."""
+        pieces = [
+            *self._lhs_pieces(coeffs.pqrs),
+            *_negated(self._mixed_pieces(coeffs, weights)),
+        ]
+        D = lcm(*(Fraction(w).denominator for w, _ in pieces))
+        return _combine(self.dim, *((int(w * D), t) for w, t in pieces))
+
+
+def _negated(pieces):
+    return [(-w, t) for w, t in pieces]
 
 
 def _combine(dim, *weighted):
     """Linear combination of (1,3) tensors in one accumulation pass."""
-    live = [(w, t) for w, t in weighted if w]
-    count = dim**4
+    live = [(w, t.entries) for w, t in weighted if w]
     out = []
-    for e in range(count):
+    for e in range(dim**4):
         acc = {}
-        for weight, tensor in live:
-            _add_terms(acc, tensor.entries[e]._terms, weight)
+        for weight, entries in live:
+            _add_terms(acc, entries[e]._terms, weight)
         out.append(ScalarField(dim, _strip_zeros(acc)))
     return TensorField(dim, (1, 3), out)
 
@@ -623,12 +653,14 @@ def verify_identity(pqrs, a: TensorField, L: ConnectionField) -> TensorField:
 def verify_mixed_family(
     pqrs, weights: MixWeights, a: TensorField, L: ConnectionField
 ) -> TensorField:
-    """Residual of the mixed-rule form for a catalogued combination."""
+    """Residual of the mixed-rule form for a catalogued combination, scaled
+    by D, the lcm of the weights' denominators (see
+    :meth:`IdentityWorkspace.mixed_residual`): it has integer coefficients
+    on integral instances and vanishes exactly when the rational one does."""
     pqrs = tuple(pqrs)
     if pqrs not in CATALOGUE_BY_PQRS:
         raise ValueError("mixed-family verification covers catalogued combinations")
-    ws = IdentityWorkspace(a, L)
-    return ws.lhs(pqrs) - ws.rhs_mixed(CATALOGUE_BY_PQRS[pqrs], weights)
+    return IdentityWorkspace(a, L).mixed_residual(CATALOGUE_BY_PQRS[pqrs], weights)
 
 
 def verify_expanded_identity(pqrs, a: TensorField, L: ConnectionField) -> TensorField:
@@ -658,9 +690,10 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
     """Stack structural equations (one per tensor entry and monomial) until
     the design matrix has full column rank."""
     basis_terms = [[e._terms for e in ws.basis(k).entries] for k in range(1, 18)]
+    rcomm = ws.r_commutator()
     targets = []
     for combo in combos:
-        t = ws.lhs(combo) - ws.r_commutator()
+        t = _combine(ws.dim, *ws._lhs_pieces(combo), (-1, rcomm))
         targets.append([e._terms for e in t.entries])
     n_entries = ws.dim ** 4
     for e in range(n_entries):
@@ -677,11 +710,66 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
             return
 
 
+def span_basis(members) -> list:
+    """The members whose :func:`identity_row` is independent of the rows
+    kept before them, in the order given.
+
+    Small exact integer elimination: each kept row is stored reduced against
+    the rows kept earlier, its content divided out.  Every member is an exact
+    rational combination of the kept ones; the full 81-member sweep keeps 17.
+    """
+    kept, pivots = [], []
+    for ic in members:
+        row = identity_row(ic)
+        for col, prow in pivots:
+            if row[col]:
+                a, b = prow[col], row[col]
+                row = [a * x - b * y for x, y in zip(row, prow)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            g = gcd(*row)
+            pivots.append((col, [x // g for x in row]))
+            kept.append(ic)
+    return kept
+
+
+def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
+    """Check solved members on fresh instances through their span basis.
+
+    :meth:`IdentityWorkspace.residual` is linear in :func:`identity_row`,
+    and every solved row is an exact rational combination of the rows
+    :func:`span_basis` keeps, so on a given instance all residuals vanish
+    exactly when the kept ones do.  Checking only the kept members is the
+    same predicate as checking every member.  A wrong coefficient moves its
+    row out of the span of the true identities, so that member is kept and
+    its nonzero residual fails.  Returns the kept members; raises
+    IdentityUnsolvableError naming the instance of the first failure.
+    """
+    kept = span_basis(solutions.values())
+    for t, dim in enumerate(verify_dims):
+        label = f"check:{t}:{dim}"
+        ws = _instance_workspace(seed, label, dim, degree)
+        for ic in kept:
+            if not ws.residual(ic).is_zero():
+                raise IdentityUnsolvableError(
+                    f"{ic.pqrs}: solved coefficients fail on a fresh instance"
+                    f" (seed {seed}, label {label!r}, degree {degree})"
+                )
+    return kept
+
+
 def _solve_combos(combos, seed, dims, degree, verify_dims):
+    """Solve the combinations together, then verify them on fresh instances.
+
+    The verification checks the span basis of the solved identity rows (17
+    members for the full sweep), not every member: the residual is linear in
+    the identity row and every solved row is an exact combination of the
+    kept ones, so all residuals vanish exactly when the kept ones do.
+    """
     system = LinearSystem(17, nrhs=len(combos))
     for t, dim in enumerate(dims):
-        ws = _instance_workspace(seed, f"solve:{t}:{dim}", dim, degree)
-        _feed_rows(system, ws, combos)
+        # no reference kept: the workspace is freed before verification
+        _feed_rows(system, _instance_workspace(seed, f"solve:{t}:{dim}", dim, degree), combos)
         if system.rank == 17:
             break
     if system.rank < 17:
@@ -706,13 +794,7 @@ def _solve_combos(combos, seed, dims, degree, verify_dims):
             tuple(ints), combo, _tag(combo) if combo in CATALOGUE_BY_PQRS else None
         )
 
-    for t, dim in enumerate(verify_dims):
-        ws = _instance_workspace(seed, f"check:{t}:{dim}", dim, degree)
-        for combo, ic in solutions.items():
-            if ws.lhs(combo) != ws.rhs(ic):
-                raise IdentityUnsolvableError(
-                    f"{combo}: solved coefficients fail on a fresh instance"
-                )
+    verify_solutions(solutions, seed, verify_dims, degree)
     return solutions
 
 
@@ -724,7 +806,8 @@ def solve_identity_coefficients(
     Sets up the exact linear system whose unknowns are the seventeen basis
     weights and whose equations equate polynomial coefficients of the left
     side (minus the R-commutator) with the basis combination, instance by
-    instance, then confirms the solution on fresh instances.
+    instance, then confirms the solution on fresh instances.  A single
+    member is its own span basis, so it is checked directly.
     """
     pqrs = tuple(pqrs)
     if any(x not in (1, 2, 3) for x in pqrs) or len(pqrs) != 4:
@@ -735,7 +818,13 @@ def solve_identity_coefficients(
 def solve_all_identities(
     seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3, 4)
 ):
-    """Solve every one of the 81 combinations; returns {pqrs: coefficients}."""
+    """Solve every one of the 81 combinations; returns {pqrs: coefficients}.
+
+    The solutions are confirmed on fresh instances through the 17 members
+    of their span basis: the residual is linear in the identity row and the
+    other 64 rows are exact combinations of those 17, so all 81 residuals
+    vanish exactly when the 17 checked ones do.
+    """
     return _solve_combos(list(ALL_COMBINATIONS), seed, dims, degree, verify_dims)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsioncalc.algebra import (
+    ExponentOverflowError,
     LinearSystem,
     RationalMatrix,
     ScalarField,
@@ -60,6 +61,23 @@ def test_terms_round_trip():
     terms = {(1, 0): Fraction(3, 2), (0, 2): -1}
     f = ScalarField.from_terms(terms, 2)
     assert f.terms() == {(1, 0): Fraction(3, 2), (0, 2): -1}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_product_exponent_overflow_is_named(dim):
+    # exponents are packed 8 bits per coordinate; 200 + 100 would carry into
+    # the next slot (x0^44*x1 in dim 2, a phantom degree-45 x0^44 in dim 1)
+    pad = (0,) * (dim - 1)
+    x200 = ScalarField.from_terms({(200, *pad): 1}, dim)
+    x100 = ScalarField.from_terms({(100, *pad): 1, (0, *pad): 3}, dim)
+    with pytest.raises(ExponentOverflowError, match="x0: exponents 200 \\+ 100"):
+        x200 * x100
+    assert issubclass(ExponentOverflowError, ValueError)
+    # the largest exponent that fits still multiplies exactly
+    x55 = ScalarField.from_terms({(55, *pad): 2}, dim)
+    assert x200 * x55 == ScalarField.from_terms({(255, *pad): 2}, dim)
+    assert (x200 * x55).degree() == 255
+    assert (x200 * ScalarField(dim)).is_zero()
 
 
 def test_evaluate_exact():

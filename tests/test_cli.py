@@ -1,6 +1,15 @@
 import json
 
-from torsioncalc.cli import main
+import pytest
+
+from torsioncalc import cli
+from torsioncalc.cli import ConfigError, main, worker_count
+
+
+def _config(tmp_path, name="config.json", **fields):
+    path = tmp_path / name
+    path.write_text(json.dumps(fields))
+    return str(path)
 
 
 def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
@@ -31,3 +40,72 @@ def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
         "error: s1 = -1 + t vanishes on the window [0, 2]"
     )
     assert all(checks[k]["pass"] for k in checks if k != "eq:60")
+
+
+def test_verify_ricci_catalogue_small_instance_passes(tmp_path, capsys):
+    config = _config(tmp_path, dimension=2, degree=1, instances=1)
+    code = main(["verify-ricci", "--scope", "catalogue", "--config", config, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["checks"]) == 17
+    assert all(c["pass"] and c["status"] == "exact-zero" for c in report["checks"])
+
+
+def test_unknown_config_field_exits_two(tmp_path, capsys):
+    config = _config(tmp_path, dimension=2, dimensions=3)
+    code = main(["rank-rho", "--config", config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "'dimensions'" in err
+
+
+def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    # 8 instances make 2 tasks, so 2 workers start a pool of 2
+    config = _config(tmp_path, dimension=2, degree=1, instances=8)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    rendered = {}
+    for workers in (1, 2):
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+        out = tmp_path / f"mixed-{workers}.json"
+        code = main(["verify-ricci", "--scope", "mixed", "--config", config, "--out", str(out)])
+        assert code == 0
+        rendered[workers] = out.read_bytes()
+    assert rendered[1] == rendered[2]
+    assert len(json.loads(rendered[1])["checks"]) == 17
+
+
+def test_elapsed_ms_only_with_timings(tmp_path, capsys):
+    config = _config(tmp_path, dimension=2, degree=1, instances=1)
+    argv = ["verify-derivatives", "--config", config, "--json"]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(c["elapsed_ms"] is None for c in checks)
+    assert main(argv + ["--timings"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert any(c["elapsed_ms"] is not None for c in checks)
+
+
+def test_worker_count_caps_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    assert worker_count() == 1
+    for raw, expected in (("1", 1), ("2", 2), ("64", 2), ("1000000", 2)):
+        monkeypatch.setenv(cli.WORKERS_ENV, raw)
+        assert worker_count() == expected, raw
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])
+def test_worker_count_rejects_invalid_values(monkeypatch, raw):
+    monkeypatch.setenv(cli.WORKERS_ENV, raw)
+    with pytest.raises(ConfigError, match=cli.WORKERS_ENV):
+        worker_count()
+
+
+def test_invalid_workers_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv(cli.WORKERS_ENV, "many")
+    assert main(["rank-rho"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: TORSIONCALC_WORKERS")

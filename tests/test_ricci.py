@@ -9,16 +9,20 @@ from torsioncalc.ricci import (
     ALL_COMBINATIONS,
     CATALOGUE_BY_PQRS,
     IdentityCoefficients,
+    IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
     catalogue_independence_rank,
     evaluate_identity_rhs,
     identity_catalogue,
     identity_row,
+    solve_all_identities,
     solve_identity_coefficients,
+    span_basis,
     verify_expanded_identity,
     verify_identity,
     verify_mixed_family,
+    verify_solutions,
 )
 from torsioncalc.sampling import (
     derive_rng,
@@ -27,6 +31,15 @@ from torsioncalc.sampling import (
 )
 
 from conftest import make_instance
+
+# v -> a different value in {-1, 0, 1}
+FLIP = {1: 0, 0: -1, -1: 1}
+
+
+def flipped(ic: IdentityCoefficients, k: int) -> IdentityCoefficients:
+    c = list(ic.c)
+    c[k] = FLIP[c[k]]
+    return IdentityCoefficients(tuple(c), ic.pqrs)
 
 # ---------------------------------------------------------------------------
 # catalogue data
@@ -155,6 +168,56 @@ def test_residuals_all_catalogued_small_dimensions():
             assert ws.residual(ic).is_zero(), (dim, ic.tag)
 
 
+def _two_step_residual(ws, ic):
+    """The residual as separate tensor additions, one piece at a time."""
+    p, q, r, s = ic.pqrs
+    rhs = ws.r_commutator()
+    for k, ck in enumerate(ic.c, start=1):
+        rhs = rhs + ws.basis(k).scale(ck)
+    return ws.dd(p, q) - ws.dd(r, s).swap_last_lower() - rhs, rhs
+
+
+def test_one_pass_residual_matches_two_step_tensor():
+    L, a = make_instance(41, "onepass", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    for n, ic in enumerate(identity_catalogue()):
+        p, q, r, s = ic.pqrs
+        expected, rhs = _two_step_residual(ws, ic)
+        assert ws.lhs(ic.pqrs) == ws.dd(p, q) - ws.dd(r, s).swap_last_lower()
+        assert ws.rhs(ic) == rhs
+        assert ws.residual(ic) == expected
+        assert expected.is_zero(), ic.tag
+        # a flipped coefficient leaves a nonzero residual, equal in both forms
+        bad = flipped(ic, n % 17)
+        expected, _ = _two_step_residual(ws, bad)
+        assert ws.residual(bad) == expected
+        assert not expected.is_zero(), ic.tag
+
+
+def test_mixed_residual_is_integer_scaled():
+    L, a = make_instance(42, "mixint", 2, degree=1)
+    ws = IdentityWorkspace(a, L)
+    rng = derive_rng(42, "mixint-w")
+    scales = set()
+    for n, ic in enumerate(identity_catalogue()):
+        weights = MixWeights.random(rng)
+        assert ws.mixed_residual(ic, weights).is_zero(), ic.tag
+        bad = flipped(ic, n % 17)
+        scaled = ws.mixed_residual(bad, weights)
+        rational = ws.lhs(bad.pqrs) - ws.rhs_mixed(bad, weights)
+        assert not scaled.is_zero(), ic.tag
+        # D from the first nonzero coefficient, then the whole tensor
+        e = next(i for i, x in enumerate(rational.entries) if not x.is_zero())
+        key, value = next(iter(rational.entries[e].terms().items()))
+        D = Fraction(scaled.entries[e].terms()[key]) / value
+        assert D.denominator == 1 and D > 0
+        assert scaled == rational.scale(D)
+        assert all(type(v) is int for x in scaled.entries for v in x.terms().values())
+        scales.add(D)
+    # the weights' denominators reach up to 4, so some check really is scaled
+    assert max(scales) > 1
+
+
 def test_symmetric_connection_residuals_trivial():
     rng = derive_rng(28, "symres")
     L = random_symmetric_connection(rng, 2, degree=1)
@@ -197,6 +260,33 @@ def test_solver_swap_pairing():
     ws = IdentityWorkspace(a, L)
     left = ws.rhs(a_sol).swap_last_lower()
     assert left == -ws.rhs(b_sol)
+
+
+@pytest.fixture(scope="module")
+def solved_degree_one():
+    return solve_all_identities(degree=1)
+
+
+def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
+    solutions = solved_degree_one
+    assert len(solutions) == 81
+    for pqrs, ic in CATALOGUE_BY_PQRS.items():
+        assert solutions[pqrs].c == ic.c, pqrs
+    kept = span_basis(solutions.values())
+    assert len(kept) == 17
+    assert matrix_rank(RationalMatrix([identity_row(ic) for ic in kept])) == 17
+    assert verify_solutions(solutions, 20260809, (3,), 1) == kept
+
+
+def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one):
+    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+    pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
+    corrupted = dict(solved_degree_one)
+    corrupted[pqrs] = flipped(corrupted[pqrs], 5)
+    # the wrong row leaves the span of the true identities, so it is kept
+    assert len(span_basis(corrupted.values())) == 18
+    with pytest.raises(IdentityUnsolvableError, match="fail on a fresh instance"):
+        verify_solutions(corrupted, 20260809, (3,), 1)
 
 
 def test_solver_rejects_bad_combination():
