@@ -17,9 +17,8 @@ from .algebra import (
     RationalMatrix,
     ScalarField,
     TensorField,
+    contract,
     matrix_rank,
-    poly_partial,
-    tensor_contract,
 )
 from .connection import (
     ALL_KINDS,
@@ -38,12 +37,10 @@ from .connection import (
 from .curvature import (
     CURVATURE_R_MEMBER,
     INDEPENDENT_SIX_SETS,
-    CurvatureReport,
     RhoCoefficients,
     bracket_objects,
     bracket_objects_raw,
     curvature_R,
-    curvature_report,
     rho,
     rho_catalogue,
     rho_family_rank,
@@ -58,7 +55,6 @@ from .ricci import (
     IdentityWorkspace,
     MixWeights,
     catalogue_independence_rank,
-    evaluate_identity_rhs,
     identity_catalogue,
     identity_row,
     solve_all_identities,

@@ -1,6 +1,11 @@
 """Exact arithmetic substrate: rationals, multivariate polynomials over the
 rationals, dense multi-index tensor fields, and exact rational linear algebra.
 
+Sums over repeated indices go through one primitive, :func:`contract`, which
+takes ``numpy.einsum``-style specs over the row-major entry layout; the
+covariant derivative in :mod:`torsioncalc.connection` is the only other
+kernel that reads that layout directly.
+
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.
 There is deliberately no floating-point code path here: identities verified
@@ -9,8 +14,9 @@ downstream must produce residuals that are *exactly* zero.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 
@@ -49,19 +55,25 @@ def _unpack(key: int, dim: int) -> tuple:
     return tuple((key >> (_SHIFT * k)) & _MASK for k in range(dim))
 
 
-def _check_product_exponents(ta: dict, tb: dict, dim: int) -> None:
+def _check_product_exponents(dim: int, *factors) -> None:
     """Raise ExponentOverflowError when, in some coordinate, the maximum
-    exponents of ``ta`` and ``tb`` sum past 255; the product's packed keys
-    would otherwise carry into the next coordinate."""
-    if not (reduce(or_, ta, 0) | reduce(or_, tb, 0)) & _HIGH_BITS:
-        return  # every exponent is below 128, so no sum reaches 256
+    exponents of the factors sum past 255; their products' packed keys would
+    otherwise carry into the next coordinate.  Each factor is a list of raw
+    term dicts."""
+    bounds = [reduce(or_, (reduce(or_, t, 0) for t in f), 0) for f in factors]
     for k in range(dim):
         shift = _SHIFT * k
-        ea = max(((key >> shift) & _MASK for key in ta), default=0)
-        eb = max(((key >> shift) & _MASK for key in tb), default=0)
-        if ea + eb > _MASK:
+        # the OR of a factor's keys bounds its largest exponent from above
+        if sum((b >> shift) & _MASK for b in bounds) <= _MASK:
+            continue
+        maxima = [
+            max(((key >> shift) & _MASK for t in f for key in t), default=0)
+            for f in factors
+        ]
+        if sum(maxima) > _MASK:
             raise ExponentOverflowError(
-                f"x{k}: exponents {ea} + {eb} exceed the packed limit {_MASK}"
+                f"x{k}: exponents {' + '.join(map(str, maxima))}"
+                f" exceed the packed limit {_MASK}"
             )
 
 
@@ -206,7 +218,9 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             self._check_same_dim(other)
-            _check_product_exponents(self._terms, other._terms, self.dim)
+            if (reduce(or_, self._terms, 0) | reduce(or_, other._terms, 0)) & _HIGH_BITS:
+                # some exponent reaches 128, so a sum of two may pass 255
+                _check_product_exponents(self.dim, [self._terms], [other._terms])
             acc = {}
             _fma_terms(acc, self._terms, other._terms)
             return ScalarField(self.dim, _strip_zeros(acc))
@@ -284,11 +298,6 @@ class ScalarField:
     def _check_same_dim(self, other: "ScalarField") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-
-def poly_partial(f: ScalarField, k: int) -> ScalarField:
-    """Functional form of :meth:`ScalarField.partial`."""
-    return f.partial(k)
 
 
 class TensorField:
@@ -390,19 +399,12 @@ class TensorField:
 
     def tensor_product(self, other: "TensorField") -> "TensorField":
         """Outer product; upper indices of both factors precede lower ones."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
         r1, s1 = self.valence
         r2, s2 = other.valence
-        dim = self.dim
-        rank1, rank2 = r1 + s1, r2 + s2
-
-        def entry(*idx):
-            left = idx[:r1] + idx[r1 + r2 : r1 + r2 + s1]
-            right = idx[r1 : r1 + r2] + idx[r1 + r2 + s1 :]
-            return self.get(*left) * other.get(*right)
-
-        return TensorField.build(dim, (r1 + r2, s1 + s2), entry)
+        u1, l1, u2, l2 = _split_letters(r1, s1, r2, s2)
+        return contract(
+            (r1 + r2, s1 + s2), (1, f"{u1}{l1},{u2}{l2}->{u1}{u2}{l1}{l2}", self, other)
+        )
 
     def contract(self, upper: int, lower: int) -> "TensorField":
         """Sum an upper index against a lower index.
@@ -415,19 +417,10 @@ class TensorField:
             raise ValueError(f"upper position {upper} out of range for valence {self.valence}")
         if not 0 <= lower < s:
             raise ValueError(f"lower position {lower} out of range for valence {self.valence}")
-        dim = self.dim
-        lower_abs = r + lower
-
-        def entry(*idx):
-            total = ScalarField(dim)
-            for alpha in range(dim):
-                full = list(idx)
-                full.insert(upper, alpha)
-                full.insert(lower_abs, alpha)
-                total = total + self.get(*full)
-            return total
-
-        return TensorField.build(dim, (r - 1, s - 1), entry)
+        letters = list(_LETTERS[: r + s])
+        letters[r + lower] = letters[upper]
+        kept = "".join(c for p, c in enumerate(letters) if p not in (upper, r + lower))
+        return contract((r - 1, s - 1), (1, f"{''.join(letters)}->{kept}", self))
 
     def partial_gradient(self) -> "TensorField":
         """Entry-wise partial derivative, appended as a final lower index."""
@@ -445,13 +438,9 @@ class TensorField:
         r, s = self.valence
         if sorted(perm) != list(range(s)):
             raise ValueError("perm must be a permutation of the lower slots")
-
-        def entry(*idx):
-            uppers = idx[:r]
-            lowers = idx[r:]
-            return self.get(*uppers, *(lowers[p] for p in perm))
-
-        return TensorField.build(self.dim, self.valence, entry)
+        uppers, lowers = _split_letters(r, s)
+        moved = "".join(lowers[p] for p in perm)
+        return contract(self.valence, (1, f"{uppers}{moved}->{uppers}{lowers}", self))
 
     def swap_last_lower(self) -> "TensorField":
         """Swap the final two lower indices (antisymmetry checks, LHS swaps)."""
@@ -475,9 +464,124 @@ def _flat_to_indices(flat: int, dim: int, rank: int) -> tuple:
     return tuple(idx)
 
 
-def tensor_contract(t: TensorField, upper: int, lower: int) -> TensorField:
-    """Functional form of :meth:`TensorField.contract`."""
-    return t.contract(upper, lower)
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _split_letters(*counts) -> list:
+    """Consecutive runs of distinct index letters, one run per count."""
+    runs, start = [], 0
+    for n in counts:
+        runs.append(_LETTERS[start : start + n])
+        start += n
+    return runs
+
+
+@lru_cache(maxsize=1024)
+def _contraction_plan(spec: str, dim: int):
+    """Offsets of one ``numpy.einsum``-style spec in row-major layouts.
+
+    Returns (ranks, out_rank, bases, inner): ``ranks`` counts each operand's
+    letters, ``bases[k][e]`` is operand k's flat offset at output entry e
+    with every summed letter at 0, and each tuple of ``inner`` adds one
+    assignment of the summed letters, one offset per operand.  A letter
+    repeated within an operand takes its diagonal.
+    """
+    inputs, arrow, output = spec.partition("->")
+    if not arrow:
+        raise ValueError(f"{spec!r}: expected 'in1,in2,...->out'")
+    operands = inputs.split(",")
+    if len(set(output)) != len(output):
+        raise ValueError(f"{spec!r}: output letters must be distinct")
+    used = set("".join(operands))
+    missing = sorted(set(output) - used)
+    if missing:
+        raise ValueError(f"{spec!r}: output letters {missing} appear in no operand")
+    summed = sorted(used - set(output))
+
+    strides = []
+    for letters in operands:
+        stride = dict.fromkeys(used, 0)
+        for p, c in enumerate(letters):
+            stride[c] += dim ** (len(letters) - 1 - p)
+        strides.append(stride)
+
+    def offsets(letters):
+        return [
+            tuple(sum(v * st[c] for c, v in zip(letters, values)) for st in strides)
+            for values in itertools.product(range(dim), repeat=len(letters))
+        ]
+
+    bases = tuple(zip(*offsets(output)))
+    return tuple(map(len, operands)), len(output), bases, tuple(offsets(summed))
+
+
+def contract(valence: tuple, *terms) -> TensorField:
+    """Weighted sum of index contractions with ``numpy.einsum`` letters.
+
+    Each term is ``(weight, spec, *tensors)``, for example
+    ``(-2, "iA,Ajmn->ijmn", a, q)`` for -2 a^i_A q^A_jmn: letters of the
+    output are free, every other letter is summed over 0..dim-1, and the
+    output letters follow the row-major layout of a tensor of ``valence``.
+    All terms accumulate in one pass per output entry; weights may be ints
+    or Fractions.  A spec whose letters do not match its operands' ranks, an
+    output letter that no operand carries, or operands of different
+    dimensions raise ValueError.
+    """
+    dim = next((t.dim for _, _, *tensors in terms for t in tensors), None)
+    if dim is None:
+        raise ValueError("contract needs at least one operand")
+    rank = valence[0] + valence[1]
+    singles, products = [], []
+    for weight, spec, *tensors in terms:
+        ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
+        if out_rank != rank:
+            raise ValueError(f"{spec!r}: output rank {out_rank} does not match valence {valence}")
+        if len(tensors) != len(ranks):
+            raise ValueError(f"{spec!r}: names {len(ranks)} operand(s), got {len(tensors)}")
+        for t, r in zip(tensors, ranks):
+            if t.dim != dim:
+                raise ValueError(f"operands must share one dimension, got {dim} and {t.dim}")
+            if t.rank() != r:
+                raise ValueError(f"{spec!r}: {r} index letters for a rank-{t.rank()} operand")
+        if not weight:
+            continue
+        if len(tensors) == 1:
+            # the operand's entries gathered in output order, once per
+            # assignment of the summed letters (a trace has several)
+            x, (bx,) = tensors[0].entries, bases
+            singles.extend((weight, [x[b + i]._terms for b in bx]) for (i,) in inner)
+            continue
+        factors = [[e._terms for e in t.entries] for t in tensors]
+        _check_product_exponents(dim, *factors)
+        # a weight of +-1 goes straight into _fma_terms; any other scales a
+        # per-term sum once
+        sign = weight if weight in (1, -1) else 0
+        products.append((weight, sign, factors, bases, inner))
+
+    out = []
+    for e in range(dim**rank):
+        acc = {}
+        for weight, gathered in singles:
+            _add_terms(acc, gathered[e], weight)
+        for weight, sign, factors, bases, inner in products:
+            target = acc if sign else {}
+            if len(factors) == 2:
+                (x, y), (bx, by) = factors, bases
+                bx, by = bx[e], by[e]
+                for ix, iy in inner:
+                    _fma_terms(target, x[bx + ix], y[by + iy], sign or 1)
+            else:
+                starts = [b[e] for b in bases]
+                for offs in inner:
+                    prod = factors[0][starts[0] + offs[0]]
+                    for f, b, o in zip(factors[1:], starts[1:], offs[1:]):
+                        prod, step = {}, prod
+                        _fma_terms(prod, step, f[b + o])
+                    _add_terms(target, prod, sign or 1)
+            if not sign:
+                _add_terms(acc, target, weight)
+        out.append(ScalarField(dim, _strip_zeros(acc)))
+    return TensorField(dim, valence, out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ import enum
 from fractions import Fraction
 
 from .algebra import (
-    Rational,
     RationalMatrix,
     ScalarField,
     TensorField,
-    _add_terms,
     _fma_terms,
     _flat_to_indices,
     _strip_zeros,
+    contract,
     matrix_rank,
 )
 
@@ -267,8 +266,9 @@ DEPENDENT_TRIPLES = (
 # Explicit second-derivative formulas for rules 1..3
 # ---------------------------------------------------------------------------
 #
-# Literal transcriptions, used as an oracle against the composition path.
-# Each formula gives a^i_{j p|m q|n} for a valence-(1,1) tensor as
+# Literal transcriptions, used as an oracle against the composition path and
+# evaluated term by term through ``contract``.  Each formula gives
+# a^i_{j p|m q|n} for a valence-(1,1) tensor as
 #     a^i_{j,mn}
 #   + five single-connection terms against first partials of a
 #   + a^A_j * (L..._,n + LL - LL)        three-term bracket
@@ -496,51 +496,6 @@ _DD[(3, 3)] = {
 }
 
 
-def _l_entry(L_entries, dim, slots, env):
-    x, y, z = (env[s] for s in slots)
-    return L_entries[(x * dim + y) * dim + z]
-
-
-def _bracket_tensor(L: ConnectionField, terms, sum_b: bool):
-    """Pre-evaluate one bracket for all values of its free index symbols.
-
-    For the a^A_j and a^i_A brackets the symbol B is an internal summation;
-    for the a^A_B bracket both A and B are bound outside, so every symbol is
-    free.  Returns (ordered free symbols, {flat index: merged term dict}).
-    """
-    dim = L.dim
-    entries = [e._terms for e in L.coeffs.entries]
-    free_syms = []
-    for sign, l1, l2, deriv in terms:
-        for s in l1 + (l2 or ()) + ((deriv,) if deriv else ()):
-            if (s != "B" or not sum_b) and s not in free_syms:
-                free_syms.append(s)
-    free_syms = tuple(sorted(free_syms))
-
-    table = {}
-    for flat in range(dim ** len(free_syms)):
-        env = dict(zip(free_syms, _flat_to_indices(flat, dim, len(free_syms))))
-        acc = {}
-        for sign, l1, l2, deriv in terms:
-            if l2 is None:
-                # single connection factor, differentiated
-                f = ScalarField(dim, _l_entry(entries, dim, l1, env)).partial(env[deriv])
-                _add_terms(acc, f._terms, sign)
-            elif sum_b:
-                for beta in range(dim):
-                    env["B"] = beta
-                    t1 = _l_entry(entries, dim, l1, env)
-                    t2 = _l_entry(entries, dim, l2, env)
-                    _fma_terms(acc, t1, t2, sign)
-                del env["B"]
-            else:
-                t1 = _l_entry(entries, dim, l1, env)
-                t2 = _l_entry(entries, dim, l2, env)
-                _fma_terms(acc, t1, t2, sign)
-        table[flat] = _strip_zeros(acc)
-    return free_syms, table
-
-
 def double_covariant_derivative_explicit(
     p: int, q: int, a: TensorField, L: ConnectionField
 ) -> TensorField:
@@ -556,62 +511,22 @@ def double_covariant_derivative_explicit(
         raise ValueError("explicit formulas are for valence (1, 1) tensors")
     if a.dim != L.dim:
         raise ValueError("dimension mismatch")
-    dim = a.dim
     table = _DD[(p, q)]
-    L_entries = [e._terms for e in L.coeffs.entries]
-    a_terms = [e._terms for e in a.entries]
-
-    # hoist the bracket contractions out of the entry loop
-    brackets = {
-        name: _bracket_tensor(L, table[name], sum_b=(name != "bracket_ab"))
-        for name in ("bracket_aj", "bracket_ai", "bracket_ab")
-    }
-
-    def bracket_value(name, env):
-        free_syms, merged = brackets[name]
-        flat = 0
-        for s in free_syms:
-            flat = flat * dim + env[s]
-        return merged[flat]
-
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            for m in range(dim):
-                for n in range(dim):
-                    env = {"i": i, "j": j, "m": m, "n": n}
-                    acc = {}
-                    # a^i_{j,mn}
-                    f = ScalarField(dim, a_terms[i * dim + j]).partial(m).partial(n)
-                    _add_terms(acc, f._terms)
-                    # single-connection terms against first partials of a
-                    for sign, lslots, aslots, dsym in table["partials"]:
-                        for alpha in range(dim):
-                            env["A"] = alpha
-                            lt = _l_entry(L_entries, dim, lslots, env)
-                            if not lt:
-                                continue
-                            au, al = (env[s] for s in aslots)
-                            da = ScalarField(dim, a_terms[au * dim + al]).partial(env[dsym])
-                            _fma_terms(acc, lt, da._terms, sign)
-                    # + a^A_j (...)
-                    for alpha in range(dim):
-                        env["A"] = alpha
-                        _fma_terms(acc, bracket_value("bracket_aj", env), a_terms[alpha * dim + j], 1)
-                    # - a^i_A (...)
-                    for alpha in range(dim):
-                        env["A"] = alpha
-                        _fma_terms(acc, bracket_value("bracket_ai", env), a_terms[i * dim + alpha], -1)
-                    # - a^A_B (...)
-                    for alpha in range(dim):
-                        for beta in range(dim):
-                            env["A"] = alpha
-                            env["B"] = beta
-                            _fma_terms(
-                                acc,
-                                bracket_value("bracket_ab", env),
-                                a_terms[alpha * dim + beta],
-                                -1,
-                            )
-                    out.append(ScalarField(dim, _strip_zeros(acc)))
-    return TensorField(dim, (1, 3), out)
+    da = a.partial_gradient()
+    dL = L.coeffs.partial_gradient()
+    # a^i_{j,mn}
+    terms = [(1, "ijmn->ijmn", da.partial_gradient())]
+    # single-connection terms against first partials of a
+    for sign, lslots, aslots, dsym in table["partials"]:
+        terms.append((sign, f"{''.join(lslots)},{''.join(aslots)}{dsym}->ijmn", L.coeffs, da))
+    # + a^A_j (...), - a^i_A (...), - a^A_B (...)
+    brackets = (("bracket_aj", "Aj", 1), ("bracket_ai", "iA", -1), ("bracket_ab", "AB", -1))
+    for name, a_slots, outer in brackets:
+        for sign, l1, l2, deriv in table[name]:
+            if l2 is None:
+                # single connection factor, differentiated
+                terms.append((outer * sign, f"{a_slots},{''.join(l1)}{deriv}->ijmn", a, dL))
+            else:
+                spec = f"{a_slots},{''.join(l1)},{''.join(l2)}->ijmn"
+                terms.append((outer * sign, spec, a, L.coeffs, L.coeffs))
+    return contract((1, 3), *terms)

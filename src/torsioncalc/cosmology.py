@@ -33,14 +33,8 @@ class DegenerateMetricError(ZeroDivisionError):
     g^{ii} = 1/s_i has a pole there, so the metric is degenerate."""
 
 
-def _parse_rational(text) -> Fraction:
-    if isinstance(text, str):
-        return Fraction(text)
-    return Fraction(text)
-
-
 def _parse_poly(coeffs) -> Poly:
-    return Poly(tuple(_parse_rational(c) for c in coeffs))
+    return Poly(tuple(Fraction(c) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class CosmologyMetric:
         return cls(
             tuple(_parse_poly(c) for c in s_lists),
             _parse_poly(n_list),
-            _parse_rational(vprime_minus_w),
+            Fraction(vprime_minus_w),
         )
 
     def metric_rows(self):
@@ -153,9 +147,8 @@ def levi_civita_connection(m: CosmologyMetric):
         # G^i_{i0} = G^i_{0i} = s_i' / (2 s_i)
         G[i][i][0] = G[i][0][i] = ds[i] / (2 * s[i])
     for j in range(1, DIM):
-        # G^0_{jj} = -(-s_j)' ... = -? in signature-free form: + s_j'/ (2 s_0) with a minus from -g_{jj,0}
+        # G^0_{jj} = -g_{jj,0} / (2 g_{00}) = -s_j' / (2 s_0)
         G[0][j][j] = -ds[j] / (2 * s[0])
-    G[0][0][0] = ds[0] / (2 * s[0])
     return G
 
 

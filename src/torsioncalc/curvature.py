@@ -17,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    RationalMatrix,
-    ScalarField,
-    TensorField,
-    _add_terms,
-    _fma_terms,
-    _strip_zeros,
-    matrix_rank,
-)
+from .algebra import RationalMatrix, TensorField, contract, matrix_rank
 from .connection import ConnectionField, DerivKind, covariant_derivative
 
 
@@ -37,26 +29,15 @@ def curvature_R(Lsym: ConnectionField) -> TensorField:
     """
     if not Lsym.is_symmetric():
         raise ValueError("curvature_R expects a symmetric connection")
-    dim = Lsym.dim
-    entries = [e._terms for e in Lsym.coeffs.entries]
-
-    def L(x, y, z):
-        return entries[(x * dim + y) * dim + z]
-
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            for m in range(dim):
-                for n in range(dim):
-                    f = ScalarField(dim, L(i, j, m)).partial(n) - ScalarField(
-                        dim, L(i, j, n)
-                    ).partial(m)
-                    acc = dict(f._terms)
-                    for alpha in range(dim):
-                        _fma_terms(acc, L(alpha, j, m), L(i, alpha, n), 1)
-                        _fma_terms(acc, L(alpha, j, n), L(i, alpha, m), -1)
-                    out.append(ScalarField(dim, _strip_zeros(acc)))
-    return TensorField(dim, (1, 3), out)
+    L = Lsym.coeffs
+    dL = L.partial_gradient()
+    return contract(
+        (1, 3),
+        (1, "ijmn->ijmn", dL),
+        (-1, "ijnm->ijmn", dL),
+        (1, "Ajm,iAn->ijmn", L, L),
+        (-1, "Ajn,iAm->ijmn", L, L),
+    )
 
 
 @dataclass(frozen=True)
@@ -108,63 +89,17 @@ def rho_catalogue():
 
 def rho(coeffs: RhoCoefficients, L: ConnectionField) -> TensorField:
     """Family member for arbitrary coefficients and any connection."""
-    sym, tor = L.symmetric_part(), L.torsion_half()
-    R = curvature_R(sym)
+    tor = L.torsion_half()
     Dtor = covariant_derivative(DerivKind.SYM, tor, L)
-    dim = L.dim
-    t = [e._terms for e in tor.entries]
-
-    def T(x, y, z):
-        return t[(x * dim + y) * dim + z]
-
-    u, up, v, vp, w = (
-        coeffs.u,
-        coeffs.u_prime,
-        coeffs.v,
-        coeffs.v_prime,
-        coeffs.w,
+    return contract(
+        (1, 3),
+        (1, "ijmn->ijmn", curvature_R(L.symmetric_part())),
+        (coeffs.u, "ijmn->ijmn", Dtor),
+        (coeffs.u_prime, "ijnm->ijmn", Dtor),
+        (coeffs.v, "Ajm,iAn->ijmn", tor, tor),
+        (coeffs.v_prime, "Ajn,iAm->ijmn", tor, tor),
+        (coeffs.w, "Amn,ijA->ijmn", tor, tor),
     )
-
-    def add_scaled_sum(acc, scale, factor_pairs):
-        if not scale:
-            return
-        quad = {}
-        for t1, t2 in factor_pairs:
-            _fma_terms(quad, t1, t2, 1)
-        get = acc.get
-        for k, val in quad.items():
-            acc[k] = get(k, 0) + scale * val
-
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            for m in range(dim):
-                for n in range(dim):
-                    f = (
-                        R.get(i, j, m, n)
-                        + Dtor.get(i, j, m, n).scale(u)
-                        + Dtor.get(i, j, n, m).scale(up)
-                    )
-                    acc = dict(f._terms)
-                    rng = range(dim)
-                    add_scaled_sum(acc, v, ((T(al, j, m), T(i, al, n)) for al in rng))
-                    add_scaled_sum(acc, vp, ((T(al, j, n), T(i, al, m)) for al in rng))
-                    add_scaled_sum(acc, w, ((T(al, m, n), T(i, j, al)) for al in rng))
-                    out.append(ScalarField(dim, _strip_zeros(acc)))
-    return TensorField(dim, (1, 3), out)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """One evaluated family member with the coefficients that produced it."""
-
-    tensor: TensorField
-    coefficients: RhoCoefficients
-    label: str
-
-
-def curvature_report(L: ConnectionField, coeffs: RhoCoefficients, label: str = "custom"):
-    return CurvatureReport(rho(coeffs, L), coeffs, label)
 
 
 def rho_family_rank(members) -> int:
@@ -198,84 +133,25 @@ def six_set_members(indices):
 BRACKET_TAGS = ("eq:40", "eq:41", "eq:42", "eq:43", "eq:44")
 
 
-def _quadratic(a: TensorField, pairs) -> TensorField:
-    """Sum over alpha, beta of a^alpha_beta times weighted products of two
-    connection-derived factors.  Each pair is (weight, F1, slots1, F2, slots2)
-    with slots written over the symbols i j m n A B."""
-    dim = a.dim
-    a_t = [e._terms for e in a.entries]
-
-    def entry(i, j, m, n):
-        env = {"i": i, "j": j, "m": m, "n": n}
-        acc = {}
-        for alpha in range(dim):
-            env["A"] = alpha
-            for beta in range(dim):
-                env["B"] = beta
-                a_term = a_t[alpha * dim + beta]
-                if not a_term:
-                    continue
-                for weight, f1, slots1, f2, slots2 in pairs:
-                    x1, y1, z1 = (env[s] for s in slots1)
-                    x2, y2, z2 = (env[s] for s in slots2)
-                    t1 = f1[(x1 * dim + y1) * dim + z1]
-                    t2 = f2[(x2 * dim + y2) * dim + z2]
-                    if not t1 or not t2:
-                        continue
-                    prod = {}
-                    _fma_terms(prod, t1, t2, 1)
-                    _add_terms(acc, prod, weight)
-        return ScalarField(dim, _strip_zeros(acc))
-
-    return TensorField.build(dim, (1, 3), entry)
-
-
-def _object_one(a: TensorField, L: ConnectionField) -> TensorField:
+def _first_bracket_terms(a: TensorField, L: ConnectionField):
     """T^i_Am a^A_j,n - T^A_jm a^i_A,n (both terms carry the torsion half)."""
-    dim = a.dim
-    tor = L.torsion_half()
-    t = [e._terms for e in tor.entries]
-    a_t = [e._terms for e in a.entries]
-
-    def entry(i, j, m, n):
-        acc = {}
-        for alpha in range(dim):
-            da = ScalarField(dim, a_t[alpha * dim + j]).partial(n)
-            _fma_terms(acc, t[(i * dim + alpha) * dim + m], da._terms, 1)
-            da = ScalarField(dim, a_t[i * dim + alpha]).partial(n)
-            _fma_terms(acc, t[(alpha * dim + j) * dim + m], da._terms, -1)
-        return ScalarField(dim, _strip_zeros(acc))
-
-    return TensorField.build(dim, (1, 3), entry)
+    tor, da = L.torsion_half(), a.partial_gradient()
+    return (1, "iAm,Ajn->ijmn", tor, da), (-1, "Ajm,iAn->ijmn", tor, da)
 
 
 def bracket_objects_raw(a: TensorField, L: ConnectionField):
     """The five bracket objects evaluated from the raw connection forms."""
     if a.valence != (1, 1):
         raise ValueError("bracket objects are defined for valence (1, 1)")
-    dim = a.dim
-    raw = [e._terms for e in L.coeffs.entries]
-    tor = [e._terms for e in L.torsion_half().entries]
-    objs = [
-        _object_one(a, L),
-        _quadratic(a, (
-            (1, raw, ("i", "m", "A"), raw, ("B", "j", "n")),
-            (-1, raw, ("i", "A", "m"), raw, ("B", "n", "j")),
-        )),
-        _quadratic(a, (
-            (1, raw, ("i", "m", "A"), raw, ("B", "n", "j")),
-            (-1, raw, ("i", "A", "m"), raw, ("B", "j", "n")),
-        )),
-        _quadratic(a, (
-            (1, tor, ("i", "m", "A"), raw, ("B", "j", "n")),
-            (-1, raw, ("i", "A", "n"), tor, ("B", "m", "j")),
-        )),
-        _quadratic(a, (
-            (1, raw, ("i", "m", "A"), tor, ("B", "j", "n")),
-            (-1, tor, ("i", "A", "n"), raw, ("B", "m", "j")),
-        )),
-    ]
-    return objs
+    raw, tor = L.coeffs, L.torsion_half()
+    objects = (
+        _first_bracket_terms(a, L),
+        ((1, "AB,imA,Bjn->ijmn", a, raw, raw), (-1, "AB,iAm,Bnj->ijmn", a, raw, raw)),
+        ((1, "AB,imA,Bnj->ijmn", a, raw, raw), (-1, "AB,iAm,Bjn->ijmn", a, raw, raw)),
+        ((1, "AB,imA,Bjn->ijmn", a, tor, raw), (-1, "AB,iAn,Bmj->ijmn", a, raw, tor)),
+        ((1, "AB,imA,Bjn->ijmn", a, raw, tor), (-1, "AB,iAn,Bmj->ijmn", a, tor, raw)),
+    )
+    return [contract((1, 3), *terms) for terms in objects]
 
 
 def bracket_objects(a: TensorField, L: ConnectionField):
@@ -283,30 +159,23 @@ def bracket_objects(a: TensorField, L: ConnectionField):
     connection; agrees exactly with :func:`bracket_objects_raw`."""
     if a.valence != (1, 1):
         raise ValueError("bracket objects are defined for valence (1, 1)")
-    sym = [e._terms for e in L.symmetric_part().coeffs.entries]
-    tor = [e._terms for e in L.torsion_half().entries]
-    objs = [
-        _object_one(a, L),
+    sym, tor = L.symmetric_part().coeffs, L.torsion_half()
+    objects = (
+        _first_bracket_terms(a, L),
         # 2(sym T - T sym), the factor 2 from expanding the raw forms
-        _quadratic(a, (
-            (2, sym, ("i", "A", "m"), tor, ("B", "j", "n")),
-            (-2, tor, ("i", "A", "m"), sym, ("B", "j", "n")),
-        )),
-        _quadratic(a, (
-            (-2, sym, ("i", "A", "m"), tor, ("B", "j", "n")),
-            (-2, tor, ("i", "A", "m"), sym, ("B", "j", "n")),
-        )),
-        _quadratic(a, (
-            (-1, tor, ("i", "A", "m"), tor, ("B", "j", "n")),
-            (1, tor, ("i", "A", "n"), tor, ("B", "j", "m")),
-            (-1, tor, ("i", "A", "m"), sym, ("B", "j", "n")),
-            (1, sym, ("i", "A", "n"), tor, ("B", "j", "m")),
-        )),
-        _quadratic(a, (
-            (-1, tor, ("i", "A", "m"), tor, ("B", "j", "n")),
-            (1, tor, ("i", "A", "n"), tor, ("B", "j", "m")),
-            (1, sym, ("i", "A", "m"), tor, ("B", "j", "n")),
-            (-1, tor, ("i", "A", "n"), sym, ("B", "j", "m")),
-        )),
-    ]
-    return objs
+        ((2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
+        ((-2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
+        (
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
+            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, sym),
+            (1, "AB,iAn,Bjm->ijmn", a, sym, tor),
+        ),
+        (
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
+            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
+            (1, "AB,iAm,Bjn->ijmn", a, sym, tor),
+            (-1, "AB,iAn,Bjm->ijmn", a, tor, sym),
+        ),
+    )
+    return [contract((1, 3), *terms) for terms in objects]

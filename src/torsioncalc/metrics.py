@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ScalarField, TensorField
+from .algebra import ScalarField, TensorField, contract
 from .connection import ConnectionField
 
 HALF = Fraction(1, 2)
@@ -70,32 +70,12 @@ class GeneralizedMetric:
             raise ValueError("inverse must have valence (2, 0)")
         self.g = g
         self.dim = g.dim
-        dim = g.dim
-        sym_entries = []
-        anti_entries = []
-        for i in range(dim):
-            for j in range(dim):
-                gij, gji = g.get(i, j), g.get(j, i)
-                sym_entries.append((gij + gji).scale(HALF))
-                anti_entries.append((gij - gji).scale(HALF))
-        self.g_sym = TensorField(dim, (0, 2), sym_entries)
-        self.g_antisym = TensorField(dim, (0, 2), anti_entries)
+        self.g_sym = contract((0, 2), (HALF, "ij->ij", g), (HALF, "ji->ij", g))
+        self.g_antisym = contract((0, 2), (HALF, "ij->ij", g), (-HALF, "ji->ij", g))
         self.g_sym_inv = g_sym_inv
-        self._check_inverse()
-
-    def _check_inverse(self):
-        dim = self.dim
-        one = ScalarField.constant(1, dim)
-        zero = ScalarField(dim)
-        for i in range(dim):
-            for j in range(dim):
-                total = ScalarField(dim)
-                for a in range(dim):
-                    total = total + self.g_sym_inv.get(i, a) * self.g_sym.get(j, a)
-                if total != (one if i == j else zero):
-                    raise SingularMetricError(
-                        "supplied inverse does not invert the symmetric part"
-                    )
+        product = contract((1, 1), (1, "ia,ja->ij", g_sym_inv, self.g_sym))
+        if product != TensorField.kronecker(g.dim):
+            raise SingularMetricError("supplied inverse does not invert the symmetric part")
 
     @classmethod
     def from_field(cls, g: TensorField) -> "GeneralizedMetric":
@@ -160,17 +140,15 @@ def christoffel_generalized(g: GeneralizedMetric) -> ConnectionField:
 
     For a symmetric metric this is the Levi-Civita connection.
     """
-    dim = g.dim
-    grad = g.g.partial_gradient()  # g_{ij,k}
-
-    def entry(i, j, k):
-        total = ScalarField(dim)
-        for a in range(dim):
-            combo = grad.get(j, a, k) - grad.get(j, k, a) + grad.get(a, k, j)
-            total = total + g.g_sym_inv.get(i, a) * combo
-        return total.scale(HALF)
-
-    return ConnectionField(TensorField.build(dim, (1, 2), entry))
+    inv, grad = g.g_sym_inv, g.g.partial_gradient()  # g_{ij,k}
+    return ConnectionField(
+        contract(
+            (1, 2),
+            (HALF, "ia,jak->ijk", inv, grad),
+            (-HALF, "ia,jka->ijk", inv, grad),
+            (HALF, "ia,akj->ijk", inv, grad),
+        )
+    )
 
 
 def christoffel_first_kind_antisym(g) -> TensorField:
@@ -184,18 +162,14 @@ def christoffel_first_kind_antisym(g) -> TensorField:
     field = g.g if isinstance(g, GeneralizedMetric) else g
     if field.valence != (0, 2):
         raise ValueError("metric must have valence (0, 2)")
-    dim = field.dim
-    anti = TensorField.build(
-        dim, (0, 2),
-        lambda i, j: (field.get(i, j) - field.get(j, i)).scale(HALF),
-    )
+    anti = contract((0, 2), (HALF, "ij->ij", field), (-HALF, "ji->ij", field))
     grad = anti.partial_gradient()
-
-    def entry(a, j, k):
-        combo = grad.get(j, a, k) - grad.get(j, k, a) + grad.get(a, k, j)
-        return combo.scale(HALF)
-
-    return TensorField.build(dim, (0, 3), entry)
+    return contract(
+        (0, 3),
+        (HALF, "jak->ajk", grad),
+        (-HALF, "jka->ajk", grad),
+        (HALF, "akj->ajk", grad),
+    )
 
 
 def einstein_metricity_residual(g: GeneralizedMetric, L: ConnectionField) -> TensorField:
@@ -206,14 +180,9 @@ def einstein_metricity_residual(g: GeneralizedMetric, L: ConnectionField) -> Ten
     """
     if g.dim != L.dim:
         raise ValueError("dimension mismatch")
-    dim = g.dim
-    grad = g.g.partial_gradient()
-
-    def entry(i, j, k):
-        total = grad.get(i, j, k)
-        for a in range(dim):
-            total = total - L.coeffs.get(a, i, k) * g.g.get(a, j)
-            total = total - L.coeffs.get(a, k, j) * g.g.get(i, a)
-        return total
-
-    return TensorField.build(dim, (0, 3), entry)
+    return contract(
+        (0, 3),
+        (1, "ijk->ijk", g.g.partial_gradient()),
+        (-1, "aik,aj->ijk", L.coeffs, g.g),
+        (-1, "akj,ia->ijk", L.coeffs, g.g),
+    )

@@ -21,20 +21,11 @@ weight the substitution actually produces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import (
-    LinearSystem,
-    RationalMatrix,
-    ScalarField,
-    TensorField,
-    _add_terms,
-    _fma_terms,
-    _strip_zeros,
-    matrix_rank,
-)
+from .algebra import LinearSystem, RationalMatrix, TensorField, contract, matrix_rank
 from .connection import (
     KIND_BY_NUMBER,
     ConnectionField,
@@ -188,6 +179,45 @@ def catalogue_independence_rank() -> int:
 # ---------------------------------------------------------------------------
 
 
+# Index letters: i, j, m, n are free in every (1,3) block [i][j][m][n]; A and
+# B are summed.  ``ID`` reads a block as it is, ``SWAP`` with m and n swapped.
+ID, SWAP = "ijmn->ijmn", "ijnm->ijmn"
+
+# Torsion-against-derivative pattern k in 1..5: tor, then X = a derivative of a.
+_DTERM_SPECS = (
+    "Ajm,iAn->ijmn",
+    "Ajn,iAm->ijmn",
+    "Amn,ijA->ijmn",
+    "iAn,Ajm->ijmn",
+    "iAm,Ajn->ijmn",
+)
+
+# Cached (1,3) blocks: (spec, operand names); see IdentityWorkspace._operand.
+_BLOCKS = {
+    "q1": ("Ajm,iAn->ijmn", "tor", "tor"),
+    "q2": ("ijA,Amn->ijmn", "tor", "tor"),
+    "q3": ("iAn,Ajm->ijmn", "tor", "tor"),
+    "s_tor_tor": ("iAm,Bjn,AB->ijmn", "tor", "tor", "a"),
+}
+
+# Basis term k in 1..17: (weight, spec, operand names).
+_BASIS = (
+    *((2, spec, "tor", "d_sym") for spec in _DTERM_SPECS),
+    (1, "Aj,iAmn->ijmn", "a", "dtor"),
+    (1, "Aj,iAnm->ijmn", "a", "dtor"),
+    (1, "Aj,iAmn->ijmn", "a", "q1"),
+    (1, "Aj,iAnm->ijmn", "a", "q1"),
+    (2, "Aj,iAmn->ijmn", "a", "q2"),
+    (-1, "iA,Ajmn->ijmn", "a", "dtor"),
+    (-1, "iA,Ajnm->ijmn", "a", "dtor"),
+    (-1, "iA,Ajmn->ijmn", "a", "q3"),
+    (-1, "iA,Ajnm->ijmn", "a", "q3"),
+    (-2, "iA,Ajmn->ijmn", "a", "q2"),
+    (-2, ID, "s_tor_tor"),
+    (-2, SWAP, "s_tor_tor"),
+)
+
+
 class IdentityWorkspace:
     """All derived tensors of one (tensor, connection) instance.
 
@@ -214,21 +244,23 @@ class IdentityWorkspace:
             self._cache[key] = value
             return value
 
-    # raw term-dict views ---------------------------------------------------
-
-    def _a_terms(self):
-        return self._get("a_terms", lambda: [e._terms for e in self.a.entries])
-
-    def _tor_terms(self):
-        return self._get(
-            "tor_terms", lambda: [e._terms for e in self.L.torsion_half().entries]
-        )
-
-    def _sym_terms(self):
-        return self._get(
-            "sym_terms",
-            lambda: [e._terms for e in self.L.symmetric_part().coeffs.entries],
-        )
+    def _operand(self, name: str) -> TensorField:
+        """A factor named in the spec tables: ``a``, the torsion half ``tor``,
+        its symmetric-rule derivative ``dtor``, ``d_sym`` (the symmetric-rule
+        derivative of ``a``) or a cached block of ``_BLOCKS``."""
+        if name == "a":
+            return self.a
+        if name == "tor":
+            return self.L.torsion_half()
+        if name == "dtor":
+            return self._get(
+                "dtor",
+                lambda: covariant_derivative(DerivKind.SYM, self.L.torsion_half(), self.L),
+            )
+        if name == "d_sym":
+            return self.first_derivative(DerivKind.SYM)
+        spec, *names = _BLOCKS[name]
+        return self._get(name, lambda: contract((1, 3), (1, spec, *map(self._operand, names))))
 
     # first and second derivatives ------------------------------------------
 
@@ -239,9 +271,6 @@ class IdentityWorkspace:
             ("d1", kind), lambda: covariant_derivative(kind, self.a, self.L)
         )
 
-    def grad_a(self) -> TensorField:
-        return self._get("grad_a", self.a.partial_gradient)
-
     def dd(self, p: int, q: int) -> TensorField:
         """a p|m q|n by composition, cached per ordered pair."""
 
@@ -251,316 +280,95 @@ class IdentityWorkspace:
 
         return self._get(("dd", p, q), build)
 
-    def dd_swapped(self, p: int, q: int) -> TensorField:
-        """a p|n q|m: :meth:`dd` with m and n swapped, cached per ordered pair."""
-        return self._get(("dd_swapped", p, q), lambda: self.dd(p, q).swap_last_lower())
-
-    def _lhs_pieces(self, pqrs):
+    def _lhs_pieces(self, pqrs, sign=1):
         p, q, r, s = pqrs
-        return [(1, self.dd(p, q)), (-1, self.dd_swapped(r, s))]
+        return [(sign, ID, self.dd(p, q)), (-sign, SWAP, self.dd(r, s))]
 
     def lhs(self, pqrs) -> TensorField:
         """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
-        return _combine(self.dim, *self._lhs_pieces(pqrs))
+        return contract((1, 3), *self._lhs_pieces(pqrs))
 
     # curvature and torsion blocks -------------------------------------------
 
     def curvature(self) -> TensorField:
         return self._get("R", lambda: curvature_R(self.L.symmetric_part()))
 
-    def dtor(self) -> TensorField:
-        """Torsion half differentiated with the symmetric rule; (1,3)."""
-        return self._get(
-            "dtor",
-            lambda: covariant_derivative(DerivKind.SYM, self.L.torsion_half(), self.L),
-        )
-
-    def _contract_upper(self, W: TensorField) -> TensorField:
-        """Sum_alpha a^alpha_j W^i_{alpha m n} for a (1,3) block W."""
-        dim = self.dim
-        a_t = self._a_terms()
-        w_t = [e._terms for e in W.entries]
-        n3, n2 = dim**3, dim**2
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                for m in range(dim):
-                    for n in range(dim):
-                        acc = {}
-                        base = i * n3 + m * dim + n
-                        for alpha in range(dim):
-                            _fma_terms(acc, a_t[alpha * dim + j], w_t[base + alpha * n2], 1)
-                        out.append(ScalarField(dim, _strip_zeros(acc)))
-        return TensorField(dim, (1, 3), out)
-
-    def _contract_lower(self, V: TensorField) -> TensorField:
-        """Sum_alpha a^i_alpha V^alpha_{j m n} for a (1,3) block V."""
-        dim = self.dim
-        a_t = self._a_terms()
-        v_t = [e._terms for e in V.entries]
-        n3 = dim**3
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                for m in range(dim):
-                    for n in range(dim):
-                        acc = {}
-                        base = j * dim**2 + m * dim + n
-                        for alpha in range(dim):
-                            _fma_terms(acc, a_t[i * dim + alpha], v_t[alpha * n3 + base], 1)
-                        out.append(ScalarField(dim, _strip_zeros(acc)))
-        return TensorField(dim, (1, 3), out)
-
     def r_commutator(self) -> TensorField:
         """a^alpha_j R^i_{alpha mn} - a^i_alpha R^alpha_{jmn}."""
 
         def build():
             R = self.curvature()
-            return self._contract_upper(R) - self._contract_lower(R)
+            return contract(
+                (1, 3), (1, "Aj,iAmn->ijmn", self.a, R), (-1, "iA,Ajmn->ijmn", self.a, R)
+            )
 
         return self._get("rcomm", build)
-
-    def _pair_tensor(self, key, f1, s1, f2, s2):
-        """Sum_beta F1[slots1] * F2[slots2] as a (1,3)-shaped block; slots
-        are 3-tuples over the symbols x y m n B with B summed."""
-
-        def build():
-            dim = self.dim
-            out = []
-            for x in range(dim):
-                for y in range(dim):
-                    for m in range(dim):
-                        for n in range(dim):
-                            env = {"x": x, "y": y, "m": m, "n": n}
-                            acc = {}
-                            for beta in range(dim):
-                                env["B"] = beta
-                                i1, j1, k1 = (env[s] for s in s1)
-                                i2, j2, k2 = (env[s] for s in s2)
-                                _fma_terms(
-                                    acc,
-                                    f1[(i1 * dim + j1) * dim + k1],
-                                    f2[(i2 * dim + j2) * dim + k2],
-                                    1,
-                                )
-                            out.append(ScalarField(dim, _strip_zeros(acc)))
-            return TensorField(dim, (1, 3), out)
-
-        return self._get(key, build)
-
-    # torsion-quadratic and mixed blocks, all (1,3)-shaped with layout
-    # [x][y][m][n]; x is the block's upper index, y the contracted-outside one
-    def q1(self):
-        tor = self._tor_terms()
-        return self._pair_tensor("q1", tor, ("B", "y", "m"), tor, ("x", "B", "n"))
-
-    def q2(self):
-        tor = self._tor_terms()
-        return self._pair_tensor("q2", tor, ("x", "y", "B"), tor, ("B", "m", "n"))
-
-    def q3(self):
-        tor = self._tor_terms()
-        return self._pair_tensor("q3", tor, ("x", "B", "n"), tor, ("B", "y", "m"))
-
-    def q4(self):
-        # same contraction pattern as q2 up to index naming
-        return self.q2()
-
-    def g3(self):
-        sym, tor = self._sym_terms(), self._tor_terms()
-        return self._pair_tensor("g3", sym, ("x", "y", "B"), tor, ("B", "m", "n"))
-
-    def g4(self):
-        sym, tor = self._sym_terms(), self._tor_terms()
-        return self._pair_tensor("g4", tor, ("x", "B", "n"), sym, ("B", "y", "m"))
-
-    def h1(self):
-        sym, tor = self._sym_terms(), self._tor_terms()
-        return self._pair_tensor("h1", sym, ("x", "B", "n"), tor, ("B", "y", "m"))
-
-    def h3(self):
-        # same contraction pattern as g3 up to index naming
-        return self.g3()
-
-    def _double_contraction(self, key, f1, f2):
-        """Sum_{alpha,beta} a^alpha_beta F1[i alpha m] F2[beta j n]."""
-
-        def build():
-            dim = self.dim
-            a_t = self._a_terms()
-            out = []
-            for i in range(dim):
-                for j in range(dim):
-                    for m in range(dim):
-                        for n in range(dim):
-                            acc = {}
-                            for alpha in range(dim):
-                                t1 = f1[(i * dim + alpha) * dim + m]
-                                if not t1:
-                                    continue
-                                for beta in range(dim):
-                                    t2 = f2[(beta * dim + j) * dim + n]
-                                    a_e = a_t[alpha * dim + beta]
-                                    if not t2 or not a_e:
-                                        continue
-                                    prod = {}
-                                    _fma_terms(prod, t1, t2, 1)
-                                    _fma_terms(acc, prod, a_e, 1)
-                            out.append(ScalarField(dim, _strip_zeros(acc)))
-            return TensorField(dim, (1, 3), out)
-
-        return self._get(key, build)
-
-    def s_tor_tor(self):
-        tor = self._tor_terms()
-        return self._double_contraction("s_tt", tor, tor)
-
-    def m_sym_tor(self):
-        # sym[i][alpha][n] tor[beta][j][m]: realised as the (m,n) swap of the
-        # slot-m/slot-n layout used by _double_contraction
-        sym, tor = self._sym_terms(), self._tor_terms()
-        return self._double_contraction("m_st", sym, tor).swap_last_lower()
-
-    def m_tor_sym(self):
-        sym, tor = self._sym_terms(), self._tor_terms()
-        return self._double_contraction("m_ts", tor, sym).swap_last_lower()
-
-    # single-derivative terms -------------------------------------------------
 
     def derivative_term(self, k: int, which) -> TensorField:
         """Torsion-against-derivative pattern k in 1..5 (no leading factor 2)
         applied to a derivative of ``a``: a rule number or DerivKind, or
         "partial" for the plain partial gradient."""
-        key = ("dterm", k, which)
 
         def build():
-            X = self.grad_a() if which == "partial" else self.first_derivative(which)
-            return self._derivative_term_raw(k, X)
+            if which == "partial":
+                X = self._get("grad_a", self.a.partial_gradient)
+            else:
+                X = self.first_derivative(which)
+            return contract((1, 3), (1, _DTERM_SPECS[k - 1], self.L.torsion_half(), X))
 
-        return self._get(key, build)
-
-    def _derivative_term_raw(self, k: int, X: TensorField) -> TensorField:
-        dim = self.dim
-        tor = self._tor_terms()
-        x_t = [e._terms for e in X.entries]
-        n2 = dim * dim
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                for m in range(dim):
-                    for n in range(dim):
-                        acc = {}
-                        for al in range(dim):
-                            if k == 1:
-                                t = tor[(al * dim + j) * dim + m]
-                                xe = x_t[i * n2 + al * dim + n]
-                            elif k == 2:
-                                t = tor[(al * dim + j) * dim + n]
-                                xe = x_t[i * n2 + al * dim + m]
-                            elif k == 3:
-                                t = tor[(al * dim + m) * dim + n]
-                                xe = x_t[i * n2 + j * dim + al]
-                            elif k == 4:
-                                t = tor[(i * dim + al) * dim + n]
-                                xe = x_t[al * n2 + j * dim + m]
-                            else:
-                                t = tor[(i * dim + al) * dim + m]
-                                xe = x_t[al * n2 + j * dim + n]
-                            _fma_terms(acc, t, xe, 1)
-                        out.append(ScalarField(dim, _strip_zeros(acc)))
-        return TensorField(dim, (1, 3), out)
+        return self._get(("dterm", k, which), build)
 
     # basis and right sides ----------------------------------------------------
 
     def basis(self, k: int) -> TensorField:
         """Basis term k in 1..17 (the R-commutator is not part of the basis)."""
-
-        def build():
-            if 1 <= k <= 5:
-                return self.derivative_term(k, DerivKind.SYM).scale(2)
-            if k == 6:
-                return self._contract_upper(self.dtor())
-            if k == 7:
-                return self._contract_upper(self.dtor().swap_last_lower())
-            if k == 8:
-                return self._contract_upper(self.q1())
-            if k == 9:
-                return self._contract_upper(self.q1().swap_last_lower())
-            if k == 10:
-                return self._contract_upper(self.q2()).scale(2)
-            if k == 11:
-                return -self._contract_lower(self.dtor())
-            if k == 12:
-                return -self._contract_lower(self.dtor().swap_last_lower())
-            if k == 13:
-                return -self._contract_lower(self.q3())
-            if k == 14:
-                return -self._contract_lower(self.q3().swap_last_lower())
-            if k == 15:
-                return self._contract_lower(self.q4()).scale(-2)
-            if k == 16:
-                return self.s_tor_tor().scale(-2)
-            if k == 17:
-                return self.s_tor_tor().swap_last_lower().scale(-2)
+        if not 1 <= k <= 17:
             raise ValueError("basis index must lie in 1..17")
+        weight, spec, *names = _BASIS[k - 1]
+        return self._get(
+            ("basis", k),
+            lambda: contract((1, 3), (weight, spec, *map(self._operand, names))),
+        )
 
-        return self._get(("basis", k), build)
-
-    def _rhs_pieces(self, coeffs: IdentityCoefficients):
-        pieces = [(1, self.r_commutator())]
-        pieces += [(ck, self.basis(k)) for k, ck in enumerate(coeffs.c, start=1) if ck]
+    def _rhs_pieces(self, coeffs: IdentityCoefficients, sign=1):
+        pieces = [(sign, ID, self.r_commutator())]
+        pieces += [(sign * ck, ID, self.basis(k)) for k, ck in enumerate(coeffs.c, start=1) if ck]
         return pieces
 
     def rhs(self, coeffs: IdentityCoefficients) -> TensorField:
         """Right side of the family identity for one coefficient vector."""
-        return _combine(self.dim, *self._rhs_pieces(coeffs))
+        return contract((1, 3), *self._rhs_pieces(coeffs))
 
     def residual(self, coeffs: IdentityCoefficients) -> TensorField:
         """Left minus right side in one pass over the cached column tensors;
         linear in :func:`identity_row` of ``coeffs``."""
-        return _combine(
-            self.dim,
-            *self._lhs_pieces(coeffs.pqrs),
-            *_negated(self._rhs_pieces(coeffs)),
+        return contract(
+            (1, 3), *self._lhs_pieces(coeffs.pqrs), *self._rhs_pieces(coeffs, sign=-1)
         )
-
-    def _contracted(self, name: str) -> TensorField:
-        """Cached a-contractions of the cross blocks used by the expanded
-        form, oriented so each enters the right side with weight +1."""
-
-        builders = {
-            "g3": lambda: self._contract_upper(self.g3()),
-            "g4": lambda: self._contract_upper(self.g4()),
-            "g4s": lambda: self._contract_upper(self.g4().swap_last_lower()),
-            "h1": lambda: -self._contract_lower(self.h1()),
-            "h1s": lambda: -self._contract_lower(self.h1().swap_last_lower()),
-            "h3": lambda: -self._contract_lower(self.h3()),
-        }
-        return self._get(("contracted", name), builders[name])
 
     def rhs_expanded(self, coeffs: IdentityCoefficients) -> TensorField:
         """The pseudotensor-revealing form: first derivatives replaced by
         plain partials, with the induced symmetric-part cross terms carried
         inside the brackets.  Agrees exactly with :meth:`rhs`."""
         c = (None,) + coeffs.c  # 1-based
-        pieces = [(1, self.r_commutator())]
-        for k in range(1, 6):
-            pieces.append((2 * c[k], self.derivative_term(k, "partial")))
-        for j in range(6, 18):
-            pieces.append((c[j], self.basis(j)))
+        a, tor = self.a, self.L.torsion_half()
+        sym = self.L.symmetric_part().coeffs
+        pieces = [(1, ID, self.r_commutator())]
+        pieces += [(2 * c[k], ID, self.derivative_term(k, "partial")) for k in range(1, 6)]
+        pieces += [(c[k], ID, self.basis(k)) for k in range(6, 18)]
         pieces += [
-            (2 * c[3], self._contracted("g3")),
-            (2 * c[4], self._contracted("g4")),
-            (2 * c[5], self._contracted("g4s")),
-            (2 * c[1], self._contracted("h1")),
-            (2 * c[2], self._contracted("h1s")),
-            (2 * c[3], self._contracted("h3")),
-            (2 * c[1], self.m_sym_tor()),
-            (2 * c[2], self.m_sym_tor().swap_last_lower()),
-            (-2 * c[4], self.m_tor_sym()),
-            (-2 * c[5], self.m_tor_sym().swap_last_lower()),
+            (2 * c[3], "Aj,iAB,Bmn->ijmn", a, sym, tor),
+            (2 * c[4], "Aj,iBn,BAm->ijmn", a, tor, sym),
+            (2 * c[5], "Aj,iBm,BAn->ijmn", a, tor, sym),
+            (-2 * c[1], "iA,ABn,Bjm->ijmn", a, sym, tor),
+            (-2 * c[2], "iA,ABm,Bjn->ijmn", a, sym, tor),
+            (-2 * c[3], "iA,AjB,Bmn->ijmn", a, sym, tor),
+            (2 * c[1], "AB,iAn,Bjm->ijmn", a, sym, tor),
+            (2 * c[2], "AB,iAm,Bjn->ijmn", a, sym, tor),
+            (-2 * c[4], "AB,iAn,Bjm->ijmn", a, tor, sym),
+            (-2 * c[5], "AB,iAm,Bjn->ijmn", a, tor, sym),
         ]
-        return _combine(self.dim, *pieces)
+        return contract((1, 3), *pieces)
 
     def _mixed_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
         """Weighted column tensors of :meth:`rhs_mixed`; weights are rational."""
@@ -568,28 +376,29 @@ class IdentityWorkspace:
         xu = [None] + [weights.split_signs(k)[0] for k in range(1, 6)]
         xl = [None] + [weights.split_signs(k)[1] for k in range(1, 6)]
 
-        pieces = [(1, self.r_commutator())]
+        pieces = [(1, ID, self.r_commutator())]
         for k in range(1, 6):
             if not c[k]:
                 continue
             for l in (1, 2, 3):
                 w = Fraction(weights.rows[k - 1][l - 1])
                 if w:
-                    pieces.append((2 * c[k] * w, self.derivative_term(k, l)))
-        pieces += [
-            (c[6], self.basis(6)),
-            (c[7], self.basis(7)),
-            (c[8] - 2 * c[4] * xu[4], self.basis(8)),
-            (c[9] - 2 * c[5] * xu[5], self.basis(9)),
-            (c[10] - c[3] * xu[3], self.basis(10)),
-            (c[11], self.basis(11)),
-            (c[12], self.basis(12)),
-            (c[13] - 2 * c[1] * xl[1], self.basis(13)),
-            (c[14] - 2 * c[2] * xl[2], self.basis(14)),
-            (c[15] - c[3] * xl[3], self.basis(15)),
-            (c[16] + c[2] * xu[2] - c[5] * xl[5], self.basis(16)),
-            (c[17] + c[1] * xu[1] - c[4] * xl[4], self.basis(17)),
-        ]
+                    pieces.append((2 * c[k] * w, ID, self.derivative_term(k, l)))
+        bracket_weights = (
+            c[6],
+            c[7],
+            c[8] - 2 * c[4] * xu[4],
+            c[9] - 2 * c[5] * xu[5],
+            c[10] - c[3] * xu[3],
+            c[11],
+            c[12],
+            c[13] - 2 * c[1] * xl[1],
+            c[14] - 2 * c[2] * xl[2],
+            c[15] - c[3] * xl[3],
+            c[16] + c[2] * xu[2] - c[5] * xl[5],
+            c[17] + c[1] * xu[1] - c[4] * xl[4],
+        )
+        pieces += [(w, ID, self.basis(k)) for k, w in enumerate(bracket_weights, start=6)]
         return pieces
 
     def rhs_mixed(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
@@ -598,46 +407,25 @@ class IdentityWorkspace:
 
         Expressed against the cached basis: pattern k of the torsion-quadratic
         brackets absorbs -2 c_k times the substitution sign combinations."""
-        return _combine(self.dim, *self._mixed_pieces(coeffs, weights))
+        return contract((1, 3), *self._mixed_pieces(coeffs, weights))
 
     def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
         """D * (lhs - rhs_mixed) in one pass, D the lcm of the weights'
         denominators.  Every weight is scaled to an integer, so the
         accumulation runs on ints; the result is zero exactly when the
         rational residual is."""
-        pieces = [
-            *self._lhs_pieces(coeffs.pqrs),
-            *_negated(self._mixed_pieces(coeffs, weights)),
-        ]
-        D = lcm(*(Fraction(w).denominator for w, _ in pieces))
-        return _combine(self.dim, *((int(w * D), t) for w, t in pieces))
-
-
-def _negated(pieces):
-    return [(-w, t) for w, t in pieces]
-
-
-def _combine(dim, *weighted):
-    """Linear combination of (1,3) tensors in one accumulation pass."""
-    live = [(w, t.entries) for w, t in weighted if w]
-    out = []
-    for e in range(dim**4):
-        acc = {}
-        for weight, entries in live:
-            _add_terms(acc, entries[e]._terms, weight)
-        out.append(ScalarField(dim, _strip_zeros(acc)))
-    return TensorField(dim, (1, 3), out)
+        pieces = self._mixed_pieces(coeffs, weights)
+        D = lcm(*(Fraction(w).denominator for w, _, _ in pieces))
+        return contract(
+            (1, 3),
+            *self._lhs_pieces(coeffs.pqrs, sign=D),
+            *((-int(w * D), spec, t) for w, spec, t in pieces),
+        )
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def evaluate_identity_rhs(
-    coeffs: IdentityCoefficients, a: TensorField, L: ConnectionField
-) -> TensorField:
-    return IdentityWorkspace(a, L).rhs(coeffs)
 
 
 def verify_identity(pqrs, a: TensorField, L: ConnectionField) -> TensorField:
@@ -693,7 +481,7 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
     rcomm = ws.r_commutator()
     targets = []
     for combo in combos:
-        t = _combine(ws.dim, *ws._lhs_pieces(combo), (-1, rcomm))
+        t = contract((1, 3), *ws._lhs_pieces(combo), (-1, ID, rcomm))
         targets.append([e._terms for e in t.entries])
     n_entries = ws.dim ** 4
     for e in range(n_entries):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,8 @@ from torsioncalc.algebra import (
     RationalMatrix,
     ScalarField,
     TensorField,
+    contract,
     matrix_rank,
-    poly_partial,
-    tensor_contract,
 )
 from torsioncalc.sampling import derive_rng, random_scalar_field, random_tensor_field
 
@@ -23,13 +23,13 @@ from torsioncalc.sampling import derive_rng, random_scalar_field, random_tensor_
 
 def test_partial_of_constant_is_zero():
     f = ScalarField.constant(5, 3)
-    assert poly_partial(f, 0).is_zero()
+    assert f.partial(0).is_zero()
 
 
 def test_partial_power_rule():
     f = ScalarField.from_terms({(2, 1, 0): 1}, 3)  # x0^2 x1
     expected = ScalarField.from_terms({(1, 1, 0): 2}, 3)
-    assert poly_partial(f, 0) == expected
+    assert f.partial(0) == expected
 
 
 def test_partial_index_out_of_range():
@@ -80,6 +80,20 @@ def test_product_exponent_overflow_is_named(dim):
     assert (x200 * ScalarField(dim)).is_zero()
 
 
+def test_contract_products_check_exponent_overflow():
+    # contract multiplies raw term dicts; like ScalarField * it must refuse
+    # a product whose packed exponents would carry into the next slot
+    def field(e):
+        return TensorField(2, (0, 1), [ScalarField.from_terms({(e, 0): 1}, 2)] * 2)
+
+    with pytest.raises(ExponentOverflowError, match="x0: exponents 200 \\+ 100"):
+        field(200).tensor_product(field(100))
+    with pytest.raises(ExponentOverflowError, match="x0: exponents 100 \\+ 100 \\+ 100"):
+        contract((0, 0), (1, "a,a,a->", field(100), field(100), field(100)))
+    cube = contract((0, 0), (1, "a,a,a->", field(85), field(85), field(85)))
+    assert cube.get() == ScalarField.from_terms({(255, 0): 2}, 2)
+
+
 def test_evaluate_exact():
     f = ScalarField.from_terms({(2, 1): 3, (0, 0): Fraction(1, 2)}, 2)
     assert f.evaluate((Fraction(1, 2), 4)) == 3 * Fraction(1, 4) * 4 + Fraction(1, 2)
@@ -117,7 +131,7 @@ def test_partial_is_a_derivation(f, g):
 def test_kronecker_trace_is_dimension():
     for dim in (2, 3, 4):
         delta = TensorField.kronecker(dim)
-        trace = tensor_contract(delta, 0, 0)
+        trace = delta.contract(0, 0)
         assert trace.get() == ScalarField.constant(dim, dim)
 
 
@@ -126,7 +140,7 @@ def test_trace_of_constant_diagonal():
     two = ScalarField.constant(2, 2)
     zero = ScalarField(2)
     a = TensorField(2, (1, 1), [one, zero, zero, two])
-    assert tensor_contract(a, 0, 0).get() == ScalarField.constant(3, 2)
+    assert a.contract(0, 0).get() == ScalarField.constant(3, 2)
 
 
 def test_contract_matches_explicit_loop():
@@ -134,7 +148,7 @@ def test_contract_matches_explicit_loop():
     a = random_tensor_field(rng, 3, (1, 1), degree=1)
     b = random_tensor_field(rng, 3, (0, 1), degree=1)
     prod = a.tensor_product(b)  # valence (1, 2), lower order (j from a, k from b)
-    contracted = tensor_contract(prod, 0, 0)
+    contracted = prod.contract(0, 0)
     # brute-force oracle: c_k = sum_i a^i_i b_k
     for k in range(3):
         total = ScalarField(3)
@@ -167,6 +181,93 @@ def test_partial_gradient_appends_index():
         for j in range(2):
             for k in range(2):
                 assert g.get(i, j, k) == a.get(i, j).partial(k)
+
+
+# ---------------------------------------------------------------------------
+# contract
+# ---------------------------------------------------------------------------
+
+
+def _reference_contract(valence, dim, terms):
+    """Entry by entry from get, ScalarField * and +: every assignment of the
+    summed letters, each product of operand entries times the weight."""
+
+    def entry(*out_idx):
+        total = ScalarField(dim)
+        for weight, spec, *tensors in terms:
+            inputs, output = spec.split("->")
+            operands = inputs.split(",")
+            summed = sorted(set("".join(operands)) - set(output))
+            for values in itertools.product(range(dim), repeat=len(summed)):
+                env = {**dict(zip(output, out_idx)), **dict(zip(summed, values))}
+                prod = ScalarField.constant(1, dim)
+                for letters, t in zip(operands, tensors):
+                    prod = prod * t.get(*(env[c] for c in letters))
+                total = total + prod.scale(weight)
+        return total
+
+    return TensorField.build(dim, valence, entry)
+
+
+# (output valence, [(weight, spec, operand valences)]); operands are drawn
+# fresh for every operand slot
+CONTRACT_CASES = {
+    "permutation": ((1, 2), [(1, "ijk->ikj", [(1, 2)])]),
+    "cyclic": ((1, 2), [(1, "kij->ijk", [(1, 2)])]),
+    "trace": ((0, 1), [(1, "iij->j", [(1, 2)])]),
+    "full-trace": ((0, 0), [(1, "ii->", [(1, 1)])]),
+    "two-operand": ((1, 2), [(1, "iA,Ajk->ijk", [(1, 1), (1, 2)])]),
+    "negated-outer": ((1, 2), [(-1, "ij,k->ijk", [(1, 1), (0, 1)])]),
+    "weight-3": ((1, 3), [(3, "Aj,iAmn->ijmn", [(1, 1), (1, 3)])]),
+    "three-operand": ((1, 3), [(-1, "AB,iAm,Bjn->ijmn", [(1, 1), (1, 2), (1, 2)])]),
+    "fraction-three-operand": (
+        (1, 3), [(Fraction(-2, 3), "iAm,Bjn,AB->ijmn", [(1, 2), (1, 2), (1, 1)])]
+    ),
+    "mixed-terms": (
+        (1, 3),
+        [
+            (1, "ijmn->ijmn", [(1, 3)]),
+            (-1, "ijnm->ijmn", [(1, 3)]),
+            (Fraction(5, 2), "Ajm,iAn->ijmn", [(1, 2), (1, 2)]),
+            (-2, "iA,Ajmn->ijmn", [(1, 1), (1, 3)]),
+            (0, "iA,Ajmn->ijmn", [(1, 1), (1, 3)]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_contract_matches_reference(case, dim):
+    rng = derive_rng(11, f"contract:{case}:{dim}")
+    valence, table = CONTRACT_CASES[case]
+    terms = [
+        (weight, spec, *(random_tensor_field(rng, dim, v, degree=1) for v in valences))
+        for weight, spec, valences in table
+    ]
+    result = contract(valence, *terms)
+    assert result.valence == valence
+    assert result == _reference_contract(valence, dim, terms)
+
+
+def test_contract_rejects_mistyped_specs():
+    rng = derive_rng(12, "contract-errors")
+    a = random_tensor_field(rng, 3, (1, 1), degree=1)
+    b = random_tensor_field(rng, 3, (1, 2), degree=1)
+    a2 = random_tensor_field(rng, 2, (1, 1), degree=1)
+    with pytest.raises(ValueError, match="2 index letters for a rank-3 operand"):
+        contract((1, 1), (1, "iA,Aj->ij", a, b))  # b has three slots
+    with pytest.raises(ValueError, match="names 2 operand"):
+        contract((1, 1), (1, "iA,Aj->ij", a))
+    with pytest.raises(ValueError, match="appear in no operand"):
+        contract((1, 2), (1, "iA,Aj->ijk", a, a))
+    with pytest.raises(ValueError, match="share one dimension"):
+        contract((1, 1), (1, "iA,Aj->ij", a, a2))
+    # the same checks hold across terms and for zero-weight terms
+    with pytest.raises(ValueError, match="share one dimension"):
+        contract((1, 1), (1, "ij->ij", a), (1, "ij->ij", a2))
+    with pytest.raises(ValueError, match="3 index letters for a rank-2 operand"):
+        contract((1, 1), (1, "ij->ij", a), (0, "ijk->ij", a))
 
 
 # ---------------------------------------------------------------------------

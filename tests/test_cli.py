@@ -4,6 +4,11 @@ import pytest
 
 from torsioncalc import cli
 from torsioncalc.cli import ConfigError, main, worker_count
+from torsioncalc.ricci import (
+    IdentityAmbiguityError,
+    IdentityUnsolvableError,
+    identity_catalogue,
+)
 
 
 def _config(tmp_path, name="config.json", **fields):
@@ -109,3 +114,37 @@ def test_invalid_workers_exit_two(monkeypatch, capsys):
     assert main(["rank-rho"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: TORSIONCALC_WORKERS")
+
+
+@pytest.mark.parametrize("error", [IdentityAmbiguityError, IdentityUnsolvableError])
+def test_scope_all_reports_a_solver_error_as_failed_check(monkeypatch, capsys, error):
+    def fail(**kwargs):
+        raise error("no unique solution")
+
+    monkeypatch.setattr(cli, "solve_all_identities", fail)
+    assert main(["verify-ricci", "--scope", "all"]) == 1
+    assert "FAIL thm2:solve" in capsys.readouterr().out
+
+
+def test_scope_all_lets_other_errors_through(monkeypatch):
+    def broken(**kwargs):
+        raise TypeError("a bug, not a solver verdict")
+
+    monkeypatch.setattr(cli, "solve_all_identities", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["verify-ricci", "--scope", "all"])
+
+
+def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def catalogue_only(**kwargs):
+        calls.append(kwargs)
+        return {ic.pqrs: ic for ic in identity_catalogue()}
+
+    monkeypatch.setattr(cli, "solve_all_identities", catalogue_only)
+    config = _config(tmp_path, dimension=2, instances=5)
+    main(["verify-ricci", "--scope", "all", "--config", config, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert calls == [{"seed": 20260809, "degree": 2}]
+    assert report["config"] == {"seed": 20260809, "degree": 2}

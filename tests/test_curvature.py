@@ -15,7 +15,6 @@ from torsioncalc.curvature import (
     bracket_objects,
     bracket_objects_raw,
     curvature_R,
-    curvature_report,
     rho,
     rho_catalogue,
     rho_family_rank,
@@ -87,7 +86,7 @@ def test_torsion_free_family_collapses_to_R():
 
 def _member_oracle(index_1based, L):
     """Independent transcription of one catalogued member, evaluated with
-    generic tensor operations rather than the packed loops inside rho()."""
+    generic tensor operations rather than the ``contract`` terms inside rho()."""
     signs = {
         1: (1, -1, 1, -1, -2),
         2: (1, -1, -1, -1, 0),
@@ -153,14 +152,6 @@ def test_swap_pairing():
         left = rho(coeffs, L).swap_last_lower()
         right = -rho(coeffs.mn_swapped(), L)
         assert left == right
-
-
-def test_curvature_report_round_trip():
-    L = random_even_connection(derive_rng(7, "rep"), 2, degree=1)
-    coeffs = rho_catalogue()[4]
-    rep = curvature_report(L, coeffs, label="5")
-    assert rep.tensor == rho(rep.coefficients, L)
-    assert rep.label == "5"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from torsioncalc.ricci import (
     IdentityWorkspace,
     MixWeights,
     catalogue_independence_rank,
-    evaluate_identity_rhs,
     identity_catalogue,
     identity_row,
     solve_all_identities,
@@ -136,7 +135,7 @@ def test_zero_coefficients_leave_commutator():
     L, a = make_instance(24, "zc", 2)
     zero = IdentityCoefficients((0,) * 17, (1, 1, 1, 1))
     ws = IdentityWorkspace(a, L)
-    assert evaluate_identity_rhs(zero, a, L) == ws.r_commutator()
+    assert ws.rhs(zero) == ws.r_commutator()
 
 
 def test_rhs_matches_composition_for_1111():
@@ -144,7 +143,7 @@ def test_rhs_matches_composition_for_1111():
     lhs = double_covariant_derivative(1, 1, a, L) - double_covariant_derivative(
         1, 1, a, L
     ).swap_last_lower()
-    rhs = evaluate_identity_rhs(CATALOGUE_BY_PQRS[(1, 1, 1, 1)], a, L)
+    rhs = IdentityWorkspace(a, L).rhs(CATALOGUE_BY_PQRS[(1, 1, 1, 1)])
     assert lhs == rhs
 
 
