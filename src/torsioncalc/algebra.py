@@ -515,6 +515,32 @@ def _contraction_plan(spec: str, dim: int):
     return tuple(map(len, operands)), len(output), bases, tuple(offsets(summed))
 
 
+@lru_cache(maxsize=256)
+def _pair_first(spec: str):
+    """Split a spec of three or more operands into two steps.
+
+    Picks the pair of operands whose contraction keeps the fewest letters
+    (those another operand or the output still needs) and returns
+    ``(i, j, pair_spec, pair_rank, rest_spec)``: operands i and j contract
+    by ``pair_spec`` into one rank-``pair_rank`` intermediate, which
+    ``rest_spec`` takes as its last operand after the remaining ones.  The
+    pair's product is then formed once per entry of the intermediate, not
+    again for every output entry and assignment of the other summed letters.
+    """
+    inputs, _, output = spec.partition("->")
+    operands = inputs.split(",")
+    best = None
+    for i, j in itertools.combinations(range(len(operands)), 2):
+        rest = [o for k, o in enumerate(operands) if k not in (i, j)]
+        needed = set("".join(rest) + output)
+        kept = "".join(dict.fromkeys(c for c in operands[i] + operands[j] if c in needed))
+        if best is None or len(kept) < len(best[2]):
+            best = (i, j, kept, rest)
+    i, j, kept, rest = best
+    pair_spec = f"{operands[i]},{operands[j]}->{kept}"
+    return i, j, pair_spec, len(kept), f"{','.join([*rest, kept])}->{output}"
+
+
 def contract(valence: tuple, *terms) -> TensorField:
     """Weighted sum of index contractions with ``numpy.einsum`` letters.
 
@@ -522,10 +548,11 @@ def contract(valence: tuple, *terms) -> TensorField:
     ``(-2, "iA,Ajmn->ijmn", a, q)`` for -2 a^i_A q^A_jmn: letters of the
     output are free, every other letter is summed over 0..dim-1, and the
     output letters follow the row-major layout of a tensor of ``valence``.
-    All terms accumulate in one pass per output entry; weights may be ints
-    or Fractions.  A spec whose letters do not match its operands' ranks, an
-    output letter that no operand carries, or operands of different
-    dimensions raise ValueError.
+    All terms accumulate in one pass per output entry; a term of three or
+    more operands first contracts a pair of them (:func:`_pair_first`).
+    Weights may be ints or Fractions.  A spec whose letters do not match its
+    operands' ranks, an output letter that no operand carries, or operands
+    of different dimensions raise ValueError.
     """
     dim = next((t.dim for _, _, *tensors in terms for t in tensors), None)
     if dim is None:
@@ -545,6 +572,14 @@ def contract(valence: tuple, *terms) -> TensorField:
                 raise ValueError(f"{spec!r}: {r} index letters for a rank-{t.rank()} operand")
         if not weight:
             continue
+        if len(tensors) > 2:
+            # the whole product's exponents, checked before any pair is formed
+            _check_product_exponents(dim, *([e._terms for e in t.entries] for t in tensors))
+        while len(tensors) > 2:
+            i, j, pair_spec, pair_rank, spec = _pair_first(spec)
+            pair = contract((0, pair_rank), (1, pair_spec, tensors[i], tensors[j]))
+            tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [pair]
+            ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
         if len(tensors) == 1:
             # the operand's entries gathered in output order, once per
             # assignment of the summed letters (a trace has several)
@@ -565,19 +600,10 @@ def contract(valence: tuple, *terms) -> TensorField:
             _add_terms(acc, gathered[e], weight)
         for weight, sign, factors, bases, inner in products:
             target = acc if sign else {}
-            if len(factors) == 2:
-                (x, y), (bx, by) = factors, bases
-                bx, by = bx[e], by[e]
-                for ix, iy in inner:
-                    _fma_terms(target, x[bx + ix], y[by + iy], sign or 1)
-            else:
-                starts = [b[e] for b in bases]
-                for offs in inner:
-                    prod = factors[0][starts[0] + offs[0]]
-                    for f, b, o in zip(factors[1:], starts[1:], offs[1:]):
-                        prod, step = {}, prod
-                        _fma_terms(prod, step, f[b + o])
-                    _add_terms(target, prod, sign or 1)
+            (x, y), (bx, by) = factors, bases
+            bx, by = bx[e], by[e]
+            for ix, iy in inner:
+                _fma_terms(target, x[bx + ix], y[by + iy], sign or 1)
             if not sign:
                 _add_terms(acc, target, weight)
         out.append(ScalarField(dim, _strip_zeros(acc)))
@@ -670,12 +696,17 @@ class LinearSystem:
 
     Rows are reduced against the stored pivots as they arrive, so feeding a
     large redundant stream of equations is cheap once the rank saturates.
+    Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a row is
+    kept as integers, ``p*row - f*prow`` removes pivot column ``c`` (``p``
+    the pivot, ``f`` the row's entry at ``c``), and the row's content is
+    divided out.  Fractions appear only in the back substitution of
+    :meth:`solve`.
     """
 
     def __init__(self, ncols: int, nrhs: int = 1):
         self.ncols = ncols
         self.nrhs = nrhs
-        self._pivot_rows = {}  # pivot column -> (coeff row, rhs row)
+        self._pivot_rows = {}  # pivot column -> integer row, coefficients then rhs
         self.inconsistent = [False] * nrhs
 
     @property
@@ -685,33 +716,28 @@ class LinearSystem:
     def add_row(self, coeffs, rhs) -> None:
         if len(coeffs) != self.ncols or len(rhs) != self.nrhs:
             raise ValueError("row shape mismatch")
-        coeffs = list(coeffs)
-        rhs = list(rhs)
-        for col, (prow, prhs) in self._pivot_rows.items():
-            factor = coeffs[col]
-            if factor:
-                for j in range(self.ncols):
-                    if prow[j]:
-                        coeffs[j] -= factor * prow[j]
-                for j in range(self.nrhs):
-                    if prhs[j]:
-                        rhs[j] -= factor * prhs[j]
+        row = _clear_denominators([*coeffs, *rhs])
+        for col, prow in self._pivot_rows.items():
+            f = row[col]
+            if f:
+                p = prow[col]
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
         for col in range(self.ncols):
-            if coeffs[col]:
-                inv = Fraction(1) / coeffs[col]
-                coeffs = [c * inv for c in coeffs]
-                rhs = [v * inv for v in rhs]
-                self._pivot_rows[col] = (coeffs, rhs)
+            if row[col]:
+                self._pivot_rows[col] = row
                 return
-        for j in range(self.nrhs):
-            if rhs[j] != 0:
+        for j, v in enumerate(row[self.ncols :]):
+            if v:
                 self.inconsistent[j] = True
 
     def solve(self, which: int = 0):
         """The unique solution for right side ``which``.
 
         Requires full column rank; raises ValueError otherwise.  Back
-        substitution over the reduced pivot rows.
+        substitution over the integer pivot rows, in Fractions.
         """
         if self.rank < self.ncols:
             raise ValueError(
@@ -721,10 +747,10 @@ class LinearSystem:
             raise ValueError("system is inconsistent for this right side")
         solution = [Fraction(0)] * self.ncols
         for col in sorted(self._pivot_rows, reverse=True):
-            prow, prhs = self._pivot_rows[col]
-            value = prhs[which]
+            prow = self._pivot_rows[col]
+            value = prow[self.ncols + which]
             for j in range(col + 1, self.ncols):
                 if prow[j]:
                     value -= prow[j] * solution[j]
-            solution[col] = Fraction(value)
+            solution[col] = Fraction(value, prow[col])
         return solution

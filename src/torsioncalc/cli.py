@@ -221,46 +221,70 @@ def _relations_task(args):
     rng = derive_rng(seed, f"deriv:{dim}:{idx}")
     L = random_even_connection(rng, dim, degree)
     a = random_tensor_field(rng, dim, (1, 1), degree)
-    return [(tag, res.is_zero()) for tag, res in verify_derivative_relations(L, a)]
+    return [(tag, res.is_zero(), None) for tag, res in verify_derivative_relations(L, a)]
+
+
+def _failure_detail(seed, label, dim, witness, **member):
+    """Where a member's residual is nonzero: enough to rerun that instance."""
+    entry, monomial = witness
+    return {
+        "seed": seed, "label": label, "dim": dim, **member,
+        "entry": list(entry), "monomial": repr(monomial),
+    }
 
 
 def _catalogue_task(args):
     seed, dim, degree, idx = args
-    rng = derive_rng(seed, f"ricci:{dim}:{idx}")
+    label = f"ricci:{dim}:{idx}"
+    rng = derive_rng(seed, label)
     L = random_even_connection(rng, dim, degree)
     a = random_tensor_field(rng, dim, (1, 1), degree)
     ws = IdentityWorkspace(a, L)
-    return [(ic.tag, ws.residual(ic).is_zero()) for ic in identity_catalogue()]
+    members = identity_catalogue()
+    failing = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    return [
+        (ic.tag, k not in failing,
+         _failure_detail(seed, label, dim, failing[k]) if k in failing else None)
+        for k, ic in enumerate(members)
+    ]
 
 
 def _mixed_task(args):
     seed, dim, degree, idx, per_combo = args
-    rng = derive_rng(seed, f"mixed:{dim}:{idx}")
+    label = f"mixed:{dim}:{idx}"
+    rng = derive_rng(seed, label)
     L = random_even_connection(rng, dim, degree)
     a = random_tensor_field(rng, dim, (1, 1), degree)
     ws = IdentityWorkspace(a, L)
-    out = []
-    for ic in identity_catalogue():
-        ok = True
-        for _ in range(per_combo):
-            weights = MixWeights.random(rng)
-            if not ws.mixed_residual(ic, weights).is_zero():
-                ok = False
-        out.append((ic.tag, ok))
-    return out
+    catalogue = identity_catalogue()
+    # drawn member by member, in the order of the per-member checks
+    weightings = [MixWeights.random(rng) for _ in catalogue for _ in range(per_combo)]
+    failing = ws.nonzero_members([
+        ws.mixed_residual_pieces(catalogue[k // per_combo], weights)
+        for k, weights in enumerate(weightings)
+    ])
+    first = {}  # catalogue position -> its first failing weighting
+    for k in failing:
+        first.setdefault(k // per_combo, k)
+    return [
+        (ic.tag, n not in first,
+         _failure_detail(seed, label, dim, failing[first[n]], weighting=first[n] % per_combo)
+         if n in first else None)
+        for n, ic in enumerate(catalogue)
+    ]
 
 
 def _and_reduce(results):
-    """AND per-tag across instance task outputs, preserving tag order."""
+    """AND per-tag across instance task outputs, preserving tag order.
+
+    Each task output lists (tag, ok, detail); a tag keeps the detail of its
+    first failing instance, in task order."""
     agg = {}
-    order = []
     for task_result in results:
-        for tag, ok in task_result:
-            if tag not in agg:
-                agg[tag] = True
-                order.append(tag)
-            agg[tag] = agg[tag] and ok
-    return [(tag, agg[tag]) for tag in order]
+        for tag, ok, detail in task_result:
+            if agg.get(tag, (True,))[0]:
+                agg[tag] = (ok, detail)
+    return [(tag, ok, detail) for tag, (ok, detail) in agg.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +301,7 @@ def cmd_verify_derivatives(config: RunConfig) -> Report:
     ]
     merged = _and_reduce(_parallel_map(_relations_task, tasks))
     elapsed = (time.perf_counter() - t0) * 1000 / max(1, len(merged))
-    for tag, ok in merged:
+    for tag, ok, _ in merged:
         report.add(residual_check(tag, ok, config.instances, elapsed_ms=elapsed))
     for label, kinds in INDEPENDENT_TRIPLES:
         report.add(rank_check(f"cor1:{label}", 3, derivative_kind_rank(kinds)))
@@ -297,8 +321,8 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
             for i in range(config.instances)
         ]
         merged = _and_reduce(_parallel_map(_catalogue_task, tasks))
-        for tag, ok in merged:
-            report.add(residual_check(f"eq:{tag}", ok, config.instances))
+        for tag, ok, detail in merged:
+            report.add(residual_check(f"eq:{tag}", ok, config.instances, detail=detail))
     elif scope == "all":
         try:
             solutions = solve_all_identities(seed=config.seed, degree=config.degree)
@@ -329,8 +353,8 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
             for i in range(max(1, config.instances // 4))
         ]
         merged = _and_reduce(_parallel_map(_mixed_task, tasks))
-        for tag, ok in merged:
-            report.add(residual_check(f"eq:29:{tag}", ok, len(tasks) * 5))
+        for tag, ok, detail in merged:
+            report.add(residual_check(f"eq:29:{tag}", ok, len(tasks) * 5, detail=detail))
     else:
         raise ConfigError(f"unknown scope: {scope!r}")
     return report

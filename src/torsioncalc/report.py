@@ -62,13 +62,14 @@ class Check:
         return rec
 
 
-def residual_check(check_id, zero: bool, instances: int, elapsed_ms=None) -> Check:
+def residual_check(check_id, zero: bool, instances: int, elapsed_ms=None, detail=None) -> Check:
     return Check(
         id=check_id,
         kind="residual",
         passed=zero,
         instances=instances,
         status="exact-zero" if zero else "nonzero-residual",
+        detail=detail,
         elapsed_ms=elapsed_ms,
     )
 

@@ -25,7 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import LinearSystem, RationalMatrix, TensorField, contract, matrix_rank
+from .algebra import (
+    LinearSystem,
+    RationalMatrix,
+    ScalarField,
+    TensorField,
+    _add_terms,
+    _flat_to_indices,
+    _strip_zeros,
+    contract,
+    matrix_rank,
+)
 from .connection import (
     KIND_BY_NUMBER,
     ConnectionField,
@@ -280,9 +290,9 @@ class IdentityWorkspace:
 
         return self._get(("dd", p, q), build)
 
-    def _lhs_pieces(self, pqrs, sign=1):
+    def _lhs_pieces(self, pqrs):
         p, q, r, s = pqrs
-        return [(sign, ID, self.dd(p, q)), (-sign, SWAP, self.dd(r, s))]
+        return [(1, ID, self.dd(p, q)), (-1, SWAP, self.dd(r, s))]
 
     def lhs(self, pqrs) -> TensorField:
         """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
@@ -339,12 +349,14 @@ class IdentityWorkspace:
         """Right side of the family identity for one coefficient vector."""
         return contract((1, 3), *self._rhs_pieces(coeffs))
 
+    def residual_pieces(self, coeffs: IdentityCoefficients):
+        """Weighted column tensors of :meth:`residual`."""
+        return [*self._lhs_pieces(coeffs.pqrs), *self._rhs_pieces(coeffs, sign=-1)]
+
     def residual(self, coeffs: IdentityCoefficients) -> TensorField:
         """Left minus right side in one pass over the cached column tensors;
         linear in :func:`identity_row` of ``coeffs``."""
-        return contract(
-            (1, 3), *self._lhs_pieces(coeffs.pqrs), *self._rhs_pieces(coeffs, sign=-1)
-        )
+        return contract((1, 3), *self.residual_pieces(coeffs))
 
     def rhs_expanded(self, coeffs: IdentityCoefficients) -> TensorField:
         """The pseudotensor-revealing form: first derivatives replaced by
@@ -409,18 +421,94 @@ class IdentityWorkspace:
         brackets absorbs -2 c_k times the substitution sign combinations."""
         return contract((1, 3), *self._mixed_pieces(coeffs, weights))
 
+    def mixed_residual_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
+        """Weighted column tensors of lhs - rhs_mixed; weights are rational."""
+        pieces = self._mixed_pieces(coeffs, weights)
+        return [*self._lhs_pieces(coeffs.pqrs), *((-w, spec, t) for w, spec, t in pieces)]
+
     def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
         """D * (lhs - rhs_mixed) in one pass, D the lcm of the weights'
         denominators.  Every weight is scaled to an integer, so the
         accumulation runs on ints; the result is zero exactly when the
         rational residual is."""
-        pieces = self._mixed_pieces(coeffs, weights)
+        pieces = self.mixed_residual_pieces(coeffs, weights)
         D = lcm(*(Fraction(w).denominator for w, _, _ in pieces))
-        return contract(
-            (1, 3),
-            *self._lhs_pieces(coeffs.pqrs, sign=D),
-            *((-int(w * D), spec, t) for w, spec, t in pieces),
-        )
+        return contract((1, 3), *((int(w * D), spec, t) for w, spec, t in pieces))
+
+    def nonzero_members(self, members) -> dict:
+        """Which of K residuals are nonzero, from one packed ``contract``.
+
+        ``members`` holds one piece list per member, as built by
+        :meth:`residual_pieces` or :meth:`mixed_residual_pieces`; member k's
+        residual is the sum of its pieces.  Returns {k: (entry, monomial)}
+        for every nonzero member in index order, where ``entry`` is the
+        index tuple of its first nonzero entry (row-major) and ``monomial``
+        the first nonzero term there (packed-key order), a one-term
+        ScalarField carrying the residual's own coefficient.
+
+        The members are packed into big-int slots of b bits (SWAR).  Column
+        j, a distinct (spec, tensor) pair, is scaled by E, the lcm of the
+        columns' coefficient denominators, and weighted by
+        sum_k (Dw w_kj) << (b k), Dw the lcm of the weights' denominators.
+        Each coefficient of the one contraction is then sum_k r_k 2^(b k),
+        with r_k = D times member k's coefficient, D = Dw E.  b is chosen so
+        that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence every
+        |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and the
+        r_k decode slot by slot with sign.  So this is exactly the predicate
+        ``residual.is_zero()`` per member, not a random projection.
+        """
+        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
+        for k, pieces in enumerate(members):
+            for w, spec, t in pieces:
+                if w:
+                    _, _, ws = columns.setdefault((spec, id(t)), (spec, t, {}))
+                    ws[k] = ws.get(k, 0) + w
+        tensors = {id(t): t for _, t, _ in columns.values()}
+        stats = {}  # id(tensor) -> (max |coefficient|, lcm of denominators)
+        for key, t in tensors.items():
+            values = [v for e in t.entries for v in e._terms.values()]
+            fractional = Fraction in set(map(type, values))
+            stats[key] = (
+                max(map(abs, values), default=0),
+                lcm(*(v.denominator for v in values)) if fractional else 1,
+            )
+        Dw = lcm(*(Fraction(w).denominator for *_, ws in columns.values() for w in ws.values()))
+        E = lcm(*(den for _, den in stats.values()))
+        bounds = [0] * len(members)
+        for _, t, ws in columns.values():
+            top = int(E * stats[id(t)][0])
+            for k, w in ws.items():
+                bounds[k] += abs(int(w * Dw)) * top
+        b = max(bounds, default=0).bit_length() + 1
+        if E != 1:  # integral copies, so the accumulation runs on ints
+            tensors = {key: t.scale(E) for key, t in tensors.items()}
+        terms = [
+            (sum(int(w * Dw) << (b * k) for k, w in ws.items()), spec, tensors[id(t)])
+            for spec, t, ws in columns.values()
+        ]
+        if not terms:
+            return {}
+        packed = contract((1, 3), *terms)
+
+        D, mask, half = Dw * E, (1 << b) - 1, 1 << (b - 1)
+        found = {}
+        for e, field in enumerate(packed.entries):
+            for key in sorted(field._terms):
+                v, k = field._terms[key], 0
+                while v:
+                    r = v & mask
+                    if r >= half:
+                        r -= mask + 1
+                    if r and k not in found:
+                        coeff = Fraction(r, D)
+                        term = coeff.numerator if coeff.denominator == 1 else coeff
+                        found[k] = (
+                            _flat_to_indices(e, self.dim, 4),
+                            ScalarField(self.dim, {key: term}),
+                        )
+                    v = (v - r) >> b
+                    k += 1
+        return dict(sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +564,35 @@ def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> Identit
 
 def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
     """Stack structural equations (one per tensor entry and monomial) until
-    the design matrix has full column rank."""
+    the design matrix has full column rank.
+
+    The target of a combination, lhs minus the R-commutator, is summed
+    entry by entry as the rows are fed, so the entries after full rank are
+    never assembled."""
+    dim = ws.dim
     basis_terms = [[e._terms for e in ws.basis(k).entries] for k in range(1, 18)]
-    rcomm = ws.r_commutator()
-    targets = []
-    for combo in combos:
-        t = contract((1, 3), *ws._lhs_pieces(combo), (-1, ID, rcomm))
-        targets.append([e._terms for e in t.entries])
-    n_entries = ws.dim ** 4
-    for e in range(n_entries):
+    rcomm = [e._terms for e in ws.r_commutator().entries]
+    dd = {
+        pq: [e._terms for e in ws.dd(*pq).entries]
+        for pq in dict.fromkeys(pq for c in combos for pq in (c[:2], c[2:]))
+    }
+    for e in range(dim**4):
+        m, n = divmod(e % (dim * dim), dim)
+        swapped = e + (n - m) * (dim - 1)  # the entry with m and n swapped (SWAP)
+        targets = []
+        for p, q, r, s in combos:
+            acc = dict(dd[p, q][e])
+            _add_terms(acc, dd[r, s][swapped], -1)
+            _add_terms(acc, rcomm[e], -1)
+            targets.append(_strip_zeros(acc))
         keys = set()
         for bt in basis_terms:
             keys.update(bt[e])
         for tg in targets:
-            keys.update(tg[e])
+            keys.update(tg)
         for key in sorted(keys):
             row = [bt[e].get(key, 0) for bt in basis_terms]
-            rhs = [tg[e].get(key, 0) for tg in targets]
+            rhs = [tg.get(key, 0) for tg in targets]
             system.add_row(row, rhs)
         if system.rank == 17:
             return
@@ -530,29 +630,42 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     exactly when the kept ones do.  Checking only the kept members is the
     same predicate as checking every member.  A wrong coefficient moves its
     row out of the span of the true identities, so that member is kept and
-    its nonzero residual fails.  Returns the kept members; raises
-    IdentityUnsolvableError naming the instance of the first failure.
+    its nonzero residual fails.
+
+    On each instance the kept members are checked together by
+    :meth:`IdentityWorkspace.nonzero_members`: one contraction whose
+    coefficients pack the members' residual coefficients into big-int slots
+    wide enough that their sum is zero only when every slot is.  That too is
+    the exact per-member predicate.  Returns the kept members; raises
+    IdentityUnsolvableError naming the instance, the member and its first
+    nonzero residual entry and monomial.
     """
     kept = span_basis(solutions.values())
     for t, dim in enumerate(verify_dims):
         label = f"check:{t}:{dim}"
         ws = _instance_workspace(seed, label, dim, degree)
-        for ic in kept:
-            if not ws.residual(ic).is_zero():
-                raise IdentityUnsolvableError(
-                    f"{ic.pqrs}: solved coefficients fail on a fresh instance"
-                    f" (seed {seed}, label {label!r}, degree {degree})"
-                )
+        failing = ws.nonzero_members([ws.residual_pieces(ic) for ic in kept])
+        if failing:
+            k, (entry, monomial) = next(iter(failing.items()))
+            raise IdentityUnsolvableError(
+                f"{kept[k].pqrs}: solved coefficients fail on a fresh instance"
+                f" (seed {seed}, label {label!r}, dim {dim}, degree {degree}):"
+                f" entry {entry} has residual term {monomial!r}"
+            )
     return kept
 
 
 def _solve_combos(combos, seed, dims, degree, verify_dims):
     """Solve the combinations together, then verify them on fresh instances.
 
-    The verification checks the span basis of the solved identity rows (17
+    The system is solved fraction-free (see :class:`LinearSystem`).  The
+    verification checks the span basis of the solved identity rows (17
     members for the full sweep), not every member: the residual is linear in
     the identity row and every solved row is an exact combination of the
-    kept ones, so all residuals vanish exactly when the kept ones do.
+    kept ones, so all residuals vanish exactly when the kept ones do.  The
+    kept members share one packed contraction per instance, whose slots are
+    wide enough that the packed sum vanishes exactly when every member's
+    residual does (:meth:`IdentityWorkspace.nonzero_members`).
     """
     system = LinearSystem(17, nrhs=len(combos))
     for t, dim in enumerate(dims):

@@ -223,6 +223,9 @@ CONTRACT_CASES = {
     "fraction-three-operand": (
         (1, 3), [(Fraction(-2, 3), "iAm,Bjn,AB->ijmn", [(1, 2), (1, 2), (1, 1)])]
     ),
+    "four-operand": (
+        (1, 3), [(2, "AB,iAm,Bj,n->ijmn", [(1, 1), (1, 2), (1, 1), (0, 1)])]
+    ),
     "mixed-terms": (
         (1, 3),
         [
@@ -328,3 +331,95 @@ def test_linear_system_flags_inconsistency():
     system.add_row([1, -1], [1, 1])
     system.add_row([2, 0], [4, 5])  # consistent for rhs 0, not for rhs 1
     assert system.inconsistent == [False, True]
+
+
+def _fraction_reference(rows, rhs_rows, which):
+    """(rank, consistent, solution or None) of one right side, by textbook
+    Gauss-Jordan elimination over Fractions on the augmented matrix."""
+    m = [[Fraction(x) for x in r] + [Fraction(b[which])] for r, b in zip(rows, rhs_rows)]
+    ncols = len(rows[0])
+    rank, pivots = 0, []
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    consistent = all(r[-1] == 0 for r in m[rank:])
+    solution = None
+    if consistent and rank == ncols:
+        solution = [m[pivots.index(c)][-1] for c in range(ncols)]
+    return rank, consistent, solution
+
+
+def _random_rational(rng, lo=-5, hi=5):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("shape", ["unique", "underdetermined", "inconsistent", "fractional"])
+def test_fraction_free_linear_system_matches_fraction_reference(shape):
+    rng = derive_rng(13, f"linsys:{shape}")
+    for _ in range(6):
+        ncols = rng.randint(2, 5)
+        nrows = {"underdetermined": ncols - 1}.get(shape, ncols + 3)
+        if shape == "inconsistent":
+            # the last rows repeat earlier ones, so rank stays below nrows
+            base = [[_random_rational(rng) for _ in range(ncols)] for _ in range(ncols)]
+            rows = base + [base[k][:] for k in range(3)]
+        else:
+            rows = [[_random_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if shape == "unique":
+            rows = [[int(x * 12) for x in r] for r in rows]
+        x = [_random_rational(rng, -9, 9) for _ in range(ncols)]
+        if shape == "fractional":
+            x[0] = Fraction(2 * rng.randint(1, 9) + 1, 2)  # never integral
+        consistent_rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        random_rhs = [_random_rational(rng) for _ in rows]
+        rhs_rows = [[c, d] for c, d in zip(consistent_rhs, random_rhs)]
+        if shape == "inconsistent":
+            rhs_rows[-1][0] += 1  # a repeated row with a different value
+
+        system = LinearSystem(ncols, nrhs=2)
+        for r, b in zip(rows, rhs_rows):
+            system.add_row(r, b)
+        for which in (0, 1):
+            rank, consistent, solution = _fraction_reference(rows, rhs_rows, which)
+            assert system.rank == rank
+            assert system.inconsistent[which] == (not consistent)
+            if rank < ncols:
+                with pytest.raises(ValueError, match="underdetermined"):
+                    system.solve(which)
+            elif not consistent:
+                with pytest.raises(ValueError, match="inconsistent for this right side"):
+                    system.solve(which)
+            else:
+                assert system.solve(which) == solution
+        if shape in ("unique", "fractional"):
+            assert system.solve(0) == x
+            assert all(type(v) is Fraction for v in system.solve(0))
+        if shape == "fractional":
+            assert system.solve(0)[0].denominator == 2
+        if shape == "inconsistent":
+            assert system.inconsistent[0]
+        if shape == "underdetermined":
+            assert system.rank < ncols
+
+
+def test_linear_system_keeps_integer_rows():
+    system = LinearSystem(3, nrhs=1)
+    system.add_row([Fraction(1, 2), Fraction(1, 3), 0], [Fraction(5, 6)])
+    system.add_row([2, -1, 4], [7])
+    system.add_row([0, 3, 1], [Fraction(-1, 2)])
+    for row in system._pivot_rows.values():
+        assert all(type(v) is int for v in row)
+    x = system.solve(0)
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [2, -1, 4], [0, 3, 1]]
+    assert [sum(a * b for a, b in zip(r, x)) for r in rows] == [
+        Fraction(5, 6), 7, Fraction(-1, 2)
+    ]

@@ -1,14 +1,23 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from torsioncalc import cli
+from torsioncalc.algebra import ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
 from torsioncalc.ricci import (
     IdentityAmbiguityError,
+    IdentityCoefficients,
     IdentityUnsolvableError,
+    IdentityWorkspace,
+    MixWeights,
     identity_catalogue,
 )
+from torsioncalc.sampling import derive_rng, random_even_connection, random_tensor_field
 
 
 def _config(tmp_path, name="config.json", **fields):
@@ -148,3 +157,92 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
     report = json.loads(capsys.readouterr().out)
     assert calls == [{"seed": 20260809, "degree": 2}]
     assert report["config"] == {"seed": 20260809, "degree": 2}
+
+
+# ---------------------------------------------------------------------------
+# failure details and import cost
+# ---------------------------------------------------------------------------
+
+
+def _broken_catalogue(n):
+    """The catalogue with member n's sixth coefficient changed, tag kept."""
+    catalogue = identity_catalogue()
+    ic = catalogue[n]
+    c = list(ic.c)
+    c[5] = {1: 0, 0: -1, -1: 1}[c[5]]
+    catalogue[n] = IdentityCoefficients(tuple(c), ic.pqrs, ic.tag)
+    return catalogue
+
+
+def _first_term(t):
+    for idx, e in zip(itertools.product(range(t.dim), repeat=4), t.entries):
+        if not e.is_zero():
+            exps, coeff = next(iter(e.terms().items()))
+            return list(idx), repr(ScalarField.from_terms({exps: coeff}, t.dim))
+    return None
+
+
+def _sampled(seed, label, dim, degree):
+    rng = derive_rng(seed, label)
+    L = random_even_connection(rng, dim, degree)
+    a = random_tensor_field(rng, dim, (1, 1), degree)
+    return rng, IdentityWorkspace(a, L)
+
+
+def test_failing_catalogue_check_names_instance_entry_and_monomial(monkeypatch):
+    broken = _broken_catalogue(3)
+    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=5)
+    checks = {c.id: c for c in cli.cmd_verify_ricci(config, "catalogue").checks}
+    bad = checks.pop(f"eq:{broken[3].tag}")
+    _, ws = _sampled(5, "ricci:2:0", 2, 1)
+    entry, monomial = _first_term(ws.residual(broken[3]))
+    assert not bad.passed and bad.status == "nonzero-residual"
+    assert bad.detail == {
+        "seed": 5, "label": "ricci:2:0", "dim": 2, "entry": entry, "monomial": monomial,
+    }
+    assert all(c.passed and c.detail is None for c in checks.values())
+
+
+def test_failing_mixed_check_names_its_weighting(monkeypatch):
+    broken = _broken_catalogue(16)
+    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    config = cli.RunConfig(dimension=2, degree=1, instances=4, seed=6)
+    checks = {c.id: c for c in cli.cmd_verify_ricci(config, "mixed").checks}
+    bad = checks.pop(f"eq:29:{broken[16].tag}")
+    rng, ws = _sampled(6, "mixed:2:0", 2, 1)
+    weightings = [MixWeights.random(rng) for _ in range(17 * 5)][16 * 5 :]
+    residuals = [ws.lhs(broken[16].pqrs) - ws.rhs_mixed(broken[16], w) for w in weightings]
+    w = next(k for k, r in enumerate(residuals) if not r.is_zero())
+    entry, monomial = _first_term(residuals[w])
+    assert not bad.passed
+    assert bad.detail == {
+        "seed": 6, "label": "mixed:2:0", "dim": 2, "weighting": w,
+        "entry": entry, "monomial": monomial,
+    }
+    assert all(c.passed and c.detail is None for c in checks.values())
+
+
+def test_and_reduce_keeps_the_first_failing_instance():
+    results = [
+        [("a", True, None), ("b", True, None)],
+        [("a", False, {"label": "x:1"}), ("b", True, None)],
+        [("a", False, {"label": "x:2"}), ("b", False, {"label": "x:2"})],
+    ]
+    assert cli._and_reduce(results) == [
+        ("a", False, {"label": "x:1"}),
+        ("b", False, {"label": "x:2"}),
+    ]
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    # numpy's import alone costs more than the whole CLI setup
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, torsioncalc.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from torsioncalc.algebra import RationalMatrix, matrix_rank
+from torsioncalc.algebra import RationalMatrix, ScalarField, contract, matrix_rank
 from torsioncalc.connection import double_covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
@@ -12,6 +13,7 @@ from torsioncalc.ricci import (
     IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
+    _instance_workspace,
     catalogue_independence_rank,
     identity_catalogue,
     identity_row,
@@ -365,3 +367,133 @@ def test_expanded_form_torsion_free():
     ws = IdentityWorkspace(a, L)
     ic = CATALOGUE_BY_PQRS[(1, 1, 1, 1)]
     assert ws.rhs_expanded(ic) == ws.r_commutator()
+
+
+# ---------------------------------------------------------------------------
+# batched (packed) residual checks
+# ---------------------------------------------------------------------------
+
+
+def _first_term(t):
+    """(entry index tuple, {exponents: coefficient}) of the first nonzero
+    entry of a tensor and its first term, or None for a zero tensor."""
+    for idx, e in zip(itertools.product(range(t.dim), repeat=4), t.entries):
+        if not e.is_zero():
+            exps, coeff = next(iter(e.terms().items()))
+            return idx, {exps: coeff}
+    return None
+
+
+def _assert_matches_reference(ws, members):
+    """nonzero_members agrees member by member with one contraction each."""
+    found = ws.nonzero_members(members)
+    expected = {}
+    for k, pieces in enumerate(members):
+        ref = contract((1, 3), *pieces) if pieces else None
+        if ref is not None and not ref.is_zero():
+            expected[k] = _first_term(ref)
+    assert list(found) == list(expected)
+    assert {k: (entry, mono.terms()) for k, (entry, mono) in found.items()} == expected
+    return found
+
+
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_check_agrees_with_per_member_residuals(dim, even):
+    # constant fields keep the dim-4 Fraction instance affordable; their
+    # curvature and torsion products are still nonzero
+    degree = 0 if (dim, even) == (4, False) else 1
+    L, a = make_instance(43, f"batch:{dim}:{even}", dim, degree=degree, even=even)
+    ws = IdentityWorkspace(a, L)
+    members = [
+        flipped(ic, (5 * n) % 17) if n % 3 == 1 else ic
+        for n, ic in enumerate(identity_catalogue())
+    ]
+    found = _assert_matches_reference(ws, [ws.residual_pieces(ic) for ic in members])
+    assert list(found) == list(range(1, 17, 3))
+    if not even:  # the instance really carries Fraction coefficients
+        assert any(
+            type(v) is Fraction for e in ws.basis(6).entries for v in e.terms().values()
+        )
+
+
+def test_batched_check_names_flips_in_first_middle_and_last_slot():
+    L, a = make_instance(44, "batch-flip", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    catalogue = identity_catalogue()
+    members = list(catalogue)
+    for n in (0, 8, 16):
+        members[n] = flipped(catalogue[n], n % 17)
+    found = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    assert list(found) == [0, 8, 16]
+    for n, (entry, mono) in found.items():
+        assert (entry, mono.terms()) == _first_term(ws.residual(members[n]))
+
+
+def test_batched_check_decodes_negative_and_cancelling_slots():
+    L, a = make_instance(45, "batch-sign", 2, degree=1)
+    ws = IdentityWorkspace(a, L)
+    T = random_tensor_field(derive_rng(45, "batch-sign-T"), 2, (1, 3), degree=1)
+    assert any(v < 0 for e in T.entries for v in e.terms().values())
+    members = [
+        [(1, "ijmn->ijmn", T)],
+        [(-1, "ijmn->ijmn", T)],  # negative, next to the positive slot
+        [(1, "ijmn->ijmn", T), (-1, "ijmn->ijmn", T)],  # cancels inside a column
+        [(-3, "ijmn->ijmn", T), (2, "ijnm->ijmn", T)],
+        [],
+        [(1, "ijmn->ijmn", T)],
+    ]
+    found = _assert_matches_reference(ws, members)
+    assert list(found) == [0, 1, 3, 5]
+    (_, plus), (_, minus) = found[0], found[1]
+    assert plus.terms() == (-minus).terms()
+
+
+def test_batched_check_widens_slots_for_large_coefficients():
+    L, a = make_instance(46, "batch-wide", 2, degree=1)
+    ws = IdentityWorkspace(a, L)
+    T = random_tensor_field(derive_rng(46, "batch-wide-T"), 2, (1, 3), degree=1)
+    big = T.scale(2**40)
+    members = [
+        [(1, "ijmn->ijmn", big), (-(2**40), "ijmn->ijmn", T)],  # exactly zero
+        [(1, "ijmn->ijmn", big), (1 - 2**40, "ijmn->ijmn", T)],  # T, beside 2^40 T
+        [(-1, "ijmn->ijmn", big)],
+        [(Fraction(1, 3), "ijmn->ijmn", T), (Fraction(-1, 3), "ijnm->ijmn", T)],
+    ]
+    found = _assert_matches_reference(ws, members)
+    assert list(found) == [1, 2, 3]
+    entry, mono = found[2]
+    assert (entry, mono.terms()) == _first_term(T.scale(-(2**40)))
+
+
+def test_batched_mixed_check_matches_rational_residuals():
+    L, a = make_instance(47, "batch-mixed", 2, degree=1)
+    ws = IdentityWorkspace(a, L)
+    rng = derive_rng(47, "batch-mixed-w")
+    catalogue = identity_catalogue()
+    members, residuals = [], []
+    for n, ic in enumerate(catalogue):
+        weights = MixWeights.random(rng)
+        member = flipped(ic, n % 17) if n % 4 == 2 else ic
+        members.append(ws.mixed_residual_pieces(member, weights))
+        residuals.append(ws.lhs(member.pqrs) - ws.rhs_mixed(member, weights))
+    found = ws.nonzero_members(members)
+    assert list(found) == [n for n, r in enumerate(residuals) if not r.is_zero()]
+    assert list(found) == list(range(2, 17, 4))
+    for n, (entry, mono) in found.items():
+        assert (entry, mono.terms()) == _first_term(residuals[n])
+
+
+def test_verification_failure_names_instance_member_entry_and_monomial(solved_degree_one):
+    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+    pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
+    corrupted = dict(solved_degree_one)
+    corrupted[pqrs] = flipped(corrupted[pqrs], 5)
+    with pytest.raises(IdentityUnsolvableError) as exc:
+        verify_solutions(corrupted, 20260809, (3,), 1)
+    ws = _instance_workspace(20260809, "check:0:3", 3, 1)
+    entry, terms = _first_term(ws.residual(corrupted[pqrs]))
+    message = str(exc.value)
+    assert message.startswith(f"{pqrs}: solved coefficients fail on a fresh instance")
+    assert "seed 20260809, label 'check:0:3', dim 3, degree 1" in message
+    assert f"entry {entry} has residual term {ScalarField.from_terms(terms, 3)!r}" in message
