@@ -246,3 +246,38 @@ def test_importing_the_cli_leaves_numpy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# report bytes against committed golden reports
+# ---------------------------------------------------------------------------
+
+REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
+
+# golden file stem -> (CLI arguments, config)
+GOLDEN = {
+    "catalogue-d2": (["verify-ricci", "--scope", "catalogue"], {"dimension": 2, "degree": 1, "instances": 2}),
+    "catalogue-d3": (["verify-ricci", "--scope", "catalogue"], {"dimension": 3, "degree": 1, "instances": 1}),
+    "all": (["verify-ricci", "--scope", "all"], {"degree": 1}),
+    "mixed": (["verify-ricci", "--scope", "mixed"], {"dimension": 2, "degree": 1, "instances": 8}),
+    "derivatives": (["verify-derivatives"], {"dimension": 3, "degree": 1, "instances": 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "stem, seed, workers",
+    [
+        *((stem, 7, 1) for stem in GOLDEN),
+        ("mixed", 7, 2),
+        *((stem, 99, 1) for stem in GOLDEN if stem != "all"),
+    ],
+)
+def test_report_bytes_match_golden(tmp_path, monkeypatch, capsys, stem, seed, workers):
+    argv, fields = GOLDEN[stem]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+    config = _config(tmp_path, **fields)
+    assert main([*argv, "--config", config, "--seed", str(seed), "--json"]) == 0
+    with open(os.path.join(REPORTS, f"{stem}-s{seed}.json"), "rb") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out.encode() == expected
