@@ -13,6 +13,7 @@ depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import ScalarField
 from .connection import (
     DEPENDENT_TRIPLES,
     INDEPENDENT_TRIPLES,
@@ -218,10 +220,16 @@ def _parallel_map(fn, items):
 
 def _relations_task(args):
     seed, dim, degree, idx = args
-    rng = derive_rng(seed, f"deriv:{dim}:{idx}")
+    label = f"deriv:{dim}:{idx}"
+    rng = derive_rng(seed, label)
     L = random_even_connection(rng, dim, degree)
     a = random_tensor_field(rng, dim, (1, 1), degree)
-    return [(tag, res.is_zero(), None) for tag, res in verify_derivative_relations(L, a)]
+    results = []
+    for tag, res in verify_derivative_relations(L, a):
+        witness = _first_nonzero(res)
+        detail = None if witness is None else _failure_detail(seed, label, dim, witness)
+        results.append((tag, witness is None, detail))
+    return results
 
 
 def _failure_detail(seed, label, dim, witness, **member):
@@ -231,6 +239,18 @@ def _failure_detail(seed, label, dim, witness, **member):
         "seed": seed, "label": label, "dim": dim, **member,
         "entry": list(entry), "monomial": repr(monomial),
     }
+
+
+def _first_nonzero(t):
+    """(entry, monomial) of a nonzero tensor: the index tuple of its first
+    nonzero entry (row-major) and that entry's first term in canonical
+    order, as IdentityWorkspace.nonzero_members reports them; None for a
+    zero tensor."""
+    for idx, field in zip(itertools.product(range(t.dim), repeat=t.rank()), t.entries):
+        if not field.is_zero():
+            exps, coeff = next(iter(field.terms().items()))
+            return idx, ScalarField.from_terms({exps: coeff}, t.dim)
+    return None
 
 
 def _catalogue_task(args):
@@ -301,8 +321,8 @@ def cmd_verify_derivatives(config: RunConfig) -> Report:
     ]
     merged = _and_reduce(_parallel_map(_relations_task, tasks))
     elapsed = (time.perf_counter() - t0) * 1000 / max(1, len(merged))
-    for tag, ok, _ in merged:
-        report.add(residual_check(tag, ok, config.instances, elapsed_ms=elapsed))
+    for tag, ok, detail in merged:
+        report.add(residual_check(tag, ok, config.instances, elapsed_ms=elapsed, detail=detail))
     for label, kinds in INDEPENDENT_TRIPLES:
         report.add(rank_check(f"cor1:{label}", 3, derivative_kind_rank(kinds)))
     for label, kinds in DEPENDENT_TRIPLES:

@@ -16,6 +16,19 @@ partial-derivative (pseudotensor-revealing) forms of the family.
 The mixed and expanded forms are implemented from the substitution rules
 relating the derivative kinds, with every bracket correction carried at the
 weight the substitution actually produces.
+
+Second derivatives come from one symmetric pass.  Every rule is
+D = S + sigma_up U + sigma_lo V, with S the symmetric-part rule and U, V the
+torsion terms on the upper and the lower indices (no partial derivatives).
+So a p|m q|n = D_q D_p a is SSa = S(S a) plus eight sigma-product-weighted
+blocks, and by Leibniz, S(Ua) = (dtor) a + tor (Sa) and likewise for V.  All
+eight are sums of the seventeen basis columns B_k / w_k, read as they are
+or with m and n swapped, so SSa is the only second-derivative pass.  Each
+identity side becomes integer- (mixed form: rational-) weighted columns,
+merged per column; a column whose weights cancel is never built.  The
+residual summed this way is exactly lhs - rhs on the instance, so checking
+it is still the exact per-instance predicate; the composition
+:meth:`IdentityWorkspace.dd` stays as the reference tests compare against.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from .algebra import (
     matrix_rank,
 )
 from .connection import (
+    ALL_KINDS,
     KIND_BY_NUMBER,
     ConnectionField,
     DerivKind,
@@ -192,6 +206,9 @@ def catalogue_independence_rank() -> int:
 # Index letters: i, j, m, n are free in every (1,3) block [i][j][m][n]; A and
 # B are summed.  ``ID`` reads a block as it is, ``SWAP`` with m and n swapped.
 ID, SWAP = "ijmn->ijmn", "ijnm->ijmn"
+_SWAPPED = {ID: SWAP, SWAP: ID}
+
+_KIND_BY_TAG = {kind.tag: kind for kind in ALL_KINDS}
 
 # Torsion-against-derivative pattern k in 1..5: tor, then X = a derivative of a.
 _DTERM_SPECS = (
@@ -202,38 +219,136 @@ _DTERM_SPECS = (
     "iAm,Ajn->ijmn",
 )
 
-# Cached (1,3) blocks: (spec, operand names); see IdentityWorkspace._operand.
+# Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._operand.
 _BLOCKS = {
-    "q1": ("Ajm,iAn->ijmn", "tor", "tor"),
     "q2": ("ijA,Amn->ijmn", "tor", "tor"),
     "q3": ("iAn,Ajm->ijmn", "tor", "tor"),
-    "s_tor_tor": ("iAm,Bjn,AB->ijmn", "tor", "tor", "a"),
 }
 
-# Basis term k in 1..17: (weight, spec, operand names).
+# Basis term k in 1..17: (weight, read, spec, operand names).  Column k, the
+# term at weight 1, reads the cached contraction (spec, operand names) as it
+# is (ID) or with m and n swapped (SWAP); basis term k is weight times it.
 _BASIS = (
-    *((2, spec, "tor", "d_sym") for spec in _DTERM_SPECS),
-    (1, "Aj,iAmn->ijmn", "a", "dtor"),
-    (1, "Aj,iAnm->ijmn", "a", "dtor"),
-    (1, "Aj,iAmn->ijmn", "a", "q1"),
-    (1, "Aj,iAnm->ijmn", "a", "q1"),
-    (2, "Aj,iAmn->ijmn", "a", "q2"),
-    (-1, "iA,Ajmn->ijmn", "a", "dtor"),
-    (-1, "iA,Ajnm->ijmn", "a", "dtor"),
-    (-1, "iA,Ajmn->ijmn", "a", "q3"),
-    (-1, "iA,Ajnm->ijmn", "a", "q3"),
-    (-2, "iA,Ajmn->ijmn", "a", "q2"),
-    (-2, ID, "s_tor_tor"),
-    (-2, SWAP, "s_tor_tor"),
+    (2, ID, _DTERM_SPECS[0], "tor", "d_sym"),
+    (2, SWAP, _DTERM_SPECS[0], "tor", "d_sym"),
+    (2, ID, _DTERM_SPECS[2], "tor", "d_sym"),
+    (2, ID, _DTERM_SPECS[3], "tor", "d_sym"),
+    (2, SWAP, _DTERM_SPECS[3], "tor", "d_sym"),
+    (1, ID, "Aj,iAmn->ijmn", "a", "dtor"),
+    (1, SWAP, "Aj,iAmn->ijmn", "a", "dtor"),
+    (1, ID, "Aj,iAmn->ijmn", "a", "q3"),
+    (1, SWAP, "Aj,iAmn->ijmn", "a", "q3"),
+    (2, ID, "Aj,iAmn->ijmn", "a", "q2"),
+    (-1, ID, "iA,Ajmn->ijmn", "a", "dtor"),
+    (-1, SWAP, "iA,Ajmn->ijmn", "a", "dtor"),
+    (-1, ID, "iA,Ajmn->ijmn", "a", "q3"),
+    (-1, SWAP, "iA,Ajmn->ijmn", "a", "q3"),
+    (-2, ID, "iA,Ajmn->ijmn", "a", "q2"),
+    (-2, ID, "iAm,Bjn,AB->ijmn", "tor", "tor", "a"),
+    (-2, SWAP, "iAm,Bjn,AB->ijmn", "tor", "tor", "a"),
 )
+
+# Each rule is D = S + sigma_up U + sigma_lo V: S the symmetric rule,
+# (U x)^i_{j..m} = tor^i_{Am} x^A_{j..} and (V x)^i_{j..m} = sum over the lower
+# slots of tor^A_{jm} x^i_{..A..}.  dd(p, q) = D_q D_p a is SSa = S(S a) plus
+# eight blocks, each the sum of basis columns below, weighted by
+# sigma(outer part, rule q) * sigma(inner part, rule p).  S(Ua) and S(Va)
+# follow from Leibniz: dtor.a + tor.(Sa).
+_DD_BLOCKS = (
+    ("S", "U", (6, 5)),
+    ("S", "V", (11, 1)),
+    ("U", "S", (4,)),
+    ("U", "U", (8,)),
+    ("U", "V", (17,)),
+    ("V", "S", (2, 3)),
+    ("V", "U", (16, 10)),
+    ("V", "V", (14, 15)),
+)
+
+
+def _sigma(part: str, kind: DerivKind) -> int:
+    return 1 if part == "S" else kind.sigma_up if part == "U" else kind.sigma_lo
+
+
+def _column(k: int, weight, swap=False):
+    """Reference (weight, read, key) to column k in 1..17, optionally read
+    with m and n swapped."""
+    _, read, *key = _BASIS[k - 1]
+    return weight, _SWAPPED[read] if swap else read, tuple(key)
+
+
+def _basis_ref(k: int, scale=1):
+    """Reference to ``scale`` times basis term k."""
+    return _column(k, scale * _BASIS[k - 1][0])
+
+
+def _dd_refs(p: int, q: int, sign=1, swap=False):
+    """dd(p, q) as weighted references to SSa and the basis columns."""
+    kp, kq = KIND_BY_NUMBER[p], KIND_BY_NUMBER[q]
+    refs = [(sign, SWAP if swap else ID, "dd_sym")]
+    for outer, inner, columns in _DD_BLOCKS:
+        w = sign * _sigma(outer, kq) * _sigma(inner, kp)
+        refs += [_column(k, w, swap) for k in columns]
+    return refs
+
+
+def _lhs_refs(pqrs):
+    p, q, r, s = pqrs
+    return [*_dd_refs(p, q), *_dd_refs(r, s, sign=-1, swap=True)]
+
+
+def _rhs_refs(coeffs: IdentityCoefficients, sign=1):
+    refs = [(sign, ID, "rcomm")]
+    refs += [_basis_ref(k, sign * ck) for k, ck in enumerate(coeffs.c, start=1) if ck]
+    return refs
+
+
+def _mixed_refs(coeffs: IdentityCoefficients, weights: MixWeights):
+    """rhs_mixed as weighted references; weights are rational."""
+    c = (None,) + coeffs.c
+    xu, xl = zip((None, None), *(weights.split_signs(k) for k in range(1, 6)))
+
+    refs = [(1, ID, "rcomm")]
+    for k in range(1, 6):
+        if not c[k]:
+            continue
+        for l in (1, 2, 3):
+            w = Fraction(weights.rows[k - 1][l - 1])
+            if w:
+                refs.append((2 * c[k] * w, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}")))
+    bracket_weights = (
+        c[6],
+        c[7],
+        c[8] - 2 * c[4] * xu[4],
+        c[9] - 2 * c[5] * xu[5],
+        c[10] - c[3] * xu[3],
+        c[11],
+        c[12],
+        c[13] - 2 * c[1] * xl[1],
+        c[14] - 2 * c[2] * xl[2],
+        c[15] - c[3] * xl[3],
+        c[16] + c[2] * xu[2] - c[5] * xl[5],
+        c[17] + c[1] * xu[1] - c[4] * xl[4],
+    )
+    refs += [_basis_ref(k, w) for k, w in enumerate(bracket_weights, start=6)]
+    return refs
 
 
 class IdentityWorkspace:
     """All derived tensors of one (tensor, connection) instance.
 
     The 81 combinations reuse the same torsion products, curvature tensor
-    and basis terms, so sweeps construct one workspace per instance and ask
-    it for everything.
+    and basis columns, so sweeps construct one workspace per instance and
+    ask it for everything.
+
+    Second derivatives are not built rule by rule: with D = S + sigma_up U
+    + sigma_lo V (``_DD_BLOCKS``), every identity side is a weighted sum of
+    cached weight-1 tensors, namely SSa, the R-commutator and the basis
+    columns.  Weights are merged per (read, tensor) first, and only tensors
+    left with a nonzero weight are built.  The sum is exactly the tensor
+    the rule-by-rule composition gives (:meth:`dd`, kept as the reference),
+    so a residual checked this way is the same exact per-instance
+    predicate: it is zero exactly when lhs - rhs is.
     """
 
     def __init__(self, a: TensorField, L: ConnectionField):
@@ -256,21 +371,51 @@ class IdentityWorkspace:
 
     def _operand(self, name: str) -> TensorField:
         """A factor named in the spec tables: ``a``, the torsion half ``tor``,
-        its symmetric-rule derivative ``dtor``, ``d_sym`` (the symmetric-rule
-        derivative of ``a``) or a cached block of ``_BLOCKS``."""
+        its symmetric-rule derivative ``dtor``, a first derivative of ``a``
+        (``d_sym``, ``d_1``..``d_4`` by rule tag, ``grad_a`` the plain
+        partial gradient), ``dd_sym`` (SSa), ``rcomm`` or a cached block of
+        ``_BLOCKS``."""
         if name == "a":
             return self.a
         if name == "tor":
             return self.L.torsion_half()
+        if name == "rcomm":
+            return self.r_commutator()
+        if name in _BLOCKS:
+            return self._contraction(*_BLOCKS[name])
+        if name == "grad_a":
+            return self._get(name, self.a.partial_gradient)
         if name == "dtor":
             return self._get(
-                "dtor",
+                name,
                 lambda: covariant_derivative(DerivKind.SYM, self.L.torsion_half(), self.L),
             )
-        if name == "d_sym":
-            return self.first_derivative(DerivKind.SYM)
-        spec, *names = _BLOCKS[name]
-        return self._get(name, lambda: contract((1, 3), (1, spec, *map(self._operand, names))))
+        if name == "dd_sym":
+            return self._get(
+                name,
+                lambda: covariant_derivative(DerivKind.SYM, self._operand("d_sym"), self.L),
+            )
+        return self.first_derivative(_KIND_BY_TAG[name.removeprefix("d_")])
+
+    def _contraction(self, spec: str, *names) -> TensorField:
+        """The (1,3) contraction of named operands by ``spec``, cached."""
+        return self._get(
+            (spec, *names), lambda: contract((1, 3), (1, spec, *map(self._operand, names)))
+        )
+
+    def _pieces(self, refs) -> list:
+        """``contract`` terms of weighted references (weight, read, key), a
+        key being an operand name or a (spec, operand names) contraction.
+        Weights are summed per (read, key) first; only keys left with a
+        nonzero weight are built."""
+        merged = {}
+        for w, read, key in refs:
+            merged[read, key] = merged.get((read, key), 0) + w
+        return [
+            (w, read, self._operand(key) if isinstance(key, str) else self._contraction(*key))
+            for (read, key), w in merged.items()
+            if w
+        ]
 
     # first and second derivatives ------------------------------------------
 
@@ -282,7 +427,8 @@ class IdentityWorkspace:
         )
 
     def dd(self, p: int, q: int) -> TensorField:
-        """a p|m q|n by composition, cached per ordered pair."""
+        """a p|m q|n by composition, cached per ordered pair: the reference
+        for the block form the identity checks use."""
 
         def build():
             kq = KIND_BY_NUMBER[q]
@@ -290,13 +436,9 @@ class IdentityWorkspace:
 
         return self._get(("dd", p, q), build)
 
-    def _lhs_pieces(self, pqrs):
-        p, q, r, s = pqrs
-        return [(1, ID, self.dd(p, q)), (-1, SWAP, self.dd(r, s))]
-
     def lhs(self, pqrs) -> TensorField:
         """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
-        return contract((1, 3), *self._lhs_pieces(pqrs))
+        return contract((1, 3), *self._pieces(_lhs_refs(pqrs)))
 
     # curvature and torsion blocks -------------------------------------------
 
@@ -314,44 +456,24 @@ class IdentityWorkspace:
 
         return self._get("rcomm", build)
 
-    def derivative_term(self, k: int, which) -> TensorField:
-        """Torsion-against-derivative pattern k in 1..5 (no leading factor 2)
-        applied to a derivative of ``a``: a rule number or DerivKind, or
-        "partial" for the plain partial gradient."""
-
-        def build():
-            if which == "partial":
-                X = self._get("grad_a", self.a.partial_gradient)
-            else:
-                X = self.first_derivative(which)
-            return contract((1, 3), (1, _DTERM_SPECS[k - 1], self.L.torsion_half(), X))
-
-        return self._get(("dterm", k, which), build)
-
     # basis and right sides ----------------------------------------------------
 
     def basis(self, k: int) -> TensorField:
         """Basis term k in 1..17 (the R-commutator is not part of the basis)."""
         if not 1 <= k <= 17:
             raise ValueError("basis index must lie in 1..17")
-        weight, spec, *names = _BASIS[k - 1]
         return self._get(
-            ("basis", k),
-            lambda: contract((1, 3), (weight, spec, *map(self._operand, names))),
+            ("basis", k), lambda: contract((1, 3), *self._pieces([_basis_ref(k)]))
         )
-
-    def _rhs_pieces(self, coeffs: IdentityCoefficients, sign=1):
-        pieces = [(sign, ID, self.r_commutator())]
-        pieces += [(sign * ck, ID, self.basis(k)) for k, ck in enumerate(coeffs.c, start=1) if ck]
-        return pieces
 
     def rhs(self, coeffs: IdentityCoefficients) -> TensorField:
         """Right side of the family identity for one coefficient vector."""
-        return contract((1, 3), *self._rhs_pieces(coeffs))
+        return contract((1, 3), *self._pieces(_rhs_refs(coeffs)))
 
     def residual_pieces(self, coeffs: IdentityCoefficients):
-        """Weighted column tensors of :meth:`residual`."""
-        return [*self._lhs_pieces(coeffs.pqrs), *self._rhs_pieces(coeffs, sign=-1)]
+        """Weighted column tensors of :meth:`residual`, merged per column;
+        every weight is an int."""
+        return self._pieces([*_lhs_refs(coeffs.pqrs), *_rhs_refs(coeffs, sign=-1)])
 
     def residual(self, coeffs: IdentityCoefficients) -> TensorField:
         """Left minus right side in one pass over the cached column tensors;
@@ -366,7 +488,10 @@ class IdentityWorkspace:
         a, tor = self.a, self.L.torsion_half()
         sym = self.L.symmetric_part().coeffs
         pieces = [(1, ID, self.r_commutator())]
-        pieces += [(2 * c[k], ID, self.derivative_term(k, "partial")) for k in range(1, 6)]
+        pieces += [
+            (2 * c[k], ID, self._contraction(_DTERM_SPECS[k - 1], "tor", "grad_a"))
+            for k in range(1, 6)
+        ]
         pieces += [(c[k], ID, self.basis(k)) for k in range(6, 18)]
         pieces += [
             (2 * c[3], "Aj,iAB,Bmn->ijmn", a, sym, tor),
@@ -382,49 +507,19 @@ class IdentityWorkspace:
         ]
         return contract((1, 3), *pieces)
 
-    def _mixed_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
-        """Weighted column tensors of :meth:`rhs_mixed`; weights are rational."""
-        c = (None,) + coeffs.c
-        xu = [None] + [weights.split_signs(k)[0] for k in range(1, 6)]
-        xl = [None] + [weights.split_signs(k)[1] for k in range(1, 6)]
-
-        pieces = [(1, ID, self.r_commutator())]
-        for k in range(1, 6):
-            if not c[k]:
-                continue
-            for l in (1, 2, 3):
-                w = Fraction(weights.rows[k - 1][l - 1])
-                if w:
-                    pieces.append((2 * c[k] * w, ID, self.derivative_term(k, l)))
-        bracket_weights = (
-            c[6],
-            c[7],
-            c[8] - 2 * c[4] * xu[4],
-            c[9] - 2 * c[5] * xu[5],
-            c[10] - c[3] * xu[3],
-            c[11],
-            c[12],
-            c[13] - 2 * c[1] * xl[1],
-            c[14] - 2 * c[2] * xl[2],
-            c[15] - c[3] * xl[3],
-            c[16] + c[2] * xu[2] - c[5] * xl[5],
-            c[17] + c[1] * xu[1] - c[4] * xl[4],
-        )
-        pieces += [(w, ID, self.basis(k)) for k, w in enumerate(bracket_weights, start=6)]
-        return pieces
-
     def rhs_mixed(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
         """The family with the five derivative terms written as rule-1/2/3
         mixtures; bracket coefficients pick up the substitution leftovers.
 
         Expressed against the cached basis: pattern k of the torsion-quadratic
         brackets absorbs -2 c_k times the substitution sign combinations."""
-        return contract((1, 3), *self._mixed_pieces(coeffs, weights))
+        return contract((1, 3), *self._pieces(_mixed_refs(coeffs, weights)))
 
     def mixed_residual_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
-        """Weighted column tensors of lhs - rhs_mixed; weights are rational."""
-        pieces = self._mixed_pieces(coeffs, weights)
-        return [*self._lhs_pieces(coeffs.pqrs), *((-w, spec, t) for w, spec, t in pieces)]
+        """Weighted column tensors of lhs - rhs_mixed, merged per column;
+        weights are rational."""
+        refs = _mixed_refs(coeffs, weights)
+        return self._pieces([*_lhs_refs(coeffs.pqrs), *((-w, read, key) for w, read, key in refs)])
 
     def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
         """D * (lhs - rhs_mixed) in one pass, D the lcm of the weights'
@@ -567,31 +662,38 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
     the design matrix has full column rank.
 
     The target of a combination, lhs minus the R-commutator, is summed
-    entry by entry as the rows are fed, so the entries after full rank are
-    never assembled."""
+    entry by entry from the weighted block columns as the rows are fed, so
+    the entries after full rank are never assembled."""
     dim = ws.dim
-    basis_terms = [[e._terms for e in ws.basis(k).entries] for k in range(1, 18)]
-    rcomm = [e._terms for e in ws.r_commutator().entries]
-    dd = {
-        pq: [e._terms for e in ws.dd(*pq).entries]
-        for pq in dict.fromkeys(pq for c in combos for pq in (c[:2], c[2:]))
-    }
+    entries = {}  # id(tensor) -> the term dicts of its entries
+
+    def columns(refs):
+        out = []
+        for w, read, t in ws._pieces(refs):
+            if id(t) not in entries:
+                entries[id(t)] = [e._terms for e in t.entries]
+            out.append((w, read == SWAP, entries[id(t)]))
+        return out
+
+    basis = [columns([_basis_ref(k)])[0] for k in range(1, 18)]
+    target_columns = [columns([*_lhs_refs(c), (-1, ID, "rcomm")]) for c in combos]
     for e in range(dim**4):
         m, n = divmod(e % (dim * dim), dim)
         swapped = e + (n - m) * (dim - 1)  # the entry with m and n swapped (SWAP)
+        basis_terms = [(w, col[swapped if swap else e]) for w, swap, col in basis]
         targets = []
-        for p, q, r, s in combos:
-            acc = dict(dd[p, q][e])
-            _add_terms(acc, dd[r, s][swapped], -1)
-            _add_terms(acc, rcomm[e], -1)
+        for pieces in target_columns:
+            acc = {}
+            for w, swap, col in pieces:
+                _add_terms(acc, col[swapped if swap else e], w)
             targets.append(_strip_zeros(acc))
         keys = set()
-        for bt in basis_terms:
-            keys.update(bt[e])
+        for _, bt in basis_terms:
+            keys.update(bt)
         for tg in targets:
             keys.update(tg)
         for key in sorted(keys):
-            row = [bt[e].get(key, 0) for bt in basis_terms]
+            row = [w * bt.get(key, 0) for w, bt in basis_terms]
             rhs = [tg.get(key, 0) for tg in targets]
             system.add_row(row, rhs)
         if system.rank == 17:

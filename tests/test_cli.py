@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from torsioncalc import cli
+from torsioncalc import cli, connection
 from torsioncalc.algebra import ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
+from torsioncalc.connection import DerivKind, covariant_derivative
 from torsioncalc.ricci import (
     IdentityAmbiguityError,
     IdentityCoefficients,
@@ -175,7 +176,7 @@ def _broken_catalogue(n):
 
 
 def _first_term(t):
-    for idx, e in zip(itertools.product(range(t.dim), repeat=4), t.entries):
+    for idx, e in zip(itertools.product(range(t.dim), repeat=t.rank()), t.entries):
         if not e.is_zero():
             exps, coeff = next(iter(e.terms().items()))
             return list(idx), repr(ScalarField.from_terms({exps: coeff}, t.dim))
@@ -225,6 +226,30 @@ def test_failing_mixed_check_names_its_weighting(monkeypatch):
     assert all(c.passed and c.detail is None for c in checks.values())
 
 
+def test_failing_derivative_relation_names_instance_entry_and_monomial(monkeypatch):
+    # eq:8 with its first weight doubled: D_sym - D_1 - D_2 / 2 is not zero
+    relations = list(connection.DERIVATIVE_RELATIONS)
+    tag, lhs, ((_, k1), second) = relations[0]
+    assert tag == "eq:8"
+    relations[0] = (tag, lhs, ((1, k1), second))
+    monkeypatch.setattr(connection, "DERIVATIVE_RELATIONS", tuple(relations))
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=8)
+    checks = {c.id: c for c in cli.cmd_verify_derivatives(config).checks}
+    bad = checks.pop("eq:8")
+    rng = derive_rng(8, "deriv:2:0")
+    L = random_even_connection(rng, 2, 1)
+    a = random_tensor_field(rng, 2, (1, 1), 1)
+    residual = covariant_derivative(DerivKind.SYM, a, L) - covariant_derivative(k1, a, L)
+    residual = residual + covariant_derivative(second[1], a, L).scale(-second[0])
+    entry, monomial = _first_term(residual)
+    assert not bad.passed and bad.status == "nonzero-residual"
+    assert bad.detail == {
+        "seed": 8, "label": "deriv:2:0", "dim": 2, "entry": entry, "monomial": monomial,
+    }
+    assert all(c.passed and c.detail is None for c in checks.values())
+
+
 def test_and_reduce_keeps_the_first_failing_instance():
     results = [
         [("a", True, None), ("b", True, None)],
@@ -255,11 +280,12 @@ def test_importing_the_cli_leaves_numpy_out():
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
 
 # golden file stem -> (CLI arguments, config)
+RICCI = ["verify-ricci", "--scope"]
 GOLDEN = {
-    "catalogue-d2": (["verify-ricci", "--scope", "catalogue"], {"dimension": 2, "degree": 1, "instances": 2}),
-    "catalogue-d3": (["verify-ricci", "--scope", "catalogue"], {"dimension": 3, "degree": 1, "instances": 1}),
-    "all": (["verify-ricci", "--scope", "all"], {"degree": 1}),
-    "mixed": (["verify-ricci", "--scope", "mixed"], {"dimension": 2, "degree": 1, "instances": 8}),
+    "catalogue-d2": ([*RICCI, "catalogue"], {"dimension": 2, "degree": 1, "instances": 2}),
+    "catalogue-d3": ([*RICCI, "catalogue"], {"dimension": 3, "degree": 1, "instances": 1}),
+    "all": ([*RICCI, "all"], {"degree": 1}),
+    "mixed": ([*RICCI, "mixed"], {"dimension": 2, "degree": 1, "instances": 8}),
     "derivatives": (["verify-derivatives"], {"dimension": 3, "degree": 1, "instances": 2}),
 }
 

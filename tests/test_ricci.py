@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 
 from torsioncalc.algebra import RationalMatrix, ScalarField, contract, matrix_rank
-from torsioncalc.connection import double_covariant_derivative
+from torsioncalc.connection import DerivKind, covariant_derivative, double_covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
+    _DD_BLOCKS,
     ALL_COMBINATIONS,
     CATALOGUE_BY_PQRS,
     IdentityCoefficients,
     IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
+    _column,
+    _dd_refs,
     _instance_workspace,
     catalogue_independence_rank,
     identity_catalogue,
@@ -231,6 +234,109 @@ def test_verify_identity_rejects_uncatalogued():
     L, a = make_instance(29, "rej", 2)
     with pytest.raises(ValueError):
         verify_identity((2, 3, 3, 2), a, L)
+
+
+# ---------------------------------------------------------------------------
+# second derivatives and basis terms from shared columns
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_block_assembled_dd_matches_composition(dim, even):
+    # plain instances carry half-integer sym and tor parts (Fraction
+    # coefficients); constant fields keep the dim-4 one affordable
+    degree = 0 if (dim, even) == (4, False) else 1
+    L, a = make_instance(48, f"blocks:{dim}:{even}", dim, degree=degree, even=even)
+    ws = IdentityWorkspace(a, L)
+    for p, q in itertools.product((1, 2, 3), repeat=2):
+        assert contract((1, 3), *ws._pieces(_dd_refs(p, q))) == ws.dd(p, q), (p, q)
+    swapped = contract((1, 3), *ws._pieces(_dd_refs(2, 3, sign=-1, swap=True)))
+    assert swapped == -ws.dd(2, 3).swap_last_lower()
+    if not even:  # dd has integer coefficients, its blocks do not
+        sym_second = ws._pieces(_dd_refs(1, 1))[0][2]
+        assert any(type(v) is Fraction for e in sym_second.entries for v in e.terms().values())
+
+
+def _upper_part(tor, x):
+    """U: tor^i_{A n} x^A_{j..}, the upper-index torsion term of a rule."""
+    spec = "iAm,Aj->ijm" if x.valence == (1, 1) else "iAn,Ajm->ijmn"
+    return contract((1, x.valence[1] + 1), (1, spec, tor, x))
+
+
+def _lower_part(tor, x):
+    """V: sum over x's lower slots of tor^A_{. n} x^i_{..A..}."""
+    if x.valence == (1, 1):
+        return contract((1, 2), (1, "Ajm,iA->ijm", tor, x))
+    return contract((1, 3), (1, "Ajn,iAm->ijmn", tor, x), (1, "Amn,ijA->ijmn", tor, x))
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_leibniz_and_torsion_blocks_are_basis_columns(even):
+    L, a = make_instance(49, f"leibniz:{even}", 3, degree=1, even=even)
+    ws = IdentityWorkspace(a, L)
+    tor = L.torsion_half()
+    parts = {
+        "S": lambda x: covariant_derivative(DerivKind.SYM, x, L),
+        "U": lambda x: _upper_part(tor, x),
+        "V": lambda x: _lower_part(tor, x),
+    }
+    # each rule is S + sigma_up U + sigma_lo V
+    for kind in (DerivKind.K1, DerivKind.K2, DerivKind.K3, DerivKind.K4):
+        split = parts["S"](a) + parts["U"](a).scale(kind.sigma_up)
+        assert covariant_derivative(kind, a, L) == split + parts["V"](a).scale(kind.sigma_lo)
+
+    def column_sum(columns):
+        return contract((1, 3), *ws._pieces([_column(k, 1) for k in columns]))
+
+    blocks = {(outer, inner): columns for outer, inner, columns in _DD_BLOCKS}
+    # Leibniz: S(Ua) = dtor.a + tor.(Sa), S(Va) likewise
+    Ua, Va = parts["U"](a), parts["V"](a)
+    assert covariant_derivative(DerivKind.SYM, Ua, L) == column_sum(blocks["S", "U"])
+    assert covariant_derivative(DerivKind.SYM, Va, L) == column_sum(blocks["S", "V"])
+    for (outer, inner), columns in blocks.items():
+        assert parts[outer](parts[inner](a)) == column_sum(columns), (outer, inner)
+
+
+def test_basis_terms_match_their_written_out_contractions():
+    L, a = make_instance(50, "basis", 3, degree=1, even=False)
+    ws = IdentityWorkspace(a, L)
+    tor = L.torsion_half()
+    d_sym = covariant_derivative(DerivKind.SYM, a, L)
+    dtor = covariant_derivative(DerivKind.SYM, tor, L)
+    written = (
+        (2, "Ajm,iAn->ijmn", tor, d_sym),
+        (2, "Ajn,iAm->ijmn", tor, d_sym),
+        (2, "Amn,ijA->ijmn", tor, d_sym),
+        (2, "iAn,Ajm->ijmn", tor, d_sym),
+        (2, "iAm,Ajn->ijmn", tor, d_sym),
+        (1, "Aj,iAmn->ijmn", a, dtor),
+        (1, "Aj,iAnm->ijmn", a, dtor),
+        (1, "Aj,BAm,iBn->ijmn", a, tor, tor),
+        (1, "Aj,BAn,iBm->ijmn", a, tor, tor),
+        (2, "Aj,iAB,Bmn->ijmn", a, tor, tor),
+        (-1, "iA,Ajmn->ijmn", a, dtor),
+        (-1, "iA,Ajnm->ijmn", a, dtor),
+        (-1, "iA,ABn,Bjm->ijmn", a, tor, tor),
+        (-1, "iA,ABm,Bjn->ijmn", a, tor, tor),
+        (-2, "iA,AjB,Bmn->ijmn", a, tor, tor),
+        (-2, "iAm,Bjn,AB->ijmn", tor, tor, a),
+        (-2, "iAn,Bjm,AB->ijmn", tor, tor, a),
+    )
+    for k, term in enumerate(written, start=1):
+        assert ws.basis(k) == contract((1, 3), term), k
+
+
+def test_residual_piece_weights_are_integers():
+    # a Fraction weight would push every accumulation onto Fraction arithmetic
+    L, a = make_instance(51, "intweights", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    for n, ic in enumerate(identity_catalogue()):
+        for member in (ic, flipped(ic, n % 17)):
+            pieces = ws.residual_pieces(member)
+            assert pieces and all(type(w) is int and w for w, _, _ in pieces), member
+            # merged: at most one piece per (read, tensor)
+            assert len({(spec, id(t)) for _, spec, t in pieces}) == len(pieces)
 
 
 # ---------------------------------------------------------------------------
