@@ -33,6 +33,7 @@ from .cosmology import (
     CosmologyMetric,
     antisym_christoffel_generic,
     antisym_christoffel_table,
+    clear_metric_memo,
     energy_momentum,
     matter_lagrangian_paths,
     recover_n,
@@ -95,13 +96,13 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config field: {key!r}")
         if "dimension" in raw:
-            cfg.dimension = _expect_int(raw, "dimension", 2, 6)
+            cfg.dimension = _expect_int("dimension", raw["dimension"], 2, 6)
         if "seed" in raw:
-            cfg.seed = _expect_int(raw, "seed", 0, 2**64 - 1)
+            cfg.seed = _expect_int("seed", raw["seed"], 0, 2**64 - 1)
         if "degree" in raw:
-            cfg.degree = _expect_int(raw, "degree", 0, 8)
+            cfg.degree = _expect_int("degree", raw["degree"], 0, 8)
         if "instances" in raw:
-            cfg.instances = _expect_int(raw, "instances", 1, 10**6)
+            cfg.instances = _expect_int("instances", raw["instances"], 1, 10**6)
         if "output" in raw:
             if not isinstance(raw["output"], str):
                 raise ConfigError("output: expected a path string")
@@ -131,12 +132,11 @@ class RunConfig:
         return out
 
 
-def _expect_int(raw, key, lo, hi) -> int:
-    value = raw[key]
+def _expect_int(name, value, lo, hi) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an integer")
+        raise ConfigError(f"{name}: expected an integer")
     if not lo <= value <= hi:
-        raise ConfigError(f"{key}: {value} outside [{lo}, {hi}]")
+        raise ConfigError(f"{name}: {value} outside [{lo}, {hi}]")
     return value
 
 
@@ -167,12 +167,13 @@ def _parse_cosmology(raw: dict):
     window = raw.get("window", ["0", "1"])
     if not (isinstance(window, list) and len(window) == 2):
         raise ConfigError("cosmology.window: expected [t0, t1]")
-    t0, t1 = (Fraction(str(x)) for x in window)
+    try:
+        t0, t1 = (Fraction(str(x)) for x in window)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cosmology.window: {exc}") from exc
     if not t1 > t0:
         raise ConfigError("cosmology.window: needs t1 > t0")
-    panels = raw.get("panels", 1000)
-    if not isinstance(panels, int) or panels <= 0:
-        raise ConfigError("cosmology.panels: expected a positive integer")
+    panels = _expect_int("cosmology.panels", raw.get("panels", 1000), 1, 10**6)
     return metric, (t0, t1), panels
 
 
@@ -397,6 +398,9 @@ def cmd_cosmology(config: RunConfig) -> Report:
         raise ConfigError("cosmology: block required for this command")
     m = config.cosmology
     report = Report("cosmology", config.echo())
+    # each quantity below is computed once per run, through the per-metric
+    # memo; start it empty, so a repeated run in one process costs the same
+    clear_metric_memo()
 
     # lowered antisymmetric connection table vs the generic formula
     closed = antisym_christoffel_table(m)

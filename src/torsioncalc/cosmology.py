@@ -17,6 +17,7 @@ the quadrature that recovers n from the matter Lagrangian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +138,11 @@ def antisym_christoffel_generic(m: CosmologyMetric) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
+def _d(rf: RationalFunction, coord: int) -> RationalFunction:
+    """Partial derivative in coordinate ``coord``: only t = x^0 appears."""
+    return rf.derivative() if coord == 0 else RF_ZERO
+
+
 def levi_civita_connection(m: CosmologyMetric):
     """G^i_{jk} of the diagonal symmetric part, as rational functions."""
     s = [_rf(p) for p in m.s]
@@ -152,37 +158,59 @@ def levi_civita_connection(m: CosmologyMetric):
     return G
 
 
-def curvature_tensor_rf(m: CosmologyMetric):
-    """R^i_{jmn} of the symmetric part: derivative-last convention
+def _riemann_entry(G, i, j, mm, nn) -> RationalFunction:
+    """R^i_{jmn} from the connection table G: derivative-last convention
     R^i_{jmn} = d_n G^i_{jm} - d_m G^i_{jn} + G^a_{jm} G^i_{an} - G^a_{jn} G^i_{am}."""
+    total = _d(G[i][j][mm], nn) - _d(G[i][j][nn], mm)
+    for a in range(DIM):
+        total = total + G[a][j][mm] * G[i][a][nn] - G[a][j][nn] * G[i][a][mm]
+    return total
+
+
+def curvature_tensor_rf(m: CosmologyMetric):
+    """R^i_{jmn} of the symmetric part, all 256 entries."""
     G = levi_civita_connection(m)
-
-    def d(rf, coord):
-        return rf.derivative() if coord == 0 else RF_ZERO
-
-    R = [[[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            for mm in range(DIM):
-                for nn in range(DIM):
-                    total = d(G[i][j][mm], nn) - d(G[i][j][nn], mm)
-                    for a in range(DIM):
-                        total = total + G[a][j][mm] * G[i][a][nn] - G[a][j][nn] * G[i][a][mm]
-                    R[i][j][mm][nn] = total
-    return R
+    return [
+        [[[_riemann_entry(G, i, j, mm, nn) for nn in range(DIM)] for mm in range(DIM)]
+         for j in range(DIM)]
+        for i in range(DIM)
+    ]
 
 
+# The per-metric quantities below are pure functions of the frozen metric,
+# and one cosmology run asks for each of them more than once; each keeps its
+# results for the last few metrics.  ``clear_metric_memo`` starts a run cold.
+_MEMOISED = []
+
+
+def _per_metric(fn):
+    cached = functools.lru_cache(maxsize=8)(fn)
+    _MEMOISED.append(cached)
+    return cached
+
+
+def clear_metric_memo() -> None:
+    """Forget every memoised per-metric result."""
+    for fn in _MEMOISED:
+        fn.cache_clear()
+
+
+@_per_metric
 def scalar_curvature(m: CosmologyMetric) -> RationalFunction:
-    """R = g^{ab} R^c_{abc} for the diagonal symmetric part."""
-    R = curvature_tensor_rf(m)
+    """R = g^{ab} R^c_{abc} for the diagonal symmetric part, built from the
+    twelve entries R^c_{aac} with a != c that it sums: R^c_{ccc} vanishes
+    term by term, antisymmetric in its last two indices."""
+    G = levi_civita_connection(m)
     inv = inverse_diagonal(m)
     total = RF_ZERO
     for a in range(DIM):
         for c in range(DIM):
-            total = total + inv[a] * R[c][a][a][c]
+            if a != c:
+                total = total + inv[a] * _riemann_entry(G, c, a, a, c)
     return total
 
 
+@_per_metric
 def torsion_scalar(m: CosmologyMetric) -> RationalFunction:
     """Triple inverse-metric contraction of two lowered antisymmetric
     connection components (the scalar multiplying v' - w)."""
@@ -205,6 +233,7 @@ def scalar_curvature_family(m: CosmologyMetric) -> RationalFunction:
     return scalar_curvature(m) + torsion_scalar(m) * m.vprime_minus_w
 
 
+@_per_metric
 def matter_lagrangian_paths(m: CosmologyMetric):
     """(contraction route, closed-form route); both are equal.
 
@@ -280,6 +309,17 @@ def energy_momentum(m: CosmologyMetric):
 # ---------------------------------------------------------------------------
 
 
+def _on_integer_grid(p: Poly, origin, step):
+    """(q, d) with q integer coefficients, ascending, and d a positive
+    integer such that p(origin + j * step) = q(j) / d for every j."""
+    line = Poly((origin, step))
+    shifted = Poly()
+    for c in reversed(p.coeffs):
+        shifted = shifted * line + Poly.constant(c)
+    d = math.lcm(*(c.denominator for c in shifted.coeffs))
+    return [int(c * d) for c in shifted.coeffs], d
+
+
 def recover_n(m: CosmologyMetric, t0, t1, steps: int):
     """Quadrature inversion of the matter Lagrangian:
 
@@ -295,6 +335,13 @@ def recover_n(m: CosmologyMetric, t0, t1, steps: int):
     (3/2)(v'-w) n'^2: the poles of L cancel and can never be seen by
     evaluating it.  The same reduction makes the radicand non-negative
     everywhere once v' - w > 0.
+
+    Every node of the rule is t0 + j h/2 with j = 0 .. 2 steps, so the
+    radicand is substituted once into an integer polynomial q(j) over a
+    common denominator d and evaluated exactly with integer arithmetic, each
+    panel reusing its left neighbour's right endpoint.  ``q(j) / d`` is a
+    correctly rounded int division, as ``float`` of the exact ``Fraction``
+    value is, so every float matches a node-by-node exact evaluation.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -311,20 +358,29 @@ def recover_n(m: CosmologyMetric, t0, t1, steps: int):
     lm = matter_lagrangian(m)
     s1, s2, s3 = (_rf(p) for p in m.s[:3])
     radicand = lm * s1 * s2 * s3
+    if not radicand.is_polynomial():
+        raise AssertionError("L * s1 s2 s3 is not a polynomial")
     prefactor = 2 / (3 * float(vw))
-
-    def integrand(t):
-        return math.sqrt(float(radicand.evaluate(t))) * prefactor
-
     h = (t1 - t0) / steps
-    ts = [float(t0 + k * h) for k in range(steps + 1)]
+    q, d = _on_integer_grid(radicand.num, t0, h / 2)
+    q.reverse()
+
+    def integrand(j):
+        total = 0
+        for c in q:
+            total = total * j + c
+        return math.sqrt(total / d) * prefactor
+
+    # the nodes themselves, t0 + j h/2 = (origin + j step) / t_den
+    (origin, step), t_den = _on_integer_grid(Poly.t(), t0, h / 2)
+    ts = [(origin + 2 * k * step) / t_den for k in range(steps + 1)]
+    weight = float(h) / 6.0
     n1 = [0.0]
     acc = 0.0
+    right = integrand(0)
     for k in range(steps):
-        a = t0 + k * h
-        b = a + h
-        mid = (a + b) / 2
-        acc += float(h) / 6.0 * (integrand(a) + 4.0 * integrand(mid) + integrand(b))
+        left, right = right, integrand(2 * k + 2)
+        acc += weight * (left + 4.0 * integrand(2 * k + 1) + right)
         n1.append(acc)
     n2 = [-x for x in n1]
     return ts, n1, n2
@@ -341,15 +397,12 @@ def christoffel_full_rf(m: CosmologyMetric):
     rows = [[_rf(p) for p in row] for row in m.metric_rows()]
     inv = inverse_diagonal(m)
 
-    def d(rf, coord):
-        return rf.derivative() if coord == 0 else RF_ZERO
-
     G = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
             for k in range(DIM):
                 # diagonal inverse: a = i only
-                combo = d(rows[j][i], k) - d(rows[j][k], i) + d(rows[i][k], j)
+                combo = _d(rows[j][i], k) - _d(rows[j][k], i) + _d(rows[i][k], j)
                 G[i][j][k] = inv[i] * combo * HALF
     return G
 
@@ -360,14 +413,11 @@ def emc_residual_rf(m: CosmologyMetric):
     rows = [[_rf(p) for p in row] for row in m.metric_rows()]
     G = christoffel_full_rf(m)
 
-    def d(rf, coord):
-        return rf.derivative() if coord == 0 else RF_ZERO
-
     out = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
             for k in range(DIM):
-                total = d(rows[i][j], k)
+                total = _d(rows[i][j], k)
                 for a in range(DIM):
                     total = total - G[a][i][k] * rows[a][j] - G[a][k][j] * rows[i][a]
                 out[i][j][k] = total

@@ -4,10 +4,18 @@ The cosmology metrics are built from polynomials of one variable t, but their
 inverse metric components are 1/s_i(t); everything downstream of an inverse
 therefore lives in the rational-function field implemented here.  Values are
 canonical (reduced fraction, monic denominator), so equality is structural.
+
+Reducing a quotient needs the gcd of numerator and denominator.  ``Poly.gcd``
+clears denominators and runs a primitive remainder sequence on integer
+coefficients: each step takes an integer pseudo-remainder and divides out its
+content, so no ``Fraction`` is built until the result is made monic at the
+end.  A quotient whose denominator is a constant needs no gcd at all, and
+sums and products with a zero operand return at once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -16,6 +24,33 @@ def _strip(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _primitive(coeffs):
+    """The integer polynomial with content 1 and a positive leading
+    coefficient that is a rational multiple of ``coeffs`` (nonzero, no
+    trailing zeros, int or Fraction entries)."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of ``a`` by ``b``, both
+    integer coefficient lists with no trailing zeros and b nonzero."""
+    a = list(a)
+    db, lead_b = len(b) - 1, b[-1]
+    while len(a) > db:
+        lead_a, shift = a[-1], len(a) - 1 - db
+        a = [lead_b * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= lead_a * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 class Poly:
@@ -98,13 +133,22 @@ class Poly:
         return Poly(quot), Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(Fraction(1, 1) / a.leading())
+        """Monic greatest common divisor; the zero polynomial when both are
+        zero.  Primitive remainder sequence on integer coefficients."""
+        if self.is_zero() or other.is_zero():
+            a = self if other.is_zero() else other
+            if a.is_zero():
+                return a
+            return a.scale(Fraction(1, 1) / a.leading())
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = _pseudo_remainder(a, b)
+            if not r:
+                return Poly(tuple(Fraction(c, b[-1]) for c in b))
+            a, b = b, _primitive(r)
+        return ONE  # the sequence reached a nonzero constant
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -180,10 +224,11 @@ class RationalFunction:
         if num.is_zero():
             num, den = Poly(), ONE
         else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+            if den.degree() > 0:  # a constant denominator shares no factor
+                g = num.gcd(den)
+                if g.degree() > 0:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
             lead = den.leading()
             if lead != 1:
                 inv = Fraction(1, 1) / lead
@@ -208,6 +253,10 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = RationalFunction.from_value(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -221,10 +270,15 @@ class RationalFunction:
         return RationalFunction.from_value(other) - self
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        # -num over the same monic den is already reduced
+        out = RationalFunction.__new__(RationalFunction)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __mul__(self, other) -> "RationalFunction":
         other = RationalFunction.from_value(other)
+        if self.is_zero() or other.is_zero():
+            return RF_ZERO
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

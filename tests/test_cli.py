@@ -57,6 +57,22 @@ def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
     assert all(checks[k]["pass"] for k in checks if k != "eq:60")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", ["0", "abc"]), ("panels", True), ("panels", 10**6 + 1)],
+)
+def test_bad_cosmology_window_or_panels_exits_two(tmp_path, capsys, field, value):
+    block = {
+        "s1": ["1"], "s2": ["1"], "s3": ["1"], "s4": ["1"], "n": ["0", "1"],
+        "vprime_minus_w": "1", field: value,
+    }
+    config = _config(tmp_path, cosmology=block)
+    assert main(["cosmology", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cosmology.{field}:")
+    assert captured.out == ""
+
+
 def test_verify_ricci_catalogue_small_instance_passes(tmp_path, capsys):
     config = _config(tmp_path, dimension=2, degree=1, instances=1)
     code = main(["verify-ricci", "--scope", "catalogue", "--config", config, "--json"])

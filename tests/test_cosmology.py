@@ -10,6 +10,8 @@ from torsioncalc.cosmology import (
     antisym_christoffel_generic,
     antisym_christoffel_table,
     christoffel_full_rf,
+    clear_metric_memo,
+    curvature_tensor_rf,
     emc_residual_rf,
     energy_momentum,
     inverse_diagonal,
@@ -321,6 +323,78 @@ def test_recover_accepts_negative_nonvanishing_s():
     _, ones, _ = recover_n(_metric([["1"]] * 4, n), 0, 1, 10)
     assert any(n1)
     assert n1 == ones
+
+
+def _reference_recover_n(m, t0, t1, steps):
+    """recover_n's quadrature with the radicand kept as a rational function
+    and evaluated in Fractions at every node of every panel."""
+    radicand = matter_lagrangian(m)
+    for p in m.s[:3]:
+        radicand = radicand * RationalFunction(p)
+    prefactor = 2 / (3 * float(m.vprime_minus_w))
+
+    def integrand(t):
+        return math.sqrt(float(radicand.evaluate(t))) * prefactor
+
+    t0, t1 = Fraction(t0), Fraction(t1)
+    h = (t1 - t0) / steps
+    ts = [float(t0 + k * h) for k in range(steps + 1)]
+    n1 = [0.0]
+    acc = 0.0
+    for k in range(steps):
+        a = t0 + k * h
+        b = a + h
+        acc += float(h) / 6.0 * (integrand(a) + 4.0 * integrand((a + b) / 2) + integrand(b))
+        n1.append(acc)
+    return ts, n1, [-x for x in n1]
+
+
+@pytest.mark.parametrize(
+    "window, steps",
+    [
+        (("0", "1"), 1),
+        (("0", "2"), 200),
+        (("1/3", "5/2"), 301),
+        (("2/7", "3"), 47),
+        (("-1/9", "1/9"), 9),
+    ],
+)
+def test_recover_floats_match_exact_node_evaluation(window, steps):
+    rng = derive_rng(12, f"quadrature:{window}")
+    for _ in range(4):
+        m = _nondegenerate_metric(rng)  # every root of every s_i is <= -1
+        assert recover_n(m, *window, steps) == _reference_recover_n(m, *window, steps)
+
+
+def test_scalar_curvature_equals_full_contraction():
+    rng = derive_rng(13, "contraction")
+    for _ in range(6):
+        m = _random_metric(rng)
+        R = curvature_tensor_rf(m)
+        inv = inverse_diagonal(m)
+        full = RationalFunction(Poly())
+        for a in range(4):
+            for c in range(4):
+                full = full + inv[a] * R[c][a][a][c]
+        assert scalar_curvature(m) == full
+
+
+def test_per_metric_memo_hits_equal_metrics_only():
+    clear_metric_memo()
+    lists = [["1", "1"], ["2", "0", "1"], ["3"], ["1", "2"]]
+    first = scalar_curvature(_metric(lists, ["0", "1", "1"]))
+    hits = scalar_curvature.cache_info().hits
+    # an equal metric built separately is a hit and returns an equal value
+    again = scalar_curvature(_metric(lists, ["0", "1", "1"]))
+    assert scalar_curvature.cache_info().hits == hits + 1
+    assert again == first
+    changed = [["1", "1"], ["2", "0", "2"], ["3"], ["1", "2"]]
+    other = scalar_curvature(_metric(changed, ["0", "1", "1"]))
+    assert scalar_curvature.cache_info().hits == hits + 1
+    assert other != first
+    clear_metric_memo()
+    assert scalar_curvature.cache_info().currsize == 0
+    assert scalar_curvature(_metric(lists, ["0", "1", "1"])) == first
 
 
 # ---------------------------------------------------------------------------
