@@ -141,9 +141,7 @@ class Poly:
                 return a
             return a.scale(Fraction(1, 1) / a.leading())
         a, b = _primitive(self.coeffs), _primitive(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        while len(b) > 1:
+        while len(b) > 1:  # if deg a < deg b, the first step swaps them
             r = _pseudo_remainder(a, b)
             if not r:
                 return Poly(tuple(Fraction(c, b[-1]) for c in b))
