@@ -303,6 +303,8 @@ GOLDEN = {
     "all": ([*RICCI, "all"], {"degree": 1}),
     "mixed": ([*RICCI, "mixed"], {"dimension": 2, "degree": 1, "instances": 8}),
     "derivatives": (["verify-derivatives"], {"dimension": 3, "degree": 1, "instances": 2}),
+    # every check is an exact rank of fixed coefficient vectors
+    "rank-rho": (["rank-rho"], {}),
     # scale factors as products of (t + a), the way the benchmark draws them
     "cosmology-d1": (["cosmology"], {"cosmology": {
         "s1": ["1", "1"], "s2": ["18", "9", "1"], "s3": ["6", "1"],
@@ -334,9 +336,9 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
     [
         *((stem, 7, 1) for stem in GOLDEN),
         ("mixed", 7, 2),
-        # the seed is only echoed by cosmology, so one seed covers it
+        # the seed is only echoed by cosmology and rank-rho, so one seed covers them
         *((stem, 99, 1) for stem in GOLDEN
-          if stem != "all" and not stem.startswith("cosmology")),
+          if stem not in ("all", "rank-rho") and not stem.startswith("cosmology")),
     ],
 )
 def test_report_bytes_match_golden(tmp_path, monkeypatch, capsys, stem, seed, workers):
