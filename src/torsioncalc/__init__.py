@@ -14,7 +14,6 @@ from .algebra import (
     ExponentOverflowError,
     LinearSystem,
     Rational,
-    RationalMatrix,
     ScalarField,
     TensorField,
     contract,
@@ -31,7 +30,6 @@ from .connection import (
     decompose_connection,
     derivative_kind_rank,
     double_covariant_derivative,
-    double_covariant_derivative_explicit,
     verify_derivative_relations,
 )
 from .curvature import (
@@ -39,7 +37,6 @@ from .curvature import (
     INDEPENDENT_SIX_SETS,
     RhoCoefficients,
     bracket_objects,
-    bracket_objects_raw,
     curvature_R,
     rho,
     rho_catalogue,

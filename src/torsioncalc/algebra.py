@@ -4,7 +4,9 @@ rationals, dense multi-index tensor fields, and exact rational linear algebra.
 Sums over repeated indices go through one primitive, :func:`contract`, which
 takes ``numpy.einsum``-style specs over the row-major entry layout; the
 covariant derivative in :mod:`torsioncalc.connection` is the only other
-kernel that reads that layout directly.
+kernel that reads that layout directly.  Exact elimination likewise has
+one routine, :class:`LinearSystem`: every rank, span basis and coefficient
+solve in the package goes through it.
 
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.
@@ -615,36 +617,16 @@ def contract(valence: tuple, *terms) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-class RationalMatrix:
-    """Dense matrix of rationals with an exact, fraction-free rank."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
-
-    def rank(self) -> int:
-        return _bareiss_rank([list(r) for r in self.rows])
-
-
-def matrix_rank(m) -> int:
-    """Exact rank over the rationals of a RationalMatrix or list of rows."""
-    if isinstance(m, RationalMatrix):
-        return m.rank()
-    return RationalMatrix(m).rank()
+def matrix_rank(rows) -> int:
+    """Exact rank over the rationals of a list of equal-length rows, by
+    feeding them to a :class:`LinearSystem` with no right side."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        raise ValueError("matrix needs at least one row")
+    system = LinearSystem(len(rows[0]), nrhs=0)
+    for r in rows:
+        system.add_row(r)
+    return system.rank
 
 
 def _clear_denominators(row):
@@ -661,38 +643,11 @@ def _clear_denominators(row):
         ints = [v // g for v in ints]
     return ints
 
-def _bareiss_rank(rows) -> int:
-    """Fraction-free Gaussian elimination (Bareiss) rank, exact."""
-    m = [_clear_denominators(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot_row = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = m[i][col]
-            row_i = m[i]
-            row_p = m[rank]
-            for j in range(col, ncols):
-                row_i[j] = (pivot * row_i[j] - factor * row_p[j]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-        col += 1
-    return rank
-
 
 class LinearSystem:
-    """Incremental exact Gaussian elimination with one or more right sides.
+    """Incremental exact Gaussian elimination with any number of right sides:
+    the one elimination in the package.  Ranks (:func:`matrix_rank`), span
+    bases (``ricci.span_basis``) and coefficient solves all run through it.
 
     Rows are reduced against the stored pivots as they arrive, so feeding a
     large redundant stream of equations is cheap once the rank saturates.
@@ -713,7 +668,9 @@ class LinearSystem:
     def rank(self) -> int:
         return len(self._pivot_rows)
 
-    def add_row(self, coeffs, rhs) -> None:
+    def add_row(self, coeffs, rhs=()) -> bool:
+        """Reduce one row against the pivots; True when it adds a pivot,
+        that is, exactly when the rank grows."""
         if len(coeffs) != self.ncols or len(rhs) != self.nrhs:
             raise ValueError("row shape mismatch")
         row = _clear_denominators([*coeffs, *rhs])
@@ -728,10 +685,11 @@ class LinearSystem:
         for col in range(self.ncols):
             if row[col]:
                 self._pivot_rows[col] = row
-                return
+                return True
         for j, v in enumerate(row[self.ncols :]):
             if v:
                 self.inconsistent[j] = True
+        return False
 
     def solve(self, which: int = 0):
         """The unique solution for right side ``which``.

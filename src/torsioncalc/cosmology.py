@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ScalarField, TensorField
-from .ratfunc import Poly, RationalFunction, RF_ZERO, RF_ONE
+from .ratfunc import ONE, Poly, RationalFunction, RF_ZERO, RF_ONE
 
 DIM = 4
 HALF = Fraction(1, 2)
@@ -275,15 +275,15 @@ def _lagrangian_in_inverse_components(m: CosmologyMetric) -> ScalarField:
 
 
 def _substitute_inverses(expr: ScalarField, m: CosmologyMetric) -> RationalFunction:
-    """Evaluate a polynomial in (t, y1..y4) at y_i = 1/s_i(t)."""
+    """Evaluate a polynomial in (t, y1..y4) at y_i = 1/s_i(t).
+
+    Each term c t^k y^e becomes one RationalFunction c t^k / prod s_i^e_i,
+    reduced once."""
     total = RF_ZERO
     for exps, coeff in expr.terms().items():
-        t_power = Poly(tuple([0] * exps[0] + [1]))
-        piece = RationalFunction.from_value(t_power) * coeff
-        for i in range(4):
-            for _ in range(exps[i + 1]):
-                piece = piece / _rf(m.s[i])
-        total = total + piece
+        num = Poly((0,) * exps[0] + (Fraction(coeff),))
+        den = math.prod((s for s, e in zip(m.s, exps[1:]) for _ in range(e)), start=ONE)
+        total = total + RationalFunction(num, den)
     return total
 
 

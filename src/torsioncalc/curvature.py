@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RationalMatrix, TensorField, contract, matrix_rank
+from .algebra import TensorField, contract, matrix_rank
 from .connection import ConnectionField, DerivKind, covariant_derivative
 
 
@@ -104,11 +104,8 @@ def rho(coeffs: RhoCoefficients, L: ConnectionField) -> TensorField:
 
 def rho_family_rank(members) -> int:
     """Exact rank of the span of family members, decided on the coefficient
-    vectors (1, u, u', v, v', w)."""
-    rows = [list(m.basis_vector()) for m in members]
-    if not rows:
-        raise ValueError("need at least one member")
-    return matrix_rank(RationalMatrix(rows))
+    vectors (1, u, u', v, v', w); no members raise ValueError."""
+    return matrix_rank(m.basis_vector() for m in members)
 
 
 # The three catalogued six-member independent sets (member indices, 1-based;
@@ -133,35 +130,15 @@ def six_set_members(indices):
 BRACKET_TAGS = ("eq:40", "eq:41", "eq:42", "eq:43", "eq:44")
 
 
-def _first_bracket_terms(a: TensorField, L: ConnectionField):
-    """T^i_Am a^A_j,n - T^A_jm a^i_A,n (both terms carry the torsion half)."""
-    tor, da = L.torsion_half(), a.partial_gradient()
-    return (1, "iAm,Ajn->ijmn", tor, da), (-1, "Ajm,iAn->ijmn", tor, da)
-
-
-def bracket_objects_raw(a: TensorField, L: ConnectionField):
-    """The five bracket objects evaluated from the raw connection forms."""
-    if a.valence != (1, 1):
-        raise ValueError("bracket objects are defined for valence (1, 1)")
-    raw, tor = L.coeffs, L.torsion_half()
-    objects = (
-        _first_bracket_terms(a, L),
-        ((1, "AB,imA,Bjn->ijmn", a, raw, raw), (-1, "AB,iAm,Bnj->ijmn", a, raw, raw)),
-        ((1, "AB,imA,Bnj->ijmn", a, raw, raw), (-1, "AB,iAm,Bjn->ijmn", a, raw, raw)),
-        ((1, "AB,imA,Bjn->ijmn", a, tor, raw), (-1, "AB,iAn,Bmj->ijmn", a, raw, tor)),
-        ((1, "AB,imA,Bjn->ijmn", a, raw, tor), (-1, "AB,iAn,Bmj->ijmn", a, tor, raw)),
-    )
-    return [contract((1, 3), *terms) for terms in objects]
-
-
 def bracket_objects(a: TensorField, L: ConnectionField):
     """The five bracket objects from the symmetric/antisymmetric split of the
-    connection; agrees exactly with :func:`bracket_objects_raw`."""
+    connection.  The first is T^i_Am a^A_j,n - T^A_jm a^i_A,n; the others
+    are the raw-connection brackets rewritten through sym and T."""
     if a.valence != (1, 1):
         raise ValueError("bracket objects are defined for valence (1, 1)")
-    sym, tor = L.symmetric_part().coeffs, L.torsion_half()
+    sym, tor, da = L.symmetric_part().coeffs, L.torsion_half(), a.partial_gradient()
     objects = (
-        _first_bracket_terms(a, L),
+        ((1, "iAm,Ajn->ijmn", tor, da), (-1, "Ajm,iAn->ijmn", tor, da)),
         # 2(sym T - T sym), the factor 2 from expanding the raw forms
         ((2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
         ((-2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),

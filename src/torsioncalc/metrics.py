@@ -98,7 +98,7 @@ class GeneralizedMetric:
         if det.degree() > 0:
             raise SingularMetricError(
                 "symmetric part has non-constant determinant; no exact "
-                "polynomial inverse exists (evaluate pointwise instead)"
+                "polynomial inverse exists"
             )
         inv_det = Fraction(1, 1) / det.constant_value()
         adj = poly_adjugate(sym)
@@ -106,32 +106,15 @@ class GeneralizedMetric:
         return cls(g, TensorField(dim, (2, 0), entries))
 
     def evaluate_inverse_at(self, point):
-        """Numeric inverse of the symmetric part at one rational point.
-
-        Exact Gauss-Jordan over the rationals; raises if singular there.
-        Diagnostic helper for metrics without a polynomial inverse.
+        """Inverse of the symmetric part at one rational point, as rows of
+        Fractions: the stored inverse evaluated there.  The constructor has
+        checked g_sym_inv * g_sym = identity as polynomials, so the value is
+        the inverse at every point.
         """
-        dim = self.dim
-        m = [
-            [Fraction(self.g_sym.get(i, j).evaluate(point)) for j in range(dim)]
-            for i in range(dim)
+        return [
+            [Fraction(self.g_sym_inv.get(i, j).evaluate(point)) for j in range(self.dim)]
+            for i in range(self.dim)
         ]
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-        for col in range(dim):
-            piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
-            if piv is None:
-                raise SingularMetricError(f"symmetric part singular at {point}")
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = m[col][col]
-            m[col] = [x / p for x in m[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(dim):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-                    inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-        return inv
 
 
 def christoffel_generalized(g: GeneralizedMetric) -> ConnectionField:

@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import (
     LinearSystem,
-    RationalMatrix,
     ScalarField,
     TensorField,
     _add_terms,
@@ -195,7 +194,7 @@ def catalogue_independence_rank() -> int:
     others (its left side cancels against theirs), so the catalogue spans a
     16-dimensional space while the full 81-member family spans 17.
     """
-    return matrix_rank(RationalMatrix([identity_row(ic) for ic in _CATALOGUE]))
+    return matrix_rank(identity_row(ic) for ic in _CATALOGUE)
 
 
 # ---------------------------------------------------------------------------
@@ -702,25 +701,12 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
 
 def span_basis(members) -> list:
     """The members whose :func:`identity_row` is independent of the rows
-    kept before them, in the order given.
-
-    Small exact integer elimination: each kept row is stored reduced against
-    the rows kept earlier, its content divided out.  Every member is an exact
-    rational combination of the kept ones; the full 81-member sweep keeps 17.
+    before them, in the order given: those whose row adds a pivot to one
+    :class:`LinearSystem`.  Every member is an exact rational combination
+    of the kept ones; the full 81-member sweep keeps 17.
     """
-    kept, pivots = [], []
-    for ic in members:
-        row = identity_row(ic)
-        for col, prow in pivots:
-            if row[col]:
-                a, b = prow[col], row[col]
-                row = [a * x - b * y for x, y in zip(row, prow)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is not None:
-            g = gcd(*row)
-            pivots.append((col, [x // g for x in row]))
-            kept.append(ic)
-    return kept
+    system = LinearSystem(36, nrhs=0)  # the width of identity_row
+    return [ic for ic in members if system.add_row(identity_row(ic))]
 
 
 def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
@@ -833,4 +819,4 @@ def solve_all_identities(
 
 def solved_span_rank(solutions) -> int:
     """Dimension of the span of solved identities (17 for the full sweep)."""
-    return matrix_rank(RationalMatrix([identity_row(ic) for ic in solutions.values()]))
+    return matrix_rank(identity_row(ic) for ic in solutions.values())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from torsioncalc.algebra import (
     ExponentOverflowError,
     LinearSystem,
-    RationalMatrix,
     ScalarField,
     TensorField,
     contract,
@@ -307,8 +306,7 @@ def test_rank_transpose_invariant():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
             for _ in range(3)
         ]
-        m = RationalMatrix(rows)
-        assert m.rank() == m.transpose().rank()
+        assert matrix_rank(rows) == matrix_rank(zip(*rows))
 
 
 def test_linear_system_unique_solution():
@@ -360,6 +358,54 @@ def _fraction_reference(rows, rhs_rows, which):
 
 def _random_rational(rng, lo=-5, hi=5):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "deficient"])
+def test_matrix_rank_matches_fraction_reference(shape):
+    rng = derive_rng(17, f"rank:{shape}")
+    for _ in range(8):
+        ncols = rng.randint(2, 6)
+        nrows = {"tall": ncols + 3, "wide": max(1, ncols - 2)}.get(shape, ncols + 1)
+        rows = [[_random_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if shape == "deficient":
+            # every row after the second is a rational combination of the first two
+            for r in rows[2:]:
+                f, g = _random_rational(rng), _random_rational(rng)
+                r[:] = [f * x + g * y for x, y in zip(rows[0], rows[1])]
+        rank = _fraction_reference(rows, [[0]] * nrows, 0)[0]
+        assert matrix_rank(rows) == rank
+        if shape == "deficient":
+            assert rank <= 2
+
+
+def test_matrix_rank_rejects_empty_and_ragged_rows():
+    with pytest.raises(ValueError):
+        matrix_rank([])
+    with pytest.raises(ValueError):
+        matrix_rank([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        matrix_rank(iter([[1], [2, 3]]))
+
+
+def test_add_row_reports_a_new_pivot_exactly_when_the_rank_grows():
+    rng = derive_rng(19, "add_row")
+    system = LinearSystem(4, nrhs=1)
+    rows = [[_random_rational(rng) for _ in range(4)] for _ in range(3)]
+    rows += [
+        [Fraction(-3, 2) * x for x in rows[0]],  # proportional to the first
+        [x - y for x, y in zip(rows[1], rows[2])],  # a combination
+        [0, 0, 0, 0],
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
+    for r in rows:
+        before = system.rank
+        added = system.add_row(r, [_random_rational(rng)])
+        assert added is (system.rank == before + 1)
+        assert system.rank in (before, before + 1)
+    assert system.rank == 4
 
 
 @pytest.mark.parametrize("shape", ["unique", "underdetermined", "inconsistent", "fractional"])

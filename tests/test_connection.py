@@ -13,7 +13,6 @@ from torsioncalc.connection import (
     decompose_connection,
     derivative_kind_rank,
     double_covariant_derivative,
-    double_covariant_derivative_explicit,
     verify_derivative_relations,
 )
 from torsioncalc.sampling import (
@@ -24,6 +23,7 @@ from torsioncalc.sampling import (
 )
 
 from conftest import make_instance
+from oracles import double_covariant_derivative_explicit
 
 HALF = Fraction(1, 2)
 

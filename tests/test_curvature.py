@@ -13,7 +13,6 @@ from torsioncalc.curvature import (
     INDEPENDENT_SIX_SETS,
     RhoCoefficients,
     bracket_objects,
-    bracket_objects_raw,
     curvature_R,
     rho,
     rho_catalogue,
@@ -27,6 +26,8 @@ from torsioncalc.sampling import (
     random_symmetric_connection,
     random_tensor_field,
 )
+
+from oracles import bracket_objects_raw
 
 # ---------------------------------------------------------------------------
 # the curvature tensor of the torsion-free part

@@ -88,6 +88,40 @@ def test_adjugate_det_identity():
             assert total == (det if i == j else ScalarField(3))
 
 
+def _gauss_jordan_inverse(m):
+    """Inverse of a nonsingular square matrix, by Gauss-Jordan over Fractions."""
+    n = len(m)
+    m = [[Fraction(x) for x in row] for row in m]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    return inv
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pointwise_inverse_matches_gauss_jordan(dim):
+    rng = derive_rng(21, f"pw:{dim}")
+    for antisym_degree in (None, 1):
+        field = random_metric_field(rng, dim, antisym_degree=antisym_degree)
+        g = GeneralizedMetric.from_field(field)
+        for _ in range(3):
+            point = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim))
+            at = [[g.g_sym.get(i, j).evaluate(point) for j in range(dim)] for i in range(dim)]
+            inv = g.evaluate_inverse_at(point)
+            assert inv == _gauss_jordan_inverse(at)
+            assert all(type(v) is Fraction for row in inv for v in row)
+
+
 def test_pointwise_inverse():
     rng = derive_rng(8, "pw")
     g = GeneralizedMetric.from_field(random_metric_field(rng, 2, antisym_degree=None))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncalc.algebra import RationalMatrix, ScalarField, contract, matrix_rank
+from torsioncalc.algebra import ScalarField, contract, matrix_rank
 from torsioncalc.connection import DerivKind, covariant_derivative, double_covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
@@ -115,7 +115,7 @@ def test_completion_to_rank_seventeen():
     rows = [identity_row(ic) for ic in identity_catalogue()]
     extra = solve_identity_coefficients((3, 2, 3, 2), dims=(3,), verify_dims=(3,))
     rows.append(identity_row(extra))
-    assert matrix_rank(RationalMatrix(rows)) == 17
+    assert matrix_rank(rows) == 17
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +381,26 @@ def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
         assert solutions[pqrs].c == ic.c, pqrs
     kept = span_basis(solutions.values())
     assert len(kept) == 17
-    assert matrix_rank(RationalMatrix([identity_row(ic) for ic in kept])) == 17
+    assert matrix_rank(identity_row(ic) for ic in kept) == 17
     assert verify_solutions(solutions, 20260809, (3,), 1) == kept
+
+
+def test_span_basis_keeps_rank_increasing_members_in_input_order():
+    catalogue = identity_catalogue()
+    first = catalogue[0]
+    repeat = IdentityCoefficients(first.c, first.pqrs)  # first's row again
+    for members in ([first, repeat, *catalogue[1:]], [*catalogue[::-1], repeat]):
+        rows = [identity_row(ic) for ic in members]
+        kept = span_basis(members)
+        # a member is kept exactly when its row raises the rank of the prefix
+        expected = [
+            ic for k, ic in enumerate(members)
+            if matrix_rank(rows[: k + 1]) > (matrix_rank(rows[:k]) if k else 0)
+        ]
+        assert [id(ic) for ic in kept] == [id(ic) for ic in expected]
+        assert len(kept) == catalogue_independence_rank() == 16
+        assert not any(ic is repeat for ic in kept)
+    assert span_basis([first, repeat]) == [first]
 
 
 def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one):
