@@ -51,6 +51,7 @@ from .ricci import (
     IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
+    SolvedIdentities,
     catalogue_independence_rank,
     identity_catalogue,
     identity_row,

@@ -9,8 +9,9 @@ Reducing a quotient needs the gcd of numerator and denominator.  ``Poly.gcd``
 clears denominators and runs a primitive remainder sequence on integer
 coefficients: each step takes an integer pseudo-remainder and divides out its
 content, so no ``Fraction`` is built until the result is made monic at the
-end.  A quotient whose denominator is a constant needs no gcd at all, and
-sums and products with a zero operand return at once.
+end.  A quotient whose denominator is a constant needs no gcd at all, sums
+and products with a zero operand return at once, and a product with a
+nonzero constant only rescales the numerator.
 """
 
 from __future__ import annotations
@@ -277,6 +278,13 @@ class RationalFunction:
         other = RationalFunction.from_value(other)
         if self.is_zero() or other.is_zero():
             return RF_ZERO
+        for c, f in ((other, self), (self, other)):
+            if c.num.degree() == 0 and c.den == ONE:
+                # a reduced quotient times a nonzero constant stays reduced
+                # over the same monic denominator
+                out = RationalFunction.__new__(RationalFunction)
+                out.num, out.den = f.num * c.num, f.den
+                return out
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -25,10 +25,18 @@ blocks, and by Leibniz, S(Ua) = (dtor) a + tor (Sa) and likewise for V.  All
 eight are sums of the seventeen basis columns B_k / w_k, read as they are
 or with m and n swapped, so SSa is the only second-derivative pass.  Each
 identity side becomes integer- (mixed form: rational-) weighted columns,
-merged per column; a column whose weights cancel is never built.  The
+merged per column; a column whose weights cancel is never built.  Columns 3,
+10 and 15 and the R-commutator are antisymmetric in m, n (each carries
+tor^A_{mn} or R^i_{jmn}), so their swapped read is folded into -1 times the
+plain one before merging; in a correct member those weights cancel.  The
 residual summed this way is exactly lhs - rhs on the instance, so checking
 it is still the exact per-instance predicate; the composition
 :meth:`IdentityWorkspace.dd` stays as the reference tests compare against.
+
+The same split makes the coefficient solve one right side.  A combination's
+target, lhs minus the R-commutator, is basis-column pieces, which are exact
+offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
+column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for.
 """
 
 from __future__ import annotations
@@ -264,6 +272,14 @@ _DD_BLOCKS = (
     ("V", "V", (14, 15)),
 )
 
+# Keys antisymmetric in m, n: columns 3, 10 and 15 carry tor^A_{mn}, the
+# R-commutator carries R^i_{jmn}.  Their SWAP read is -1 times their ID read.
+_ANTISYMMETRIC = {tuple(_BASIS[k - 1][2:]) for k in (3, 10, 15)} | {"rcomm"}
+
+# (read, key) -> k for basis column k; with the fold above, every column
+# reference of an identity side is one of these.
+_COLUMN_BY_READ = {(read, tuple(key)): k for k, (_, read, *key) in enumerate(_BASIS, start=1)}
+
 
 def _sigma(part: str, kind: DerivKind) -> int:
     return 1 if part == "S" else kind.sigma_up if part == "U" else kind.sigma_lo
@@ -333,6 +349,37 @@ def _mixed_refs(coeffs: IdentityCoefficients, weights: MixWeights):
     return refs
 
 
+def _merge(refs) -> dict:
+    """Weighted references (weight, read, key) summed per (read, key); only
+    nonzero sums are kept.  A key of ``_ANTISYMMETRIC`` read with SWAP counts
+    as -1 times its ID read, so a plain and a swapped read at equal weight
+    cancel here, before any tensor is built."""
+    merged = {}
+    for w, read, key in refs:
+        if read == SWAP and key in _ANTISYMMETRIC:
+            w, read = -w, ID
+        merged[read, key] = merged.get((read, key), 0) + w
+    return {rk: w for rk, w in merged.items() if w}
+
+
+def _split_target(pqrs):
+    """Combination pqrs's target, lhs minus the R-commutator, as (rest, offsets).
+
+    ``offsets[k - 1]`` is the exact multiple of basis term k that the
+    target's column-k piece carries (its weight over w_k); ``rest`` holds the
+    other merged references.  The target is contract(rest) plus
+    sum_k offsets[k - 1] B_k, and for all 81 combinations ``rest`` is the
+    same SSa - SSa^(m<->n) - rcomm."""
+    rest, offsets = [], [0] * 17
+    for (read, key), w in _merge([*_lhs_refs(pqrs), (-1, ID, "rcomm")]).items():
+        k = _COLUMN_BY_READ.get((read, key))
+        if k is None:
+            rest.append((w, read, key))
+        else:
+            offsets[k - 1] = Fraction(w, _BASIS[k - 1][0])
+    return tuple(rest), offsets
+
+
 class IdentityWorkspace:
     """All derived tensors of one (tensor, connection) instance.
 
@@ -343,11 +390,12 @@ class IdentityWorkspace:
     Second derivatives are not built rule by rule: with D = S + sigma_up U
     + sigma_lo V (``_DD_BLOCKS``), every identity side is a weighted sum of
     cached weight-1 tensors, namely SSa, the R-commutator and the basis
-    columns.  Weights are merged per (read, tensor) first, and only tensors
-    left with a nonzero weight are built.  The sum is exactly the tensor
-    the rule-by-rule composition gives (:meth:`dd`, kept as the reference),
-    so a residual checked this way is the same exact per-instance
-    predicate: it is zero exactly when lhs - rhs is.
+    columns.  Weights are merged per (read, tensor) first, a swapped read of
+    an m, n-antisymmetric tensor counting as -1 times its plain read, and
+    only tensors left with a nonzero weight are built.  The sum is exactly
+    the tensor the rule-by-rule composition gives (:meth:`dd`, kept as the
+    reference), so a residual checked this way is the same exact
+    per-instance predicate: it is zero exactly when lhs - rhs is.
     """
 
     def __init__(self, a: TensorField, L: ConnectionField):
@@ -402,19 +450,17 @@ class IdentityWorkspace:
             (spec, *names), lambda: contract((1, 3), (1, spec, *map(self._operand, names)))
         )
 
+    def _tensor(self, key) -> TensorField:
+        """The cached tensor of a reference key: an operand name or a
+        (spec, operand names) contraction."""
+        return self._operand(key) if isinstance(key, str) else self._contraction(*key)
+
     def _pieces(self, refs) -> list:
-        """``contract`` terms of weighted references (weight, read, key), a
-        key being an operand name or a (spec, operand names) contraction.
-        Weights are summed per (read, key) first; only keys left with a
-        nonzero weight are built."""
-        merged = {}
-        for w, read, key in refs:
-            merged[read, key] = merged.get((read, key), 0) + w
-        return [
-            (w, read, self._operand(key) if isinstance(key, str) else self._contraction(*key))
-            for (read, key), w in merged.items()
-            if w
-        ]
+        """``contract`` terms of weighted references (weight, read, key).
+        Weights are merged per (read, key) first (:func:`_merge`, which
+        folds the m, n-antisymmetric keys); only keys left with a nonzero
+        weight are built."""
+        return [(w, read, self._tensor(key)) for (read, key), w in _merge(refs).items()]
 
     # first and second derivatives ------------------------------------------
 
@@ -656,13 +702,14 @@ def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> Identit
     return IdentityWorkspace(a, L)
 
 
-def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
+def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, rests) -> None:
     """Stack structural equations (one per tensor entry and monomial) until
     the design matrix has full column rank.
 
-    The target of a combination, lhs minus the R-commutator, is summed
-    entry by entry from the weighted block columns as the rows are fed, so
-    the entries after full rank are never assembled."""
+    Right side j is the tensor of ``rests[j]``, a list of weighted
+    references (see :func:`_split_target`); it is summed entry by entry from
+    its cached tensors as the rows are fed, so the entries after full rank
+    are never assembled."""
     dim = ws.dim
     entries = {}  # id(tensor) -> the term dicts of its entries
 
@@ -675,7 +722,7 @@ def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, combos) -> None:
         return out
 
     basis = [columns([_basis_ref(k)])[0] for k in range(1, 18)]
-    target_columns = [columns([*_lhs_refs(c), (-1, ID, "rcomm")]) for c in combos]
+    target_columns = [columns(rest) for rest in rests]
     for e in range(dim**4):
         m, n = divmod(e % (dim * dim), dim)
         swapped = e + (n - m) * (dim - 1)  # the entry with m and n swapped (SWAP)
@@ -743,11 +790,27 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     return kept
 
 
-def _solve_combos(combos, seed, dims, degree, verify_dims):
+class SolvedIdentities(dict):
+    """{pqrs: IdentityCoefficients} from a solve, with ``span``: the members
+    :func:`span_basis` kept when the solutions were verified."""
+
+    def __init__(self, members, span):
+        super().__init__(members)
+        self.span = span
+
+
+def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
     """Solve the combinations together, then verify them on fresh instances.
 
-    The system is solved fraction-free (see :class:`LinearSystem`).  The
-    verification checks the span basis of the solved identity rows (17
+    :func:`_split_target` splits each target into exact basis offsets and
+    a rest; the system carries one right side per distinct rest (one for
+    the 81 combinations).  A target and its rest differ by a basis
+    combination, so the rows fed and their consistency are those of the
+    targets.  The system is solved fraction-free (see
+    :class:`LinearSystem`), once per distinct rest, and each combination's
+    coefficients are that solution plus its offsets.
+
+    The verification checks the span basis of the solved identity rows (17
     members for the full sweep), not every member: the residual is linear in
     the identity row and every solved row is an exact combination of the
     kept ones, so all residuals vanish exactly when the kept ones do.  The
@@ -755,10 +818,12 @@ def _solve_combos(combos, seed, dims, degree, verify_dims):
     wide enough that the packed sum vanishes exactly when every member's
     residual does (:meth:`IdentityWorkspace.nonzero_members`).
     """
-    system = LinearSystem(17, nrhs=len(combos))
+    splits = [_split_target(combo) for combo in combos]
+    rests = list(dict.fromkeys(rest for rest, _ in splits))
+    system = LinearSystem(17, nrhs=len(rests))
     for t, dim in enumerate(dims):
         # no reference kept: the workspace is freed before verification
-        _feed_rows(system, _instance_workspace(seed, f"solve:{t}:{dim}", dim, degree), combos)
+        _feed_rows(system, _instance_workspace(seed, f"solve:{t}:{dim}", dim, degree), rests)
         if system.rank == 17:
             break
     if system.rank < 17:
@@ -766,14 +831,16 @@ def _solve_combos(combos, seed, dims, degree, verify_dims):
             f"design matrix rank {system.rank} < 17 after {len(dims)} instances"
         )
 
+    solved = {}  # rest -> its solution
     solutions = {}
-    for idx, combo in enumerate(combos):
-        try:
-            vec = system.solve(idx)
-        except ValueError as exc:
-            raise IdentityUnsolvableError(f"{combo}: {exc}") from exc
+    for combo, (rest, offsets) in zip(combos, splits):
+        if rest not in solved:
+            try:
+                solved[rest] = system.solve(rests.index(rest))
+            except ValueError as exc:
+                raise IdentityUnsolvableError(f"{combo}: {exc}") from exc
         ints = []
-        for v in vec:
+        for v in map(sum, zip(solved[rest], offsets)):
             if v.denominator != 1 or v not in (-1, 0, 1):
                 raise IdentityUnsolvableError(
                     f"{combo}: solved coefficient {v} falls outside {{-1, 0, 1}}"
@@ -783,8 +850,7 @@ def _solve_combos(combos, seed, dims, degree, verify_dims):
             tuple(ints), combo, _tag(combo) if combo in CATALOGUE_BY_PQRS else None
         )
 
-    verify_solutions(solutions, seed, verify_dims, degree)
-    return solutions
+    return SolvedIdentities(solutions, verify_solutions(solutions, seed, verify_dims, degree))
 
 
 def solve_identity_coefficients(
@@ -793,10 +859,12 @@ def solve_identity_coefficients(
     """Recover the coefficient vector of one (p, q, r, s) combination.
 
     Sets up the exact linear system whose unknowns are the seventeen basis
-    weights and whose equations equate polynomial coefficients of the left
-    side (minus the R-commutator) with the basis combination, instance by
-    instance, then confirms the solution on fresh instances.  A single
-    member is its own span basis, so it is checked directly.
+    weights and whose equations equate polynomial coefficients of the rest
+    of the left side (SSa - SSa^(m<->n) - R-commutator, once the basis
+    columns of ``_DD_BLOCKS`` are taken out as exact offsets) with the basis
+    combination, instance by instance, adds the offsets, then confirms the
+    solution on fresh instances.  A single member is its own span basis, so
+    it is checked directly.
     """
     pqrs = tuple(pqrs)
     if any(x not in (1, 2, 3) for x in pqrs) or len(pqrs) != 4:
@@ -806,17 +874,23 @@ def solve_identity_coefficients(
 
 def solve_all_identities(
     seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3, 4)
-):
-    """Solve every one of the 81 combinations; returns {pqrs: coefficients}.
+) -> SolvedIdentities:
+    """Solve every one of the 81 combinations; returns {pqrs: coefficients}
+    as a :class:`SolvedIdentities`.
 
-    The solutions are confirmed on fresh instances through the 17 members
-    of their span basis: the residual is linear in the identity row and the
-    other 64 rows are exact combinations of those 17, so all 81 residuals
-    vanish exactly when the 17 checked ones do.
+    All 81 targets share one rest, SSa - SSa^(m<->n) - R-commutator, so the
+    system has one right side and is solved once; each combination adds its
+    own basis offsets from ``_DD_BLOCKS``.  The solutions are confirmed on
+    fresh instances through the 17 members of their span basis: the
+    residual is linear in the identity row and the other 64 rows are exact
+    combinations of those 17, so all 81 residuals vanish exactly when the 17
+    checked ones do.
     """
     return _solve_combos(list(ALL_COMBINATIONS), seed, dims, degree, verify_dims)
 
 
-def solved_span_rank(solutions) -> int:
-    """Dimension of the span of solved identities (17 for the full sweep)."""
-    return matrix_rank(identity_row(ic) for ic in solutions.values())
+def solved_span_rank(solutions: SolvedIdentities) -> int:
+    """Dimension of the span of solved identities (17 for the full sweep):
+    the number of members :func:`span_basis` kept when they were verified,
+    so the rows are not eliminated a second time."""
+    return len(solutions.span)

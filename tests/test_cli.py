@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from torsioncalc import cli, connection
-from torsioncalc.algebra import ScalarField
+from torsioncalc import cli, connection, ricci
+from torsioncalc.algebra import LinearSystem, ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
 from torsioncalc.connection import DerivKind, covariant_derivative
 from torsioncalc.ricci import (
@@ -16,7 +16,9 @@ from torsioncalc.ricci import (
     IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
+    SolvedIdentities,
     identity_catalogue,
+    span_basis,
 )
 from torsioncalc.sampling import derive_rng, random_even_connection, random_tensor_field
 
@@ -166,7 +168,8 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
 
     def catalogue_only(**kwargs):
         calls.append(kwargs)
-        return {ic.pqrs: ic for ic in identity_catalogue()}
+        catalogue = identity_catalogue()
+        return SolvedIdentities({ic.pqrs: ic for ic in catalogue}, span_basis(catalogue))
 
     monkeypatch.setattr(cli, "solve_all_identities", catalogue_only)
     config = _config(tmp_path, dimension=2, instances=5)
@@ -174,6 +177,26 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
     report = json.loads(capsys.readouterr().out)
     assert calls == [{"seed": 20260809, "degree": 2}]
     assert report["config"] == {"seed": 20260809, "degree": 2}
+
+
+def test_scope_all_solves_once_and_takes_the_span_rank_from_the_check(
+    tmp_path, monkeypatch, capsys
+):
+    solves = []
+    solve = LinearSystem.solve
+
+    def counted(self, which=0):
+        solves.append(which)
+        return solve(self, which)
+
+    def second_elimination(rows):
+        raise AssertionError("the span rank must come from the verified span basis")
+
+    monkeypatch.setattr(LinearSystem, "solve", counted)
+    monkeypatch.setattr(ricci, "matrix_rank", second_elimination)
+    assert main(["verify-ricci", "--scope", "all", "--config", _config(tmp_path, degree=1)]) == 0
+    assert solves == [0]
+    assert "PASS cor2:span-rank" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,23 @@ def test_negation_and_constant_denominators_stay_canonical():
         assert r.den == ONE and r.num == p.scale(1 / c)
         assert r == RationalFunction(p.scale(2), Poly.constant(2 * c))
     assert RationalFunction(ONE) == RF_ONE
+
+
+def test_constant_products_rescale_without_a_gcd(monkeypatch):
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(10):
+        x = _rf(rng)
+        c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+        # the general path: multiply out, then reduce by the gcd
+        pairs.append((x, c, RationalFunction(x.num.scale(c), x.den)))
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    for x, c, expected in pairs:
+        constant = RationalFunction(Poly.constant(c))
+        for product in (x * c, c * x, x * constant, constant * x):
+            assert product == expected
+            assert product.den.leading() == 1
+    assert RF_ONE * RF_ONE == RF_ONE
+    assert not calls

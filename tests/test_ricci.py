@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncalc import ricci
 from torsioncalc.algebra import ScalarField, contract, matrix_rank
 from torsioncalc.connection import DerivKind, covariant_derivative, double_covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
+    _ANTISYMMETRIC,
     _DD_BLOCKS,
     ALL_COMBINATIONS,
+    ID,
+    SWAP,
     CATALOGUE_BY_PQRS,
     IdentityCoefficients,
     IdentityUnsolvableError,
@@ -17,6 +21,8 @@ from torsioncalc.ricci import (
     _column,
     _dd_refs,
     _instance_workspace,
+    _solve_combos,
+    _split_target,
     catalogue_independence_rank,
     identity_catalogue,
     identity_row,
@@ -412,6 +418,63 @@ def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree
     assert len(span_basis(corrupted.values())) == 18
     with pytest.raises(IdentityUnsolvableError, match="fail on a fresh instance"):
         verify_solutions(corrupted, 20260809, (3,), 1)
+
+
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_folded_keys_are_antisymmetric_in_m_and_n(dim, even):
+    # the fold reads SWAP of these keys as -1 times ID, which is exact only
+    # if each tensor is antisymmetric in its last lower pair
+    degree = 0 if (dim, even) == (4, False) else 1
+    L, a = make_instance(50, f"fold:{dim}:{even}", dim, degree=degree, even=even)
+    ws = IdentityWorkspace(a, L)
+    assert len(_ANTISYMMETRIC) == 4
+    for key in _ANTISYMMETRIC:
+        t = ws._tensor(key)
+        assert not t.is_zero(), key
+        assert t.swap_last_lower() == -t, key
+
+
+def test_flipping_a_folded_column_fails_every_catalogue_member():
+    # columns 3, 10 and 15 cancel in a correct member once folded; a wrong
+    # coefficient on one of them must leave a nonzero residual
+    L, a = make_instance(51, "fold-flip", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    members = [flipped(ic, k) for ic in identity_catalogue() for k in (2, 9, 14)]
+    found = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    assert list(found) == list(range(len(members)))
+
+
+def test_rest_plus_offsets_is_the_target_for_every_combination():
+    L, a = make_instance(52, "split", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    rcomm = ws.r_commutator()
+    rests = set()
+    for pqrs in ALL_COMBINATIONS:
+        rest, offsets = _split_target(pqrs)
+        rests.add(rest)
+        # every offset happens to be an integer; int weights keep contract on ints
+        assert all(Fraction(w).denominator == 1 for w in offsets), pqrs
+        offset_terms = [(int(w), ID, ws.basis(k)) for k, w in enumerate(offsets, start=1) if w]
+        total = contract((1, 3), *ws._pieces(rest), *offset_terms)
+        p, q, r, s = pqrs
+        composed = ws.dd(p, q) - ws.dd(r, s).swap_last_lower() - rcomm
+        assert total == ws.lhs(pqrs) - rcomm == composed, pqrs
+    # one right side serves all 81 combinations
+    assert rests == {((1, ID, "dd_sym"), (-1, SWAP, "dd_sym"), (-1, ID, "rcomm"))}
+
+
+def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
+    lhs_refs = ricci._lhs_refs
+    bad = (2, 3, 1, 2)
+
+    def ssa_alone(pqrs):
+        # the target lhs - rcomm becomes SSa, outside the span of the basis
+        return [(1, ID, "dd_sym"), (1, ID, "rcomm")] if pqrs == bad else lhs_refs(pqrs)
+
+    monkeypatch.setattr(ricci, "_lhs_refs", ssa_alone)
+    with pytest.raises(IdentityUnsolvableError, match=r"^\(2, 3, 1, 2\): .*inconsistent"):
+        _solve_combos([(1, 1, 1, 1), bad], 20260809, (3, 4), 1, (3,))
 
 
 def test_solver_rejects_bad_combination():
