@@ -17,6 +17,7 @@ downstream must produce residuals that are *exactly* zero.
 from __future__ import annotations
 
 import itertools
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
@@ -543,6 +544,202 @@ def _pair_first(spec: str):
     return i, j, pair_spec, len(kept), f"{','.join([*rest, kept])}->{output}"
 
 
+# ---------------------------------------------------------------------------
+# Kronecker-packed products
+# ---------------------------------------------------------------------------
+
+
+def _factor_stats(factor):
+    """What :func:`_kronecker_layout` needs of a list of raw term dicts:
+    (the set of its keys, its term count, largest |coefficient|, largest sum
+    of |coefficient| over one entry), or None when some coefficient is not
+    an int."""
+    values = [v for t in factor for v in t.values()]
+    if any(type(v) is not int for v in values):
+        return None
+    return (
+        set().union(*factor),
+        len(values),
+        max(map(abs, values), default=0),
+        max((sum(map(abs, t.values())) for t in factor), default=0),
+    )
+
+
+class _Kronecker:
+    """Polynomials as integers (Kronecker substitution), so that a product
+    of two polynomials is one big-int multiply.
+
+    Exponent e maps to position pos(e) = sum_k e_k M_k in the mixed radix
+    ``radices`` (M_k the product of the radices before k), and a term c x^e
+    to c << (w pos(e)).  When every product exponent lies below the radices,
+    pos(ex + ey) = pos(ex) + pos(ey), so each w-bit slot of a sum of
+    products collects exactly the coefficient of one monomial.  The caller
+    picks w so that 2^(w-1) exceeds each such coefficient in absolute value:
+    then adding 2^(w-1) at every position of total degree <= ``degree``
+    leaves each slot in [0, 2^w), so no borrow or carry crosses a slot, and
+    flipping that bit back leaves each slot as its coefficient in w-bit two's
+    complement.
+    """
+
+    __slots__ = ("width", "places", "shift_of", "bias", "size", "unpack", "keys")
+
+    def __init__(self, radices: tuple, degree: int, width: int):
+        places = [1]
+        for b in radices[:-1]:
+            places.append(places[-1] * b)
+        # every (position, key) of total degree <= degree, in ascending order
+        # of both: coordinate 0 is the least significant in each
+        positions = [(0, 0, 0)]
+        for k, (b, m) in enumerate(zip(radices, places)):
+            positions = [
+                (p + e * m, key | e << (_SHIFT * k), d + e)
+                for p, key, d in positions
+                for e in range(min(b, degree - d + 1))
+            ]
+        positions.sort()
+        nbytes = width // 8
+        self.width = width
+        self.places = places
+        self.shift_of = {}  # key -> w pos(key), filled as keys are met
+        self.bias = sum(1 << (width * (p + 1) - 1) for p, _, _ in positions)
+        self.size = nbytes * (positions[-1][0] + 1)
+        self.keys = [key for _, key, _ in positions]
+        layout, last = [], 0
+        for p, _, _ in positions:
+            layout.append(f"{(p - last) * nbytes}x{nbytes}s" if p > last else f"{nbytes}s")
+            last = p + 1
+        self.unpack = struct.Struct("<" + "".join(layout)).unpack_from
+
+    def encode(self, factor) -> list:
+        """One integer per term dict of ``factor``."""
+        shift_of = self.shift_of
+        out = []
+        for t in factor:
+            total = 0
+            for key, c in t.items():
+                shift = shift_of.get(key)
+                if shift is None:
+                    exps = _unpack(key, len(self.places))
+                    shift = shift_of[key] = self.width * sum(
+                        e * m for e, m in zip(exps, self.places)
+                    )
+                total += c << shift
+            out.append(total)
+        return out
+
+    def decode(self, value: int) -> dict:
+        """The term dict of a packed sum, in ascending key order."""
+        if not value:
+            return {}
+        bias = self.bias
+        raw = self.unpack(((value + bias) ^ bias).to_bytes(self.size, "little"))
+        return {
+            key: c
+            for key, chunk in zip(self.keys, raw)
+            if (c := int.from_bytes(chunk, "little", signed=True))
+        }
+
+
+# one layout per (radices, degree, width), reused across calls
+_kronecker = lru_cache(maxsize=64)(_Kronecker)
+
+# Which path pays, in units of one term pair of _fma_terms (about 110 ns on
+# a 2-vCPU x86 VM, CPython 3.11), fitted to covariant derivatives and
+# contractions at dims 2-6 and degrees 1-4.  The term dicts cost one unit per
+# term pair plus _DICT_PRODUCT per product.  Packing costs one unit per
+# _DIGIT_PAIRS of max(dx, dy) * min(dx, dy)**0.585 per product (a Karatsuba
+# multiply of dx and dy 30-bit digits), _ENTRY_COST per output entry,
+# _SLOT_COST per decoded slot, _TERM_COST per encoded term and _LAYOUT_COST
+# once.
+_DICT_PRODUCT = 10
+_DIGIT_PAIRS = 40
+_ENTRY_COST = 10
+_SLOT_COST = 0.5
+_TERM_COST = 8
+_LAYOUT_COST = 60
+
+
+def _kronecker_layout(dim: int, xs, ys, plan):
+    """The :class:`_Kronecker` for :func:`_product_sums` of ``plan`` over the
+    term dicts ``xs`` and ``ys``, or None when those hold a non-int
+    coefficient, when every product is zero, or when by the cost estimate
+    above the term dicts are cheaper.
+
+    The slot width is exact: one coefficient of x * y is at most
+    max ||x||_1 max |y| (or with x and y exchanged) in absolute value, so a
+    sum of as many products as the longest entry of ``plan`` stays below
+    2^(w-1)."""
+    sx = _factor_stats(xs)
+    sy = sx and _factor_stats(ys)
+    if not sy or not sx[1] or not sy[1]:
+        return None
+    (kx, nx, topx, l1x), (ky, ny, topy, l1y) = sx, sy
+    bound = max(map(len, plan)) * min(l1x * topy, l1y * topx)
+    width = (bound.bit_length() + 8) // 8 * 8
+    ex = [_unpack(k, dim) for k in kx]
+    ey = [_unpack(k, dim) for k in ky]
+    # each pair of factors passed _check_product_exponents, so a product
+    # exponent never exceeds _MASK even where the maxima of x and y do
+    radices = tuple(
+        min(max(e[k] for e in ex) + max(e[k] for e in ey), _MASK) + 1 for k in range(dim)
+    )
+    places = [1]
+    for b in radices[:-1]:
+        places.append(places[-1] * b)
+
+    def digits(exps):  # 30-bit digits of the longest encoded entry
+        top = max(sum(e * m for e, m in zip(es, places)) for es in exps)
+        return (width * (top + 1) + 29) // 30
+
+    degree = max(map(sum, ex)) + max(map(sum, ey))
+    slots = 1
+    for k in range(dim):  # monomials of total degree <= degree
+        slots = slots * (degree + k + 1) // (k + 1)
+    products = sum(map(len, plan))
+    dx, dy = sorted((digits(ex), digits(ey)))
+    term_dicts = products * (nx / len(xs) * ny / len(ys) + _DICT_PRODUCT)
+    packed = (
+        products * dy * dx**0.585 / _DIGIT_PAIRS
+        + len(plan) * (_ENTRY_COST + _SLOT_COST * slots)
+        + _TERM_COST * (nx + ny)
+        + _LAYOUT_COST
+    )
+    if term_dicts <= packed:
+        return None
+    return _kronecker(radices, degree, width)
+
+
+def _product_sums(dim: int, xs, ys, plan) -> list:
+    """For each output entry e, the raw term dict of
+    sum(sign * xs[i] * ys[j] for sign, i, j in plan[e]), signs +-1.
+
+    ``xs`` and ``ys`` are lists of raw term dicts whose pairs in ``plan``
+    have passed :func:`_check_product_exponents`.  Integer operands that are
+    large enough to pay for it are encoded once each (:class:`_Kronecker`),
+    and every entry's sum is formed in plain ints and decoded once;
+    otherwise, and for Fraction coefficients, the products run through
+    :func:`_fma_terms`.  Both give the same polynomial."""
+    layout = _kronecker_layout(dim, xs, ys, plan)
+    sums = []
+    if layout is None:
+        for pairs in plan:
+            acc = {}
+            for sign, i, j in pairs:
+                _fma_terms(acc, xs[i], ys[j], sign)
+            sums.append(acc)
+        return sums
+    ex, ey = layout.encode(xs), layout.encode(ys)
+    for pairs in plan:
+        total = 0
+        for sign, i, j in pairs:
+            if sign > 0:
+                total += ex[i] * ey[j]
+            else:
+                total -= ex[i] * ey[j]
+        sums.append(layout.decode(total))
+    return sums
+
+
 def contract(valence: tuple, *terms) -> TensorField:
     """Weighted sum of index contractions with ``numpy.einsum`` letters.
 
@@ -588,28 +785,57 @@ def contract(valence: tuple, *terms) -> TensorField:
             x, (bx,) = tensors[0].entries, bases
             singles.extend((weight, [x[b + i]._terms for b in bx]) for (i,) in inner)
             continue
-        factors = [[e._terms for e in t.entries] for t in tensors]
-        _check_product_exponents(dim, *factors)
-        # a weight of +-1 goes straight into _fma_terms; any other scales a
-        # per-term sum once
-        sign = weight if weight in (1, -1) else 0
-        products.append((weight, sign, factors, bases, inner))
+        _check_product_exponents(dim, *([e._terms for e in t.entries] for t in tensors))
+        products.append((weight, tensors, bases, inner))
 
+    count = dim**rank
+    # a weight of +-1 is a sign inside one sum of products per entry; any
+    # other scales a per-term sum once
+    unit = [(w, *rest) for w, *rest in products if w in (1, -1)]
+    sums = _product_sums(dim, *_product_plan(count, unit)) if unit else None
+    scaled = [
+        (w, _product_sums(dim, *_product_plan(count, [(1, *rest)])))
+        for w, *rest in products
+        if w not in (1, -1)
+    ]
     out = []
-    for e in range(dim**rank):
-        acc = {}
+    for e in range(count):
+        acc = sums[e] if unit else {}
         for weight, gathered in singles:
             _add_terms(acc, gathered[e], weight)
-        for weight, sign, factors, bases, inner in products:
-            target = acc if sign else {}
-            (x, y), (bx, by) = factors, bases
-            bx, by = bx[e], by[e]
-            for ix, iy in inner:
-                _fma_terms(target, x[bx + ix], y[by + iy], sign or 1)
-            if not sign:
-                _add_terms(acc, target, weight)
+        for weight, per_term in scaled:
+            _add_terms(acc, per_term[e], weight)
         out.append(ScalarField(dim, _strip_zeros(acc)))
     return TensorField(dim, valence, out)
+
+
+def _product_plan(count: int, products):
+    """(xs, ys, plan) for :func:`_product_sums` from two-operand contract
+    terms (sign, (x, y), bases, inner): the entries of each distinct x and y
+    operand appended once, and per output entry the (sign, x entry, y entry)
+    of every assignment of the summed letters."""
+    xs, ys, offsets = [], [], {}
+
+    def place(side, t):
+        key = (id(side), id(t))
+        if key not in offsets:
+            offsets[key] = len(side)
+            side.extend(e._terms for e in t.entries)
+        return offsets[key]
+
+    terms = [
+        (sign, place(xs, x), place(ys, y), bx, by, inner)
+        for sign, (x, y), (bx, by), inner in products
+    ]
+    plan = [
+        [
+            (sign, ox + bx[e] + ix, oy + by[e] + iy)
+            for sign, ox, oy, bx, by, inner in terms
+            for ix, iy in inner
+        ]
+        for e in range(count)
+    ]
+    return xs, ys, plan
 
 
 # ---------------------------------------------------------------------------

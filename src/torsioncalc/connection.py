@@ -15,10 +15,13 @@ import enum
 from fractions import Fraction
 
 from .algebra import (
+    _MASK,
+    _SHIFT,
     ScalarField,
     TensorField,
-    _fma_terms,
+    _check_product_exponents,
     _flat_to_indices,
+    _product_sums,
     _strip_zeros,
     matrix_rank,
 )
@@ -134,45 +137,44 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) ->
     r, s = a.valence
     rank = r + s
 
-    up = _coeff_entries(L, kind.sigma_up, -1) if r else None
-    lo = _coeff_entries(L, kind.sigma_lo, 1) if s else None
-
+    up = _coeff_entries(L, kind.sigma_up, -1) if r else []
+    lo = _coeff_entries(L, kind.sigma_lo, 1) if s else []
     a_terms = [e._terms for e in a.entries]
-    dim2 = dim * dim
+    for coeffs in (up, lo):
+        _check_product_exponents(dim, coeffs, a_terms)
+    coeffs = up + lo  # lower-index coefficients start at len(up)
     # stride of index slot p within a's flat layout
     strides = [dim ** (rank - 1 - p) for p in range(rank)]
 
-    out = []
+    # per output entry (base, k): (sign, coefficient entry, entry of a) of
+    # one connection term per upper index and minus one per lower index
+    plan = []
     for base in range(dim**rank):
         idx = _flat_to_indices(base, dim, rank)
-        base_terms = a_terms[base]
         for k in range(dim):
-            acc = {}
-            # partial-derivative term
-            shift = 8 * k
-            for key, coeff in base_terms.items():
-                e = (key >> shift) & 0xFF
-                if e:
-                    acc[key - (1 << shift)] = coeff * e
-            # one connection term per upper index
-            for u in range(r):
-                stride = strides[u]
-                root = base - idx[u] * stride
-                xu = idx[u]
+            pairs = []
+            for p in range(rank):
+                stride = strides[p]
+                root = base - idx[p] * stride
                 for alpha in range(dim):
-                    coeff_terms = up[(xu * dim + alpha) * dim + k]
-                    if coeff_terms:
-                        _fma_terms(acc, coeff_terms, a_terms[root + alpha * stride], 1)
-            # minus one connection term per lower index
-            for l in range(r, rank):
-                stride = strides[l]
-                root = base - idx[l] * stride
-                jl = idx[l]
-                for alpha in range(dim):
-                    coeff_terms = lo[(alpha * dim + jl) * dim + k]
-                    if coeff_terms:
-                        _fma_terms(acc, coeff_terms, a_terms[root + alpha * stride], -1)
-            out.append(ScalarField(dim, _strip_zeros(acc)))
+                    if p < r:
+                        sign, c = 1, (idx[p] * dim + alpha) * dim + k
+                    else:
+                        sign, c = -1, len(up) + (alpha * dim + idx[p]) * dim + k
+                    if coeffs[c]:
+                        pairs.append((sign, c, root + alpha * stride))
+            plan.append(pairs)
+
+    out = []
+    for entry, acc in enumerate(_product_sums(dim, coeffs, a_terms, plan)):
+        # partial-derivative term
+        shift = _SHIFT * (entry % dim)
+        for key, coeff in a_terms[entry // dim].items():
+            e = (key >> shift) & _MASK
+            if e:
+                d = key - (1 << shift)
+                acc[d] = acc.get(d, 0) + coeff * e
+        out.append(ScalarField(dim, _strip_zeros(acc)))
     return TensorField(dim, (r, s + 1), out)
 
 
