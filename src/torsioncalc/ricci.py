@@ -586,19 +586,31 @@ class IdentityWorkspace:
         the first nonzero term there (packed-key order), a one-term
         ScalarField carrying the residual's own coefficient.
 
-        The members are packed into big-int slots of b bits (SWAR).  Column
-        j, a distinct (spec, tensor) pair, is scaled by E, the lcm of the
-        columns' coefficient denominators, and weighted by
+        Members with the same pieces have the same residual, so they share
+        one slot: each distinct piece list k is packed into a big-int slot
+        of b bits (SWAR), and its result is reported for every member that
+        has it.  Column j, a distinct (spec, tensor) pair, is scaled by E,
+        the lcm of the columns' coefficient denominators, and weighted by
         sum_k (Dw w_kj) << (b k), Dw the lcm of the weights' denominators.
         Each coefficient of the one contraction is then sum_k r_k 2^(b k),
-        with r_k = D times member k's coefficient, D = Dw E.  b is chosen so
-        that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence every
-        |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and the
-        r_k decode slot by slot with sign.  So this is exactly the predicate
-        ``residual.is_zero()`` per member, not a random projection.
+        with r_k = D times piece list k's coefficient, D = Dw E.  b is chosen
+        so that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence
+        every |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and
+        the r_k decode slot by slot with sign.  So this is exactly the
+        predicate ``residual.is_zero()`` per member, not a random projection.
         """
-        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
-        for k, pieces in enumerate(members):
+        # in a correct catalogue or solved sweep every member's pieces are
+        # SSa - SSa^(m<->n) - rcomm, so one slot serves them all
+        slot_of, distinct = {}, []
+        slots = []  # member k -> its slot
+        for pieces in members:
+            key = tuple(sorted((w, spec, id(t)) for w, spec, t in pieces if w))
+            if key not in slot_of:
+                slot_of[key] = len(distinct)
+                distinct.append(pieces)
+            slots.append(slot_of[key])
+        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {slot: weight})
+        for k, pieces in enumerate(distinct):
             for w, spec, t in pieces:
                 if w:
                     _, _, ws = columns.setdefault((spec, id(t)), (spec, t, {}))
@@ -614,7 +626,7 @@ class IdentityWorkspace:
             )
         Dw = lcm(*(Fraction(w).denominator for *_, ws in columns.values() for w in ws.values()))
         E = lcm(*(den for _, den in stats.values()))
-        bounds = [0] * len(members)
+        bounds = [0] * len(distinct)
         for _, t, ws in columns.values():
             top = int(E * stats[id(t)][0])
             for k, w in ws.items():
@@ -648,7 +660,7 @@ class IdentityWorkspace:
                         )
                     v = (v - r) >> b
                     k += 1
-        return dict(sorted(found.items()))
+        return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +783,9 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     :meth:`IdentityWorkspace.nonzero_members`: one contraction whose
     coefficients pack the members' residual coefficients into big-int slots
     wide enough that their sum is zero only when every slot is.  That too is
-    the exact per-member predicate.  Returns the kept members; raises
+    the exact per-member predicate.  Members with the same residual pieces
+    share a slot, so correct members, which all fold to the same pieces,
+    take one.  Returns the kept members; raises
     IdentityUnsolvableError naming the instance, the member and its first
     nonzero residual entry and monomial.
     """

@@ -671,6 +671,68 @@ def test_batched_mixed_check_matches_rational_residuals():
         assert (entry, mono.terms()) == _first_term(residuals[n])
 
 
+def _piece_key(pieces):
+    return tuple(sorted((w, spec, id(t)) for w, spec, t in pieces))
+
+
+def _packed_terms(monkeypatch, check, *args):
+    """The terms of the packed contraction that ``check(*args)`` makes
+    (its last ricci.contract call), and what ``check`` returned or raised."""
+    calls = []
+    real = ricci.contract
+    monkeypatch.setattr(ricci, "contract", lambda *a: calls.append(a) or real(*a))
+    try:
+        result = check(*args)
+    except IdentityUnsolvableError as exc:
+        result = exc
+    monkeypatch.setattr(ricci, "contract", real)
+    return calls[-1], result
+
+
+def test_members_with_the_same_pieces_share_one_slot(monkeypatch):
+    L, a = make_instance(48, "batch-share", 3, degree=1)
+    ws = IdentityWorkspace(a, L)
+    catalogue = identity_catalogue()
+    pieces = [ws.residual_pieces(ic) for ic in catalogue]
+    # every correct member folds to SSa - SSa^(m<->n) - rcomm
+    assert len(set(map(_piece_key, pieces))) == 1
+    # 17 members pack exactly like one
+    seventeen = _packed_terms(monkeypatch, ws.nonzero_members, pieces)
+    assert seventeen == _packed_terms(monkeypatch, ws.nonzero_members, pieces[:1])
+    assert seventeen[1] == {}
+
+    # two members flipped alike share a slot, and each is reported
+    members = list(catalogue)
+    for n in (4, 11):
+        members[n] = flipped(catalogue[n], 6)
+    pieces = [ws.residual_pieces(ic) for ic in members]
+    assert _piece_key(pieces[4]) == _piece_key(pieces[11])
+    terms, found = _packed_terms(monkeypatch, ws.nonzero_members, pieces)
+    two = _packed_terms(monkeypatch, ws.nonzero_members, [pieces[0], pieces[4]])
+    assert two == (terms, {1: found[4]})
+    assert list(found) == [4, 11]
+    assert found[4] == found[11]
+    assert (found[4][0], found[4][1].terms()) == _first_term(ws.residual(members[4]))
+
+
+def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
+    solved_degree_one, monkeypatch
+):
+    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+    pqrs = [p for p in ALL_COMBINATIONS if p not in kept][-1]
+    corrupted = dict(solved_degree_one)
+    corrupted[pqrs] = flipped(corrupted[pqrs], 9)
+    terms, exc = _packed_terms(monkeypatch, verify_solutions, corrupted, 20260809, (3,), 1)
+    assert str(exc).startswith(f"{pqrs}: solved coefficients fail on a fresh instance")
+    # 18 kept members, two distinct residuals: the true one and the corrupted
+    ws = _instance_workspace(20260809, "check:0:3", 3, 1)
+    true = ws.residual_pieces(next(iter(solved_degree_one.values())))
+    bad = ws.residual_pieces(corrupted[pqrs])
+    expected, found = _packed_terms(monkeypatch, ws.nonzero_members, [true, bad])
+    assert terms == expected
+    assert list(found) == [1]
+
+
 def test_verification_failure_names_instance_member_entry_and_monomial(solved_degree_one):
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
