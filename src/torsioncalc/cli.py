@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -210,6 +209,9 @@ def _parallel_map(fn, items):
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported only when a pool opens: a serial run never pays for it
+    import multiprocessing
+
     with multiprocessing.Pool(min(workers, len(items))) as pool:
         return pool.map(fn, items)
 
