@@ -3,10 +3,13 @@ rationals, dense multi-index tensor fields, and exact rational linear algebra.
 
 Sums over repeated indices go through one primitive, :func:`contract`, which
 takes ``numpy.einsum``-style specs over the row-major entry layout; the
-covariant derivative in :mod:`torsioncalc.connection` is the only other
-kernel that reads that layout directly.  Exact elimination likewise has
-one routine, :class:`LinearSystem`: every rank, span basis and coefficient
-solve in the package goes through it.
+covariant derivative in :mod:`torsioncalc.connection` also reads that layout
+directly, to list its connection terms.  Both form their polynomial products
+through one helper, :func:`_product_sums`: operands large enough to pay for
+it are encoded as integers (Kronecker substitution, :class:`_Kronecker`), so
+that a product is one big-int multiply, and the rest multiply term by term.
+Exact elimination likewise has one routine, :class:`LinearSystem`: every
+rank, span basis and coefficient solve in the package goes through it.
 
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.
@@ -550,18 +553,16 @@ def _pair_first(spec: str):
 
 
 def _factor_stats(factor):
-    """What :func:`_kronecker_layout` needs of a list of raw term dicts:
-    (the set of its keys, its term count, largest |coefficient|, largest sum
-    of |coefficient| over one entry), or None when some coefficient is not
-    an int."""
+    """(the set of keys, largest |coefficient|, largest sum of |coefficient|
+    over one entry) of a list of raw term dicts, for
+    :func:`_kronecker_layout`; None when some coefficient is not an int."""
     values = [v for t in factor for v in t.values()]
-    if any(type(v) is not int for v in values):
+    if not {int}.issuperset(map(type, values)):
         return None
     return (
         set().union(*factor),
-        len(values),
-        max(map(abs, values), default=0),
-        max((sum(map(abs, t.values())) for t in factor), default=0),
+        max(map(abs, values)),
+        max(sum(map(abs, t.values())) for t in factor),
     )
 
 
@@ -581,7 +582,7 @@ class _Kronecker:
     complement.
     """
 
-    __slots__ = ("width", "places", "shift_of", "bias", "size", "unpack", "keys")
+    __slots__ = ("shift_of", "bias", "size", "unpack", "keys")
 
     def __init__(self, radices: tuple, degree: int, width: int):
         places = [1]
@@ -598,9 +599,7 @@ class _Kronecker:
             ]
         positions.sort()
         nbytes = width // 8
-        self.width = width
-        self.places = places
-        self.shift_of = {}  # key -> w pos(key), filled as keys are met
+        self.shift_of = {key: width * p for p, key, _ in positions}
         self.bias = sum(1 << (width * (p + 1) - 1) for p, _, _ in positions)
         self.size = nbytes * (positions[-1][0] + 1)
         self.keys = [key for _, key, _ in positions]
@@ -611,21 +610,10 @@ class _Kronecker:
         self.unpack = struct.Struct("<" + "".join(layout)).unpack_from
 
     def encode(self, factor) -> list:
-        """One integer per term dict of ``factor``."""
+        """One integer per term dict of ``factor``, whose keys must lie
+        below the radices and the degree."""
         shift_of = self.shift_of
-        out = []
-        for t in factor:
-            total = 0
-            for key, c in t.items():
-                shift = shift_of.get(key)
-                if shift is None:
-                    exps = _unpack(key, len(self.places))
-                    shift = shift_of[key] = self.width * sum(
-                        e * m for e, m in zip(exps, self.places)
-                    )
-                total += c << shift
-            out.append(total)
-        return out
+        return [sum([c << shift_of[key] for key, c in t.items()]) for t in factor]
 
     def decode(self, value: int) -> dict:
         """The term dict of a packed sum, in ascending key order."""
@@ -661,19 +649,27 @@ _LAYOUT_COST = 60
 
 def _kronecker_layout(dim: int, xs, ys, plan):
     """The :class:`_Kronecker` for :func:`_product_sums` of ``plan`` over the
-    term dicts ``xs`` and ``ys``, or None when those hold a non-int
-    coefficient, when every product is zero, or when by the cost estimate
-    above the term dicts are cheaper.
+    term dicts ``xs`` and ``ys``, or None when every product is zero, when
+    by the cost estimate above the term dicts are cheaper, or when a
+    coefficient is not an int.
 
     The slot width is exact: one coefficient of x * y is at most
     max ||x||_1 max |y| (or with x and y exchanged) in absolute value, so a
     sum of as many products as the longest entry of ``plan`` stays below
     2^(w-1)."""
-    sx = _factor_stats(xs)
-    sy = sx and _factor_stats(ys)
-    if not sy or not sx[1] or not sy[1]:
+    nx, ny = sum(map(len, xs)), sum(map(len, ys))
+    if not nx or not ny:
         return None
-    (kx, nx, topx, l1x), (ky, ny, topy, l1y) = sx, sy
+    products = sum(map(len, plan))
+    term_dicts = products * (nx / len(xs) * ny / len(ys) + _DICT_PRODUCT)
+    # what packing costs besides the multiplies and the decoded slots
+    fixed = len(plan) * _ENTRY_COST + _TERM_COST * (nx + ny) + _LAYOUT_COST
+    if term_dicts <= fixed:
+        return None
+    sx, sy = _factor_stats(xs), _factor_stats(ys)
+    if sx is None or sy is None:
+        return None
+    (kx, topx, l1x), (ky, topy, l1y) = sx, sy
     bound = max(map(len, plan)) * min(l1x * topy, l1y * topx)
     width = (bound.bit_length() + 8) // 8 * 8
     ex = [_unpack(k, dim) for k in kx]
@@ -695,15 +691,8 @@ def _kronecker_layout(dim: int, xs, ys, plan):
     slots = 1
     for k in range(dim):  # monomials of total degree <= degree
         slots = slots * (degree + k + 1) // (k + 1)
-    products = sum(map(len, plan))
     dx, dy = sorted((digits(ex), digits(ey)))
-    term_dicts = products * (nx / len(xs) * ny / len(ys) + _DICT_PRODUCT)
-    packed = (
-        products * dy * dx**0.585 / _DIGIT_PAIRS
-        + len(plan) * (_ENTRY_COST + _SLOT_COST * slots)
-        + _TERM_COST * (nx + ny)
-        + _LAYOUT_COST
-    )
+    packed = fixed + products * dy * dx**0.585 / _DIGIT_PAIRS + len(plan) * _SLOT_COST * slots
     if term_dicts <= packed:
         return None
     return _kronecker(radices, degree, width)

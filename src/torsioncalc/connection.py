@@ -140,8 +140,8 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) ->
     up = _coeff_entries(L, kind.sigma_up, -1) if r else []
     lo = _coeff_entries(L, kind.sigma_lo, 1) if s else []
     a_terms = [e._terms for e in a.entries]
-    for coeffs in (up, lo):
-        _check_product_exponents(dim, coeffs, a_terms)
+    for entries in (up, lo):
+        _check_product_exponents(dim, entries, a_terms)
     coeffs = up + lo  # lower-index coefficients start at len(up)
     # stride of index slot p within a's flat layout
     strides = [dim ** (rank - 1 - p) for p in range(rank)]

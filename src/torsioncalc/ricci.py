@@ -599,16 +599,7 @@ class IdentityWorkspace:
         the r_k decode slot by slot with sign.  So this is exactly the
         predicate ``residual.is_zero()`` per member, not a random projection.
         """
-        # in a correct catalogue or solved sweep every member's pieces are
-        # SSa - SSa^(m<->n) - rcomm, so one slot serves them all
-        slot_of, distinct = {}, []
-        slots = []  # member k -> its slot
-        for pieces in members:
-            key = tuple(sorted((w, spec, id(t)) for w, spec, t in pieces if w))
-            if key not in slot_of:
-                slot_of[key] = len(distinct)
-                distinct.append(pieces)
-            slots.append(slot_of[key])
+        distinct, slots = _distinct_pieces(members)
         columns = {}  # (spec, id(tensor)) -> (spec, tensor, {slot: weight})
         for k, pieces in enumerate(distinct):
             for w, spec, t in pieces:
@@ -661,6 +652,25 @@ class IdentityWorkspace:
                     v = (v - r) >> b
                     k += 1
         return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
+
+
+def _distinct_pieces(members):
+    """(the distinct piece lists of ``members``, the index of each member's
+    list among them).  In a correct catalogue or solved sweep every member's
+    pieces are SSa - SSa^(m<->n) - rcomm, in the same order, so one list
+    serves them all.  A list is keyed by one flat tuple of its weights (as
+    integer pairs, which hash far faster than Fractions), specs and tensor
+    identities."""
+    index, distinct, slots = {}, [], []
+    for pieces in members:
+        key = tuple(
+            x for w, spec, t in pieces for x in (w.numerator, w.denominator, spec, id(t))
+        )
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(pieces)
+        slots.append(index[key])
+    return distinct, slots
 
 
 # ---------------------------------------------------------------------------

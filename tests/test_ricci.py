@@ -672,7 +672,7 @@ def test_batched_mixed_check_matches_rational_residuals():
 
 
 def _piece_key(pieces):
-    return tuple(sorted((w, spec, id(t)) for w, spec, t in pieces))
+    return tuple((w, spec, id(t)) for w, spec, t in pieces)
 
 
 def _packed_terms(monkeypatch, check, *args):
