@@ -142,6 +142,27 @@ def test_packed_products_in_dimension_six(scale):
         assert not got.is_zero()
 
 
+@pytest.mark.parametrize("k", [3, 63])
+def test_coefficients_at_the_slot_bound_decode_exactly(k):
+    # every product has the same sign, so each output coefficient reaches the
+    # width bound exactly: 2 * 2^k * 2^k = 2^(2k+1), whose bit length 2k+2
+    # is a whole number of bytes
+    c = 2**k
+    def constant(valence, value):
+        count = 2 ** sum(valence)
+        return TensorField(2, valence, [ScalarField.constant(value, 2)] * count)
+
+    for sign in (1, -1):
+        x, y = constant((1, 1), sign * c), constant((1, 1), c)
+        got, expected = both_paths(lambda: contract((1, 1), (1, "iA,Aj->ij", x, y)), False)
+        assert got == expected == constant((1, 1), sign * 2 * c * c)
+        L = ConnectionField(constant((1, 2), sign * c))
+        got, expected = both_paths(
+            lambda: covariant_derivative(DerivKind.K1, constant((1, 0), c), L), False
+        )
+        assert got == expected == constant((1, 1), sign * 2 * c * c)
+
+
 def test_catalogue_sized_products_are_packed_and_fractions_are_not():
     # no monkeypatched costs: the choice the estimate makes by itself
     L, a = make_instance(62, "packed-choice", 3, degree=2)

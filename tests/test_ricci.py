@@ -714,6 +714,12 @@ def test_members_with_the_same_pieces_share_one_slot(monkeypatch):
     assert found[4] == found[11]
     assert (found[4][0], found[4][1].terms()) == _first_term(ws.residual(members[4]))
 
+    # weights with equal numerators but different denominators do not share
+    T = ws.basis(6)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    zero, nonzero = [(half, ID, T), (-half, ID, T)], [(third, ID, T), (-half, ID, T)]
+    assert list(ws.nonzero_members([zero, nonzero])) == [1]
+
 
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     solved_degree_one, monkeypatch
