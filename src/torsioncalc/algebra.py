@@ -24,7 +24,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from operator import or_
+from operator import mul, or_
 
 # A rational scalar.  ``int`` values are accepted everywhere a Rational is;
 # they are exact and considerably faster, so integer-only pipelines never pay
@@ -585,9 +585,7 @@ class _Kronecker:
     __slots__ = ("shift_of", "bias", "size", "unpack", "keys")
 
     def __init__(self, radices: tuple, degree: int, width: int):
-        places = [1]
-        for b in radices[:-1]:
-            places.append(places[-1] * b)
+        places = [1, *itertools.accumulate(radices[:-1], mul)]
         # every (position, key) of total degree <= degree, in ascending order
         # of both: coordinate 0 is the least significant in each
         positions = [(0, 0, 0)]
@@ -679,9 +677,7 @@ def _kronecker_layout(dim: int, xs, ys, plan):
     radices = tuple(
         min(max(e[k] for e in ex) + max(e[k] for e in ey), _MASK) + 1 for k in range(dim)
     )
-    places = [1]
-    for b in radices[:-1]:
-        places.append(places[-1] * b)
+    places = [1, *itertools.accumulate(radices[:-1], mul)]
 
     def digits(exps):  # 30-bit digits of the longest encoded entry
         top = max(sum(e * m for e, m in zip(es, places)) for es in exps)
@@ -780,8 +776,8 @@ def contract(valence: tuple, *terms) -> TensorField:
     count = dim**rank
     # a weight of +-1 is a sign inside one sum of products per entry; any
     # other scales a per-term sum once
-    unit = [(w, *rest) for w, *rest in products if w in (1, -1)]
-    sums = _product_sums(dim, *_product_plan(count, unit)) if unit else None
+    unit = [p for p in products if p[0] in (1, -1)]
+    sums = _product_sums(dim, *_product_plan(count, unit))
     scaled = [
         (w, _product_sums(dim, *_product_plan(count, [(1, *rest)])))
         for w, *rest in products
@@ -789,7 +785,7 @@ def contract(valence: tuple, *terms) -> TensorField:
     ]
     out = []
     for e in range(count):
-        acc = sums[e] if unit else {}
+        acc = sums[e]
         for weight, gathered in singles:
             _add_terms(acc, gathered[e], weight)
         for weight, per_term in scaled:
