@@ -264,7 +264,7 @@ def _catalogue_task(args):
     a = random_tensor_field(rng, dim, (1, 1), degree)
     ws = IdentityWorkspace(a, L)
     members = identity_catalogue()
-    failing = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    failing = ws.nonzero_residuals(members)
     return [
         (ic.tag, k not in failing,
          _failure_detail(seed, label, dim, failing[k]) if k in failing else None)

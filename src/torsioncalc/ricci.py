@@ -586,22 +586,19 @@ class IdentityWorkspace:
         the first nonzero term there (packed-key order), a one-term
         ScalarField carrying the residual's own coefficient.
 
-        Members with the same pieces have the same residual, so they share
-        one slot: each distinct piece list k is packed into a big-int slot
-        of b bits (SWAR), and its result is reported for every member that
-        has it.  Column j, a distinct (spec, tensor) pair, is scaled by E,
-        the lcm of the columns' coefficient denominators, and weighted by
+        The members are packed into big-int slots of b bits (SWAR).  Column
+        j, a distinct (spec, tensor) pair, is scaled by E, the lcm of the
+        columns' coefficient denominators, and weighted by
         sum_k (Dw w_kj) << (b k), Dw the lcm of the weights' denominators.
         Each coefficient of the one contraction is then sum_k r_k 2^(b k),
-        with r_k = D times piece list k's coefficient, D = Dw E.  b is chosen
-        so that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence
-        every |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and
-        the r_k decode slot by slot with sign.  So this is exactly the
-        predicate ``residual.is_zero()`` per member, not a random projection.
+        with r_k = D times member k's coefficient, D = Dw E.  b is chosen so
+        that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence every
+        |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and the
+        r_k decode slot by slot with sign.  So this is exactly the predicate
+        ``residual.is_zero()`` per member, not a random projection.
         """
-        distinct, slots = _distinct_pieces(members)
-        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {slot: weight})
-        for k, pieces in enumerate(distinct):
+        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
+        for k, pieces in enumerate(members):
             for w, spec, t in pieces:
                 if w:
                     _, _, ws = columns.setdefault((spec, id(t)), (spec, t, {}))
@@ -617,7 +614,7 @@ class IdentityWorkspace:
             )
         Dw = lcm(*(Fraction(w).denominator for *_, ws in columns.values() for w in ws.values()))
         E = lcm(*(den for _, den in stats.values()))
-        bounds = [0] * len(distinct)
+        bounds = [0] * len(members)
         for _, t, ws in columns.values():
             top = int(E * stats[id(t)][0])
             for k, w in ws.items():
@@ -651,26 +648,25 @@ class IdentityWorkspace:
                         )
                     v = (v - r) >> b
                     k += 1
+        return dict(sorted(found.items()))
+
+    def nonzero_residuals(self, members) -> dict:
+        """:meth:`nonzero_members` of the residuals of identity members
+        (:class:`IdentityCoefficients`), by member index.  Members whose
+        merged residual pieces are the same have the same residual (every
+        correct member's is SSa - SSa^(m<->n) - rcomm), so each distinct
+        piece list is packed once, and its result is reported for every
+        member that has it."""
+        index, distinct, slots = {}, [], []
+        for ic in members:
+            pieces = self.residual_pieces(ic)
+            key = tuple(x for w, spec, t in pieces for x in (w, spec, id(t)))
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(pieces)
+            slots.append(index[key])
+        found = self.nonzero_members(distinct)
         return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
-
-
-def _distinct_pieces(members):
-    """(the distinct piece lists of ``members``, the index of each member's
-    list among them).  In a correct catalogue or solved sweep every member's
-    pieces are SSa - SSa^(m<->n) - rcomm, in the same order, so one list
-    serves them all.  A list is keyed by one flat tuple of its weights (as
-    integer pairs, which hash far faster than Fractions), specs and tensor
-    identities."""
-    index, distinct, slots = {}, [], []
-    for pieces in members:
-        key = tuple(
-            x for w, spec, t in pieces for x in (w.numerator, w.denominator, spec, id(t))
-        )
-        if key not in index:
-            index[key] = len(distinct)
-            distinct.append(pieces)
-        slots.append(index[key])
-    return distinct, slots
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +790,9 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     coefficients pack the members' residual coefficients into big-int slots
     wide enough that their sum is zero only when every slot is.  That too is
     the exact per-member predicate.  Members with the same residual pieces
-    share a slot, so correct members, which all fold to the same pieces,
-    take one.  Returns the kept members; raises
+    share a slot (:meth:`IdentityWorkspace.nonzero_residuals`), so correct
+    members, which all fold to the same pieces, take one.  Returns the kept
+    members; raises
     IdentityUnsolvableError naming the instance, the member and its first
     nonzero residual entry and monomial.
     """
@@ -803,7 +800,7 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     for t, dim in enumerate(verify_dims):
         label = f"check:{t}:{dim}"
         ws = _instance_workspace(seed, label, dim, degree)
-        failing = ws.nonzero_members([ws.residual_pieces(ic) for ic in kept])
+        failing = ws.nonzero_residuals(kept)
         if failing:
             k, (entry, monomial) = next(iter(failing.items()))
             raise IdentityUnsolvableError(

@@ -671,10 +671,6 @@ def test_batched_mixed_check_matches_rational_residuals():
         assert (entry, mono.terms()) == _first_term(residuals[n])
 
 
-def _piece_key(pieces):
-    return tuple((w, spec, id(t)) for w, spec, t in pieces)
-
-
 def _packed_terms(monkeypatch, check, *args):
     """The terms of the packed contraction that ``check(*args)`` makes
     (its last ricci.contract call), and what ``check`` returned or raised."""
@@ -689,15 +685,15 @@ def _packed_terms(monkeypatch, check, *args):
     return calls[-1], result
 
 
-def test_members_with_the_same_pieces_share_one_slot(monkeypatch):
+def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
     L, a = make_instance(48, "batch-share", 3, degree=1)
     ws = IdentityWorkspace(a, L)
     catalogue = identity_catalogue()
     pieces = [ws.residual_pieces(ic) for ic in catalogue]
     # every correct member folds to SSa - SSa^(m<->n) - rcomm
-    assert len(set(map(_piece_key, pieces))) == 1
+    assert all(p == pieces[0] for p in pieces)
     # 17 members pack exactly like one
-    seventeen = _packed_terms(monkeypatch, ws.nonzero_members, pieces)
+    seventeen = _packed_terms(monkeypatch, ws.nonzero_residuals, catalogue)
     assert seventeen == _packed_terms(monkeypatch, ws.nonzero_members, pieces[:1])
     assert seventeen[1] == {}
 
@@ -706,19 +702,27 @@ def test_members_with_the_same_pieces_share_one_slot(monkeypatch):
     for n in (4, 11):
         members[n] = flipped(catalogue[n], 6)
     pieces = [ws.residual_pieces(ic) for ic in members]
-    assert _piece_key(pieces[4]) == _piece_key(pieces[11])
-    terms, found = _packed_terms(monkeypatch, ws.nonzero_members, pieces)
+    assert pieces[4] == pieces[11] != pieces[0]
+    terms, found = _packed_terms(monkeypatch, ws.nonzero_residuals, members)
     two = _packed_terms(monkeypatch, ws.nonzero_members, [pieces[0], pieces[4]])
     assert two == (terms, {1: found[4]})
     assert list(found) == [4, 11]
     assert found[4] == found[11]
-    assert (found[4][0], found[4][1].terms()) == _first_term(ws.residual(members[4]))
+    assert found == ws.nonzero_members(pieces)
 
-    # weights with equal numerators but different denominators do not share
+    # a slot is shared only by equal weights, reads and tensors
     T = ws.basis(6)
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    zero, nonzero = [(half, ID, T), (-half, ID, T)], [(third, ID, T), (-half, ID, T)]
-    assert list(ws.nonzero_members([zero, nonzero])) == [1]
+    crafted = {
+        "a": [(1, ID, T), (-1, SWAP, T)],
+        "b": [(1, ID, T), (-1, ID, T)],  # zero
+        "c": [(2, ID, T), (-2, SWAP, T)],
+        "d": [(1, ID, T)],
+        "e": [(1, ID, T.scale(3))],
+    }
+    monkeypatch.setattr(ws, "residual_pieces", crafted.__getitem__)
+    found = ws.nonzero_residuals(list(crafted))
+    assert list(found) == [0, 2, 3, 4]
+    assert found == ws.nonzero_members(list(crafted.values()))
 
 
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
