@@ -301,26 +301,24 @@ def test_and_reduce_keeps_the_first_failing_instance():
     ]
 
 
-def test_importing_the_cli_leaves_multiprocessing_out():
-    # only _parallel_map imports it, when it opens a pool
+def _loaded_by_importing_the_cli(module: str) -> bool:
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, torsioncalc.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, torsioncalc.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only _parallel_map imports it, when it opens a pool
+    assert not _loaded_by_importing_the_cli("multiprocessing")
 
 
 def test_importing_the_cli_leaves_numpy_out():
     # numpy's import alone costs more than the whole CLI setup
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, torsioncalc.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    assert not _loaded_by_importing_the_cli("numpy")
 
 
 # ---------------------------------------------------------------------------
