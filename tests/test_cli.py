@@ -335,6 +335,8 @@ GOLDEN = {
     "catalogue-d4": ([*RICCI, "catalogue"], {"dimension": 4, "degree": 1, "instances": 1}),
     "all": ([*RICCI, "all"], {"degree": 1}),
     "mixed": ([*RICCI, "mixed"], {"dimension": 2, "degree": 1, "instances": 8}),
+    # wider slots and other coefficients than the dim-2 mixed reports
+    "mixed-d3": ([*RICCI, "mixed"], {"dimension": 3, "degree": 2, "instances": 4}),
     "derivatives": (["verify-derivatives"], {"dimension": 3, "degree": 1, "instances": 2}),
     # every check is an exact rank of fixed coefficient vectors
     "rank-rho": (["rank-rho"], {}),
@@ -370,9 +372,9 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
         *((stem, 7, 1) for stem in GOLDEN),
         ("mixed", 7, 2),
         # the seed is only echoed by cosmology and rank-rho, so one seed covers
-        # them; catalogue-d4 pins the dim-4 product path at one seed
+        # them; catalogue-d4 and mixed-d3 pin one size each at one seed
         *((stem, 99, 1) for stem in GOLDEN
-          if stem not in ("all", "rank-rho", "catalogue-d4")
+          if stem not in ("all", "rank-rho", "catalogue-d4", "mixed-d3")
           and not stem.startswith("cosmology")),
     ],
 )
