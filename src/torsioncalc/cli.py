@@ -282,10 +282,10 @@ def _mixed_task(args):
     catalogue = identity_catalogue()
     # drawn member by member, in the order of the per-member checks
     weightings = [MixWeights.random(rng) for _ in catalogue for _ in range(per_combo)]
-    failing = ws.nonzero_members([
-        ws.mixed_residual_pieces(catalogue[k // per_combo], weights)
-        for k, weights in enumerate(weightings)
-    ])
+    failing = ws.nonzero_members(
+        [ws.mixed_residual_pieces(catalogue[k // per_combo], w) for k, w in enumerate(weightings)],
+        [w.den for w in weightings],
+    )
     first = {}  # catalogue position -> its first failing weighting
     for k in failing:
         first.setdefault(k // per_combo, k)

@@ -24,14 +24,15 @@ So a p|m q|n = D_q D_p a is SSa = S(S a) plus eight sigma-product-weighted
 blocks, and by Leibniz, S(Ua) = (dtor) a + tor (Sa) and likewise for V.  All
 eight are sums of the seventeen basis columns B_k / w_k, read as they are
 or with m and n swapped, so SSa is the only second-derivative pass.  Each
-identity side becomes integer- (mixed form: rational-) weighted columns,
-merged per column; a column whose weights cancel is never built.  Columns 3,
-10 and 15 and the R-commutator are antisymmetric in m, n (each carries
-tor^A_{mn} or R^i_{jmn}), so their swapped read is folded into -1 times the
-plain one before merging; in a correct member those weights cancel.  The
-residual summed this way is exactly lhs - rhs on the instance, so checking
-it is still the exact per-instance predicate; the composition
-:meth:`IdentityWorkspace.dd` stays as the reference tests compare against.
+identity side becomes integer-weighted columns (the mixed form scaled by
+its weights' common denominator), merged per column; a column whose weights
+cancel is never built.  Columns 3, 10 and 15 and the R-commutator are
+antisymmetric in m, n (each carries tor^A_{mn} or R^i_{jmn}), so their
+swapped read is folded into -1 times the plain one before merging; in a
+correct member those weights cancel.  The residual summed this way is
+exactly lhs - rhs on the instance, so checking it is still the exact
+per-instance predicate; the composition :meth:`IdentityWorkspace.dd` stays
+as the reference tests compare against.
 
 The same split makes the coefficient solve one right side.  A combination's
 target, lhs minus the R-commutator, is basis-column pieces, which are exact
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import lcm
 
@@ -96,16 +98,35 @@ class IdentityCoefficients:
 @dataclass(frozen=True)
 class MixWeights:
     """Row-stochastic weights d^l_k (5 rows, l = 1..3) mixing the three
-    derivative rules inside the five single-derivative terms."""
+    derivative rules inside the five single-derivative terms, held as int
+    numerators ``num`` over one positive int ``den`` (not always the least).
+    ``MixWeights(rows, den=1)`` reads den * d^l_k from ``rows``: ints or
+    Fractions, whose denominators move into ``den``."""
 
-    rows: tuple
+    num: tuple
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.rows) != 5 or any(len(r) != 3 for r in self.rows):
+        rows, den = self.num, self.den
+        if len(rows) != 5 or any(len(r) != 3 for r in rows):
             raise ValueError("weights must be a 5x3 matrix")
-        for r in self.rows:
-            if sum(Fraction(x) for x in r) != 1:
-                raise ValueError("each weight row must sum to 1")
+        for k, r in enumerate(rows, start=1):
+            for x in r:
+                if type(x) not in (int, Fraction):
+                    raise ValueError(f"weight row {k}: entry {x!r} is not an int or a Fraction")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"weight denominator {den!r} is not a positive int")
+        scale = lcm(*(x.denominator for r in rows for x in r))
+        rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in r) for r in rows)
+        if any(sum(r) != den * scale for r in rows):
+            raise ValueError("each weight row must sum to 1")
+        object.__setattr__(self, "num", rows)
+        object.__setattr__(self, "den", den * scale)
+
+    @property
+    def rows(self) -> tuple:
+        """The rational weights d^l_k, row k - 1 of five."""
+        return tuple(tuple(Fraction(n, self.den) for n in r) for r in self.num)
 
     @classmethod
     def pure(cls, l: int) -> "MixWeights":
@@ -116,23 +137,18 @@ class MixWeights:
 
     @classmethod
     def uniform(cls) -> "MixWeights":
-        third = Fraction(1, 3)
-        return cls(((third, third, third),) * 5)
+        return cls(((1, 1, 1),) * 5, 3)
 
     @classmethod
     def random(cls, rng) -> "MixWeights":
-        rows = []
+        """Rows (d1, d2, 1 - d1 - d2), each d a / b with a drawn from -6..6,
+        then b from 1..4; the numerators are kept over 12 = lcm(1..4)."""
+        num = []
         for _ in range(5):
-            d1 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            d2 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            rows.append((d1, d2, 1 - d1 - d2))
-        return cls(tuple(rows))
-
-    def split_signs(self, k: int):
-        """(d1-d2+d3, d1-d2-d3) for row k in 1..5; these weight the upper-
-        and lower-index leftovers of the substitution."""
-        d1, d2, d3 = (Fraction(x) for x in self.rows[k - 1])
-        return d1 - d2 + d3, d1 - d2 - d3
+            n1 = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+            n2 = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+            num.append((n1, n2, 12 - n1 - n2))
+        return cls(tuple(num), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +313,21 @@ def _basis_ref(k: int, scale=1):
     return _column(k, scale * _BASIS[k - 1][0])
 
 
-def _dd_refs(p: int, q: int, sign=1, swap=False):
-    """dd(p, q) as weighted references to SSa and the basis columns."""
+@cache
+def _dd_refs(p: int, q: int, sign=1, swap=False) -> tuple:
+    """dd(p, q) as weighted references to SSa and the basis columns; cached."""
     kp, kq = KIND_BY_NUMBER[p], KIND_BY_NUMBER[q]
     refs = [(sign, SWAP if swap else ID, "dd_sym")]
     for outer, inner, columns in _DD_BLOCKS:
         w = sign * _sigma(outer, kq) * _sigma(inner, kp)
         refs += [_column(k, w, swap) for k in columns]
-    return refs
+    return tuple(refs)
 
 
-def _lhs_refs(pqrs):
+def _lhs_refs(pqrs) -> tuple:
+    """a p|m q|n - a r|n s|m as references, from the two cached dd tuples."""
     p, q, r, s = pqrs
-    return [*_dd_refs(p, q), *_dd_refs(r, s, sign=-1, swap=True)]
+    return _dd_refs(p, q) + _dd_refs(r, s, -1, True)
 
 
 def _rhs_refs(coeffs: IdentityCoefficients, sign=1):
@@ -318,32 +336,34 @@ def _rhs_refs(coeffs: IdentityCoefficients, sign=1):
     return refs
 
 
-def _mixed_refs(coeffs: IdentityCoefficients, weights: MixWeights):
-    """rhs_mixed as weighted references; weights are rational."""
-    c = (None,) + coeffs.c
-    xu, xl = zip((None, None), *(weights.split_signs(k) for k in range(1, 6)))
+def _mixed_refs(coeffs: IdentityCoefficients, weights: MixWeights, sign=1):
+    """``sign`` * den * rhs_mixed as weighted references, den = weights.den;
+    every weight is an int."""
+    c = (None, *(sign * x for x in coeffs.c))
+    d = weights.den
+    # over d, row k's d1 - d2 + d3 and d1 - d2 - d3: the upper/lower leftovers
+    xu = (None, *(n1 - n2 + n3 for n1, n2, n3 in weights.num))
+    xl = (None, *(n1 - n2 - n3 for n1, n2, n3 in weights.num))
 
-    refs = [(1, ID, "rcomm")]
-    for k in range(1, 6):
-        if not c[k]:
-            continue
-        for l in (1, 2, 3):
-            w = Fraction(weights.rows[k - 1][l - 1])
-            if w:
-                refs.append((2 * c[k] * w, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}")))
+    refs = [(sign * d, ID, "rcomm")]
+    refs += [
+        (2 * c[k] * n, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}"))
+        for k in range(1, 6) if c[k]
+        for l, n in enumerate(weights.num[k - 1], start=1) if n
+    ]
     bracket_weights = (
-        c[6],
-        c[7],
-        c[8] - 2 * c[4] * xu[4],
-        c[9] - 2 * c[5] * xu[5],
-        c[10] - c[3] * xu[3],
-        c[11],
-        c[12],
-        c[13] - 2 * c[1] * xl[1],
-        c[14] - 2 * c[2] * xl[2],
-        c[15] - c[3] * xl[3],
-        c[16] + c[2] * xu[2] - c[5] * xl[5],
-        c[17] + c[1] * xu[1] - c[4] * xl[4],
+        d * c[6],
+        d * c[7],
+        d * c[8] - 2 * c[4] * xu[4],
+        d * c[9] - 2 * c[5] * xu[5],
+        d * c[10] - c[3] * xu[3],
+        d * c[11],
+        d * c[12],
+        d * c[13] - 2 * c[1] * xl[1],
+        d * c[14] - 2 * c[2] * xl[2],
+        d * c[15] - c[3] * xl[3],
+        d * c[16] + c[2] * xu[2] - c[5] * xl[5],
+        d * c[17] + c[1] * xu[1] - c[4] * xl[4],
     )
     refs += [_basis_ref(k, w) for k, w in enumerate(bracket_weights, start=6)]
     return refs
@@ -387,15 +407,9 @@ class IdentityWorkspace:
     and basis columns, so sweeps construct one workspace per instance and
     ask it for everything.
 
-    Second derivatives are not built rule by rule: with D = S + sigma_up U
-    + sigma_lo V (``_DD_BLOCKS``), every identity side is a weighted sum of
-    cached weight-1 tensors, namely SSa, the R-commutator and the basis
-    columns.  Weights are merged per (read, tensor) first, a swapped read of
-    an m, n-antisymmetric tensor counting as -1 times its plain read, and
-    only tensors left with a nonzero weight are built.  The sum is exactly
-    the tensor the rule-by-rule composition gives (:meth:`dd`, kept as the
-    reference), so a residual checked this way is the same exact
-    per-instance predicate: it is zero exactly when lhs - rhs is.
+    Every identity side is a weighted sum of cached weight-1 tensors (SSa,
+    the R-commutator and the basis columns; see the module docstring), and
+    only tensors left with a nonzero merged weight are built.
     """
 
     def __init__(self, a: TensorField, L: ConnectionField):
@@ -456,10 +470,9 @@ class IdentityWorkspace:
         return self._operand(key) if isinstance(key, str) else self._contraction(*key)
 
     def _pieces(self, refs) -> list:
-        """``contract`` terms of weighted references (weight, read, key).
-        Weights are merged per (read, key) first (:func:`_merge`, which
-        folds the m, n-antisymmetric keys); only keys left with a nonzero
-        weight are built."""
+        """``contract`` terms of weighted references (weight, read, key),
+        merged by :func:`_merge`; only keys left with a nonzero weight are
+        built."""
         return [(w, read, self._tensor(key)) for (read, key), w in _merge(refs).items()]
 
     # first and second derivatives ------------------------------------------
@@ -558,43 +571,44 @@ class IdentityWorkspace:
 
         Expressed against the cached basis: pattern k of the torsion-quadratic
         brackets absorbs -2 c_k times the substitution sign combinations."""
-        return contract((1, 3), *self._pieces(_mixed_refs(coeffs, weights)))
+        pieces = self._pieces(_mixed_refs(coeffs, weights))
+        return contract((1, 3), *((Fraction(w, weights.den), read, t) for w, read, t in pieces))
 
     def mixed_residual_pieces(self, coeffs: IdentityCoefficients, weights: MixWeights):
-        """Weighted column tensors of lhs - rhs_mixed, merged per column;
-        weights are rational."""
-        refs = _mixed_refs(coeffs, weights)
-        return self._pieces([*_lhs_refs(coeffs.pqrs), *((-w, read, key) for w, read, key in refs)])
+        """Weighted column tensors of den * (lhs - rhs_mixed), den =
+        weights.den, merged per column; every weight is an int."""
+        lhs = [(weights.den * w, read, key) for w, read, key in _lhs_refs(coeffs.pqrs)]
+        return self._pieces([*lhs, *_mixed_refs(coeffs, weights, sign=-1)])
 
     def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
-        """D * (lhs - rhs_mixed) in one pass, D the lcm of the weights'
-        denominators.  Every weight is scaled to an integer, so the
-        accumulation runs on ints; the result is zero exactly when the
-        rational residual is."""
-        pieces = self.mixed_residual_pieces(coeffs, weights)
-        D = lcm(*(Fraction(w).denominator for w, _, _ in pieces))
-        return contract((1, 3), *((int(w * D), spec, t) for w, spec, t in pieces))
+        """den * (lhs - rhs_mixed) in one pass, den = weights.den.  Every
+        weight is an int, so the accumulation runs on ints; the result is
+        zero exactly when the rational residual is."""
+        return contract((1, 3), *self.mixed_residual_pieces(coeffs, weights))
 
-    def nonzero_members(self, members) -> dict:
+    def nonzero_members(self, members, dens=None) -> dict:
         """Which of K residuals are nonzero, from one packed ``contract``.
 
         ``members`` holds one piece list per member, as built by
-        :meth:`residual_pieces` or :meth:`mixed_residual_pieces`; member k's
-        residual is the sum of its pieces.  Returns {k: (entry, monomial)}
-        for every nonzero member in index order, where ``entry`` is the
-        index tuple of its first nonzero entry (row-major) and ``monomial``
-        the first nonzero term there (packed-key order), a one-term
-        ScalarField carrying the residual's own coefficient.
+        :meth:`residual_pieces` or :meth:`mixed_residual_pieces`, every
+        weight an int.  Member k's residual is the sum of its pieces over
+        ``dens[k]``, the denominator its weights are scaled by
+        (``weights.den`` for mixed pieces; every den is 1 when ``dens`` is
+        None).  Returns {k: (entry, monomial)} for every nonzero member in
+        index order, where ``entry`` is the index tuple of its first nonzero
+        entry (row-major) and ``monomial`` the first nonzero term there
+        (packed-key order), a one-term ScalarField carrying the residual's
+        own coefficient.
 
         The members are packed into big-int slots of b bits (SWAR).  Column
         j, a distinct (spec, tensor) pair, is scaled by E, the lcm of the
         columns' coefficient denominators, and weighted by
-        sum_k (Dw w_kj) << (b k), Dw the lcm of the weights' denominators.
-        Each coefficient of the one contraction is then sum_k r_k 2^(b k),
-        with r_k = D times member k's coefficient, D = Dw E.  b is chosen so
-        that 2^(b-1) > D sum_j |w_kj| max|column j| for every k, hence every
-        |r_k| < 2^(b-1); such a sum is zero only when every r_k is, and the
-        r_k decode slot by slot with sign.  So this is exactly the predicate
+        sum_k w_kj << (b k).  Each coefficient of the one contraction is
+        then sum_k r_k 2^(b k), with r_k = dens[k] E times member k's
+        coefficient.  b is chosen so that 2^(b-1) > E sum_j |w_kj|
+        max|column j| for every k, hence every |r_k| < 2^(b-1); such a sum
+        is zero only when every r_k is, and the r_k decode slot by slot with
+        sign and over dens[k] E.  So this is exactly the predicate
         ``residual.is_zero()`` per member, not a random projection.
         """
         columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
@@ -612,25 +626,24 @@ class IdentityWorkspace:
                 max(map(abs, values), default=0),
                 lcm(*(v.denominator for v in values)) if fractional else 1,
             )
-        Dw = lcm(*(Fraction(w).denominator for *_, ws in columns.values() for w in ws.values()))
         E = lcm(*(den for _, den in stats.values()))
         bounds = [0] * len(members)
         for _, t, ws in columns.values():
             top = int(E * stats[id(t)][0])
             for k, w in ws.items():
-                bounds[k] += abs(int(w * Dw)) * top
+                bounds[k] += abs(w) * top
         b = max(bounds, default=0).bit_length() + 1
         if E != 1:  # integral copies, so the accumulation runs on ints
             tensors = {key: t.scale(E) for key, t in tensors.items()}
         terms = [
-            (sum(int(w * Dw) << (b * k) for k, w in ws.items()), spec, tensors[id(t)])
+            (sum(w << (b * k) for k, w in ws.items()), spec, tensors[id(t)])
             for spec, t, ws in columns.values()
         ]
         if not terms:
             return {}
         packed = contract((1, 3), *terms)
 
-        D, mask, half = Dw * E, (1 << b) - 1, 1 << (b - 1)
+        mask, half = (1 << b) - 1, 1 << (b - 1)
         found = {}
         for e, field in enumerate(packed.entries):
             for key in sorted(field._terms):
@@ -640,8 +653,8 @@ class IdentityWorkspace:
                     if r >= half:
                         r -= mask + 1
                     if r and k not in found:
-                        coeff = Fraction(r, D)
-                        term = coeff.numerator if coeff.denominator == 1 else coeff
+                        D = E * dens[k] if dens else E
+                        term = r // D if r % D == 0 else Fraction(r, D)
                         found[k] = (
                             _flat_to_indices(e, self.dim, 4),
                             ScalarField(self.dim, {key: term}),
@@ -688,7 +701,7 @@ def verify_mixed_family(
     pqrs, weights: MixWeights, a: TensorField, L: ConnectionField
 ) -> TensorField:
     """Residual of the mixed-rule form for a catalogued combination, scaled
-    by D, the lcm of the weights' denominators (see
+    by the weights' denominator ``weights.den`` (see
     :meth:`IdentityWorkspace.mixed_residual`): it has integer coefficients
     on integral instances and vanishes exactly when the rational one does."""
     pqrs = tuple(pqrs)
@@ -785,14 +798,10 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     row out of the span of the true identities, so that member is kept and
     its nonzero residual fails.
 
-    On each instance the kept members are checked together by
-    :meth:`IdentityWorkspace.nonzero_members`: one contraction whose
-    coefficients pack the members' residual coefficients into big-int slots
-    wide enough that their sum is zero only when every slot is.  That too is
-    the exact per-member predicate.  Members with the same residual pieces
-    share a slot (:meth:`IdentityWorkspace.nonzero_residuals`), so correct
-    members, which all fold to the same pieces, take one.  Returns the kept
-    members; raises
+    On each instance the kept members are checked together, each distinct
+    residual in one slot of one packed contraction
+    (:meth:`IdentityWorkspace.nonzero_residuals`), which is the exact
+    per-member predicate too.  Returns the kept members; raises
     IdentityUnsolvableError naming the instance, the member and its first
     nonzero residual entry and monomial.
     """
@@ -829,15 +838,8 @@ def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
     combination, so the rows fed and their consistency are those of the
     targets.  The system is solved fraction-free (see
     :class:`LinearSystem`), once per distinct rest, and each combination's
-    coefficients are that solution plus its offsets.
-
-    The verification checks the span basis of the solved identity rows (17
-    members for the full sweep), not every member: the residual is linear in
-    the identity row and every solved row is an exact combination of the
-    kept ones, so all residuals vanish exactly when the kept ones do.  The
-    kept members share one packed contraction per instance, whose slots are
-    wide enough that the packed sum vanishes exactly when every member's
-    residual does (:meth:`IdentityWorkspace.nonzero_members`).
+    coefficients are that solution plus its offsets.  :func:`verify_solutions`
+    then checks their span basis, one packed contraction per instance.
     """
     splits = [_split_target(combo) for combo in combos]
     rests = list(dict.fromkeys(rest for rest, _ in splits))
@@ -902,10 +904,8 @@ def solve_all_identities(
     All 81 targets share one rest, SSa - SSa^(m<->n) - R-commutator, so the
     system has one right side and is solved once; each combination adds its
     own basis offsets from ``_DD_BLOCKS``.  The solutions are confirmed on
-    fresh instances through the 17 members of their span basis: the
-    residual is linear in the identity row and the other 64 rows are exact
-    combinations of those 17, so all 81 residuals vanish exactly when the 17
-    checked ones do.
+    fresh instances through the 17 members of their span basis
+    (:func:`verify_solutions`).
     """
     return _solve_combos(list(ALL_COMBINATIONS), seed, dims, degree, verify_dims)
 

@@ -7,10 +7,14 @@ computes another way, kept here so the tests can compare the two.
 - ``bracket_objects_raw``: the five bracket objects from the raw connection
   forms, against the symmetric/antisymmetric split of
   ``curvature.bracket_objects``.
+- ``mixed_refs_rational``: the mixed-rule right side as references with
+  Fraction weights, against ``ricci._mixed_refs``, which carries the same
+  weights as int numerators over one denominator.
 """
 
 from torsioncalc.algebra import TensorField, contract
 from torsioncalc.connection import KIND_BY_NUMBER, ConnectionField, DerivKind
+from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +300,43 @@ def bracket_objects_raw(a: TensorField, L: ConnectionField):
         ((1, "AB,imA,Bjn->ijmn", a, raw, tor), (-1, "AB,iAn,Bmj->ijmn", a, tor, raw)),
     )
     return [contract((1, 3), *terms) for terms in objects]
+
+
+# ---------------------------------------------------------------------------
+# Mixed-rule right side on rational weights
+# ---------------------------------------------------------------------------
+
+
+def mixed_refs_rational(coeffs, weights):
+    """rhs_mixed as weighted references (weight, read, key), every weight a
+    rational number of the rows d^l_k = ``weights.rows``."""
+    c = (None,) + coeffs.c
+    rows = weights.rows
+    # (d1 - d2 + d3, d1 - d2 - d3) of row k weight the upper- and the
+    # lower-index leftovers of the substitution
+    xu, xl = zip((None, None), *((d1 - d2 + d3, d1 - d2 - d3) for d1, d2, d3 in rows))
+
+    refs = [(1, ID, "rcomm")]
+    for k in range(1, 6):
+        if not c[k]:
+            continue
+        for l in (1, 2, 3):
+            w = rows[k - 1][l - 1]
+            if w:
+                refs.append((2 * c[k] * w, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}")))
+    bracket_weights = (
+        c[6],
+        c[7],
+        c[8] - 2 * c[4] * xu[4],
+        c[9] - 2 * c[5] * xu[5],
+        c[10] - c[3] * xu[3],
+        c[11],
+        c[12],
+        c[13] - 2 * c[1] * xl[1],
+        c[14] - 2 * c[2] * xl[2],
+        c[15] - c[3] * xl[3],
+        c[16] + c[2] * xu[2] - c[5] * xl[5],
+        c[17] + c[1] * xu[1] - c[4] * xl[4],
+    )
+    refs += [_basis_ref(k, w) for k, w in enumerate(bracket_weights, start=6)]
+    return refs

@@ -1,9 +1,13 @@
 import itertools
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torsioncalc import ricci
+from torsioncalc import cli, ricci
 from torsioncalc.algebra import ScalarField, contract, matrix_rank
 from torsioncalc.connection import DerivKind, covariant_derivative, double_covariant_derivative
 from torsioncalc.curvature import curvature_R
@@ -41,6 +45,7 @@ from torsioncalc.sampling import (
 )
 
 from conftest import make_instance
+from oracles import mixed_refs_rational
 
 # v -> a different value in {-1, 0, 1}
 FLIP = {1: 0, 0: -1, -1: 1}
@@ -495,6 +500,114 @@ def test_mix_weights_validation():
     assert MixWeights.uniform().rows[4] == (third, third, third)
 
 
+def test_mix_weights_hold_int_numerators_over_one_denominator():
+    half = Fraction(1, 2)
+    w = MixWeights(((half, half, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0)))
+    assert (w.num, w.den) == (((1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (4, -2, 0)), 2)
+    assert w == MixWeights(((1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (4, -2, 0)), 2)
+    assert w.rows[0] == (half, half, 0)
+    # a Fraction entry over a given denominator: den * d = 1/3, so d = 1/9
+    third = Fraction(1, 3)
+    assert MixWeights(((third,) * 3,) * 5).den == 3
+    assert MixWeights(((third, third, 7 * third),) * 5, 3).rows[0][0] == Fraction(1, 9)
+    # the random draw keeps its numerators over 12
+    w = MixWeights.random(derive_rng(1, "mix-den"))
+    assert w.den == 12 and all(sum(r) == 12 for r in w.num)
+
+
+def test_random_weights_are_the_rational_draw():
+    """MixWeights.random draws what the rational draw a / b, a in -6..6 then
+    b in 1..4, twice per row, draws: the same weights from the same calls."""
+    for seed in range(30):
+        drawn, reference = derive_rng(seed, "mix-draw"), derive_rng(seed, "mix-draw")
+        weights = MixWeights.random(drawn)
+        rows = []
+        for _ in range(5):
+            d1 = Fraction(reference.randint(-6, 6), reference.randint(1, 4))
+            d2 = Fraction(reference.randint(-6, 6), reference.randint(1, 4))
+            rows.append((d1, d2, 1 - d1 - d2))
+        assert weights.rows == tuple(rows)
+        assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", True, False, None, 1.0])
+def test_mix_weights_reject_entries_that_are_not_int_or_fraction(entry):
+    rows = [(1, 0, 0)] * 5
+    rows[3] = (1, entry, 0)
+    with pytest.raises(ValueError, match=re.escape(f"weight row 4: entry {entry!r} ")):
+        MixWeights(tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0.5, 0.5, 0),) * 5, (("1/2", "1/2", 0),) * 5, ((True, False, 0),) * 5],
+)
+def test_mix_weights_reject_floats_strings_and_bools(rows):
+    with pytest.raises(ValueError, match="weight row 1: entry .* is not an int or a Fraction"):
+        MixWeights(rows)
+
+
+def test_mix_weights_reject_bad_shapes_sums_and_denominators():
+    with pytest.raises(ValueError, match="5x3"):
+        MixWeights(((1, 0, 0),) * 4)
+    with pytest.raises(ValueError, match="5x3"):
+        MixWeights(((1, 0),) * 5)
+    with pytest.raises(ValueError, match="sum to 1"):
+        MixWeights(((1, 0, 0),) * 5, 2)
+    for den in (0, -1, 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="denominator"):
+            MixWeights(((1, 0, 0),) * 5, den)
+
+
+@cache
+def _mixed_workspace():
+    L, a = make_instance(49, "mixed-oracle", 2, degree=1)
+    return IdentityWorkspace(a, L)
+
+
+def _rows_over_5_and_7(pairs):
+    return tuple((Fraction(p, 5), Fraction(q, 7), 1 - Fraction(p, 5) - Fraction(q, 7))
+                 for p, q in pairs)
+
+
+weightings = st.one_of(
+    st.integers(0, 2**32).map(lambda s: MixWeights.random(derive_rng(s, "mixed-oracle"))),
+    st.sampled_from([1, 2, 3]).map(MixWeights.pure),
+    st.just(MixWeights.uniform()),
+    # denominators 5, 7 and 35, which the random draw never makes
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=5, max_size=5)
+    .map(_rows_over_5_and_7).map(MixWeights),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    good=weightings,
+    bad=weightings,
+    n=st.integers(0, 16),
+    k=st.integers(0, 16),
+)
+def test_integer_mixed_pieces_match_the_rational_oracle(good, bad, n, k):
+    ws = _mixed_workspace()
+    ic = identity_catalogue()[n]
+    members, rational = [], []
+    for member, weights in ((ic, good), (flipped(ic, k), bad)):
+        pieces = ws.mixed_residual_pieces(member, weights)
+        assert all(type(w) is int for w, _, _ in pieces)
+        # the int pieces over den are the oracle's merged rational pieces
+        refs = mixed_refs_rational(member, weights)
+        expected = ws._pieces([*ricci._lhs_refs(member.pqrs), *((-w, r, t) for w, r, t in refs)])
+        assert [(Fraction(w, weights.den), r, t) for w, r, t in pieces] == expected
+        members.append(pieces)
+        rational.append(contract((1, 3), *expected))
+    # one packed check of both, each slot decoded over its own denominator
+    found = ws.nonzero_members(members, [good.den, bad.den])
+    assert rational[0].is_zero()
+    assert {m: (e, mono.terms()) for m, (e, mono) in found.items()} == (
+        {} if rational[1].is_zero() else {1: _first_term(rational[1])}
+    )
+
+
 def test_mixed_family_pure_rows_reduce_to_single_rule():
     L, a = make_instance(32, "mix1", 3)
     for l in (1, 2, 3):
@@ -571,14 +684,15 @@ def _first_term(t):
     return None
 
 
-def _assert_matches_reference(ws, members):
-    """nonzero_members agrees member by member with one contraction each."""
-    found = ws.nonzero_members(members)
+def _assert_matches_reference(ws, members, dens=None):
+    """nonzero_members agrees member by member with one contraction each,
+    of member k's pieces over dens[k]."""
+    found = ws.nonzero_members(members, dens)
     expected = {}
     for k, pieces in enumerate(members):
         ref = contract((1, 3), *pieces) if pieces else None
         if ref is not None and not ref.is_zero():
-            expected[k] = _first_term(ref)
+            expected[k] = _first_term(ref.scale(Fraction(1, dens[k])) if dens else ref)
     assert list(found) == list(expected)
     assert {k: (entry, mono.terms()) for k, (entry, mono) in found.items()} == expected
     return found
@@ -645,9 +759,9 @@ def test_batched_check_widens_slots_for_large_coefficients():
         [(1, "ijmn->ijmn", big), (-(2**40), "ijmn->ijmn", T)],  # exactly zero
         [(1, "ijmn->ijmn", big), (1 - 2**40, "ijmn->ijmn", T)],  # T, beside 2^40 T
         [(-1, "ijmn->ijmn", big)],
-        [(Fraction(1, 3), "ijmn->ijmn", T), (Fraction(-1, 3), "ijnm->ijmn", T)],
+        [(1, "ijmn->ijmn", T), (-1, "ijnm->ijmn", T)],  # over 3
     ]
-    found = _assert_matches_reference(ws, members)
+    found = _assert_matches_reference(ws, members, [1, 1, 1, 3])
     assert list(found) == [1, 2, 3]
     entry, mono = found[2]
     assert (entry, mono.terms()) == _first_term(T.scale(-(2**40)))
@@ -658,13 +772,14 @@ def test_batched_mixed_check_matches_rational_residuals():
     ws = IdentityWorkspace(a, L)
     rng = derive_rng(47, "batch-mixed-w")
     catalogue = identity_catalogue()
-    members, residuals = [], []
+    members, residuals, dens = [], [], []
     for n, ic in enumerate(catalogue):
         weights = MixWeights.random(rng)
         member = flipped(ic, n % 17) if n % 4 == 2 else ic
         members.append(ws.mixed_residual_pieces(member, weights))
         residuals.append(ws.lhs(member.pqrs) - ws.rhs_mixed(member, weights))
-    found = ws.nonzero_members(members)
+        dens.append(weights.den)
+    found = ws.nonzero_members(members, dens)
     assert list(found) == [n for n, r in enumerate(residuals) if not r.is_zero()]
     assert list(found) == list(range(2, 17, 4))
     for n, (entry, mono) in found.items():
@@ -683,6 +798,34 @@ def _packed_terms(monkeypatch, check, *args):
         result = exc
     monkeypatch.setattr(ricci, "contract", real)
     return calls[-1], result
+
+
+def test_mixed_task_weights_stay_integers(monkeypatch):
+    """A full mixed task passes only int weights to ricci.contract, the
+    packed check of nonzero_members included, and no mixed piece weight is
+    a Fraction."""
+    contract_weights, piece_weights = [], []
+    real_contract, real_pieces = ricci.contract, IdentityWorkspace.mixed_residual_pieces
+
+    def contract_spy(valence, *terms):
+        contract_weights.append([w for w, *_ in terms])
+        return real_contract(valence, *terms)
+
+    def pieces_spy(self, *args):
+        pieces = real_pieces(self, *args)
+        piece_weights.extend(w for w, _, _ in pieces)
+        return pieces
+
+    monkeypatch.setattr(ricci, "contract", contract_spy)
+    monkeypatch.setattr(IdentityWorkspace, "mixed_residual_pieces", pieces_spy)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    results = cli._mixed_task((7, 2, 1, 0, 5))
+    assert all(ok for _, ok, _ in results)
+    assert len(piece_weights) > 17 * 5
+    assert not any(isinstance(w, Fraction) for w in piece_weights)
+    packed = contract_weights[-1]  # the one packed contraction, 85 slots wide
+    assert max(map(abs, packed)).bit_length() > 85
+    assert all(type(w) is int for ws in contract_weights for w in ws)
 
 
 def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
