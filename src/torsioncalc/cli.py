@@ -6,8 +6,11 @@ emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 Exit status is 0 exactly when no check failed.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
-per CPU); results are reduced in a fixed order so the report bytes do not
-depend on the worker count.
+per CPU).  The instances are split into one contiguous chunk per worker: the
+process forks a child for every chunk but the first, runs the first itself,
+then collects and reaps the children in chunk order.  Results are thus
+reduced in item order, and the report bytes do not depend on the worker
+count.  One worker, or a platform without ``os.fork``, runs serially.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import marshal
 import os
 import sys
 import time
@@ -192,7 +196,7 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def worker_count() -> int:
-    """Pool size from TORSIONCALC_WORKERS (default 1), capped at the CPU
+    """Worker count from TORSIONCALC_WORKERS (default 1), capped at the CPU
     count; a non-integer or a value below 1 is a ConfigError."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -205,19 +209,75 @@ def worker_count() -> int:
 
 
 def _parallel_map(fn, items):
+    """``[fn(item) for item in items]``, the items split into one contiguous
+    chunk per worker (sizes differ by at most one).  Chunks 1.. run in forked
+    children, each writing its results (marshal data: the tasks return core
+    types) or its exception (a pickle) to its own pipe; the parent runs chunk
+    0, then reads and reaps the children in chunk order.  The first failing
+    chunk's exception is raised; a child that dies without a result is a
+    RuntimeError.  On any error the children left are killed and reaped.
+    One worker, or no ``os.fork``, runs serially.
+    """
     items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    # imported only when a pool opens: a serial run never pays for it
-    import multiprocessing
+    size, extra = divmod(len(items), workers)
+    cut = [k * size + min(k, extra) for k in range(workers + 1)]
+    live = {}  # pid -> read end of its pipe, in chunk order, until reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_chunk(fn, items[cut[k] : cut[k + 1]], w)
+            os.close(w)
+            live[pid] = open(r, "rb")
+        results = [fn(item) for item in items[: cut[1]]]
+        for k, pid in enumerate(list(live), 1):
+            with live[pid] as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            if status or not data:
+                raise RuntimeError(f"worker of chunk {k} exited with wait status {status}")
+            if data[:1] == b"e":
+                import pickle  # only a failing chunk pays for this import
 
-    with multiprocessing.Pool(min(workers, len(items))) as pool:
-        return pool.map(fn, items)
+                raise pickle.loads(data[1:])
+            results += marshal.loads(data[1:])
+        return results
+    finally:
+        if live:  # left by an error
+            import signal
+
+            for pid, fh in live.items():
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_chunk(fn, chunk, fd):
+    """A forked child's side of :func:`_parallel_map`: it always leaves
+    through ``os._exit``, so it never returns into the caller's stack, runs
+    no atexit handlers and flushes no inherited buffers."""
+    status = 1
+    try:
+        try:
+            data = b"r" + marshal.dumps([fn(item) for item in chunk])
+        except Exception as exc:
+            import pickle
+
+            data = b"e" + pickle.dumps(exc)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
-# instance tasks (module level so they can cross process boundaries)
+# instance tasks (their results cross process boundaries as marshal data)
 # ---------------------------------------------------------------------------
 
 

@@ -466,7 +466,11 @@ class IdentityWorkspace:
 
     def _tensor(self, key) -> TensorField:
         """The cached tensor of a reference key: an operand name or a
-        (spec, operand names) contraction."""
+        (spec, operand names) contraction.  A contraction and the cached
+        operands are stored under their key, so a hit is one lookup."""
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         return self._operand(key) if isinstance(key, str) else self._contraction(*key)
 
     def _pieces(self, refs) -> list:

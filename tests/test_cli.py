@@ -1,8 +1,11 @@
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -94,7 +97,7 @@ def test_unknown_config_field_exits_two(tmp_path, capsys):
 
 
 def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    # 8 instances make 2 tasks, so 2 workers start a pool of 2
+    # 8 instances make 2 tasks, so 2 workers fork one child
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     rendered = {}
@@ -245,6 +248,23 @@ def test_failing_catalogue_check_names_instance_entry_and_monomial(monkeypatch):
     assert all(c.passed and c.detail is None for c in checks.values())
 
 
+def test_failing_catalogue_check_at_two_workers_names_the_parents_instance(monkeypatch):
+    # both instances fail; the first one runs in the parent's own chunk
+    broken = _broken_catalogue(3)
+    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=5)
+    for idx in range(2):
+        assert not _sampled(5, f"ricci:2:{idx}", 2, 1)[1].residual(broken[3]).is_zero()
+    details = {}
+    for workers in (1, 2):
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+        checks = {c.id: c for c in cli.cmd_verify_ricci(config, "catalogue").checks}
+        details[workers] = checks[f"eq:{broken[3].tag}"].detail
+    assert details[2]["label"] == "ricci:2:0"
+    assert details[2] == details[1]
+
+
 def test_failing_mixed_check_names_its_weighting(monkeypatch):
     broken = _broken_catalogue(16)
     monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
@@ -301,24 +321,126 @@ def test_and_reduce_keeps_the_first_failing_instance():
     ]
 
 
-def _loaded_by_importing_the_cli(module: str) -> bool:
+def _loaded_by_importing_the_cli(module: str, argv=()) -> bool:
+    """Whether ``module`` is in sys.modules of a fresh interpreter after it
+    imports the CLI and, given ``argv``, runs it at 2 workers."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = f"import sys, torsioncalc.cli; print({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    env = {**os.environ, "PYTHONPATH": src, cli.WORKERS_ENV: "2"}
+    run = f"if cli.main({list(argv)!r}): sys.exit(3)\n" if argv else ""
+    code = (
+        "import os, sys, torsioncalc.cli as cli\n"
+        f"os.cpu_count = lambda: 2\n{run}print({module!r} in sys.modules)"
     )
-    return {"True": True, "False": False}[out.stdout.strip()]
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    return {"True": True, "False": False}[out.stdout.split()[-1]]
 
 
-def test_importing_the_cli_leaves_multiprocessing_out():
-    # only _parallel_map imports it, when it opens a pool
-    assert not _loaded_by_importing_the_cli("multiprocessing")
+def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
+    # the instance fan-out forks by itself: nothing loads multiprocessing,
+    # not even a 2-worker run whose 2 tasks take the fork path
+    config = _config(tmp_path, dimension=2, degree=1, instances=8)
+    argv = ["verify-ricci", "--scope", "mixed", "--config", config]
+    assert not _loaded_by_importing_the_cli("multiprocessing", argv)
 
 
 def test_importing_the_cli_leaves_numpy_out():
     # numpy's import alone costs more than the whole CLI setup
     assert not _loaded_by_importing_the_cli("numpy")
+
+
+# ---------------------------------------------------------------------------
+# the fork map behind TORSIONCALC_WORKERS
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def deadline():
+    """Fail a fork-map test that hangs after 20 s instead of stalling the
+    suite (alarms are not inherited by forked children)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the fork map did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    return lambda workers: monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+
+
+def _item_and_pid(item):
+    return item, os.getpid()
+
+
+@pytest.mark.parametrize("workers, sizes", [(2, [4, 3]), (3, [3, 2, 2])])
+def test_parallel_map_gives_the_serial_result_with_chunk_zero_in_the_parent(
+    deadline, three_cpus, workers, sizes
+):
+    three_cpus(workers)
+    results = cli._parallel_map(_item_and_pid, range(7))
+    assert [item for item, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == workers
+    assert [len(list(run)) for _, run in itertools.groupby(pids)] == sizes
+
+
+def test_parallel_map_raises_the_exception_of_a_childs_chunk(deadline, three_cpus):
+    three_cpus(2)
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            raise ValueError(f"item {item} is bad")
+        return item
+
+    with pytest.raises(ValueError, match="^item 4 is bad$"):
+        cli._parallel_map(fn, range(7))
+
+
+def test_parallel_map_names_a_child_result_that_marshal_cannot_carry(deadline, three_cpus):
+    # results travel as marshal data, so the tasks return core types only
+    three_cpus(2)
+    with pytest.raises(ValueError, match="unmarshallable object"):
+        cli._parallel_map(Fraction, range(1, 8))
+
+
+def test_parallel_map_names_a_child_killed_without_a_result(deadline, three_cpus):
+    three_cpus(3)
+    parent = os.getpid()
+
+    def fn(item):
+        if item == 5 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with pytest.raises(RuntimeError, match=r"chunk 2 exited with wait status 9$"):
+        cli._parallel_map(fn, range(7))
+
+
+def test_parallel_map_reaps_every_child_when_the_parents_chunk_raises(deadline, three_cpus):
+    three_cpus(3)
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() == parent:
+            raise ZeroDivisionError("parent chunk")
+        time.sleep(60)  # killed, not waited for: the deadline is 20 s
+        return item
+
+    with pytest.raises(ZeroDivisionError, match="parent chunk"):
+        cli._parallel_map(fn, range(7))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +492,8 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
     "stem, seed, workers",
     [
         *((stem, 7, 1) for stem in GOLDEN),
-        ("mixed", 7, 2),
+        # 2 instances or tasks each: the second runs in a forked child
+        *((stem, 7, 2) for stem in ("mixed", "catalogue-d2", "derivatives")),
         # the seed is only echoed by cosmology and rank-rho, so one seed covers
         # them; catalogue-d4 and mixed-d3 pin one size each at one seed
         *((stem, 99, 1) for stem in GOLDEN
