@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ScalarField, TensorField
-from .ratfunc import ONE, Poly, RationalFunction, RF_ZERO, RF_ONE
+from .ratfunc import ONE, Poly, RationalFunction, RF_ZERO
 
 DIM = 4
 HALF = Fraction(1, 2)
@@ -87,13 +87,9 @@ def _poly_to_field(p: Poly) -> ScalarField:
     )
 
 
-def _rf(p) -> RationalFunction:
-    return RationalFunction.from_value(p)
-
-
 def inverse_diagonal(m: CosmologyMetric):
     """Exact inverse symmetric metric components 1/s_i."""
-    return tuple(RF_ONE / _rf(p) for p in m.s)
+    return tuple(RationalFunction(ONE, p) for p in m.s)
 
 
 def antisym_christoffel_table(m: CosmologyMetric) -> TensorField:
@@ -145,8 +141,8 @@ def _d(rf: RationalFunction, coord: int) -> RationalFunction:
 
 def levi_civita_connection(m: CosmologyMetric):
     """G^i_{jk} of the diagonal symmetric part, as rational functions."""
-    s = [_rf(p) for p in m.s]
-    ds = [_rf(p.derivative()) for p in m.s]
+    s = [RationalFunction(p) for p in m.s]
+    ds = [RationalFunction(p.derivative()) for p in m.s]
     G = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     # only t-derivatives exist: G^0_{jj} pattern plus mixed G^j_{0j}
     for i in range(DIM):
@@ -165,16 +161,6 @@ def _riemann_entry(G, i, j, mm, nn) -> RationalFunction:
     for a in range(DIM):
         total = total + G[a][j][mm] * G[i][a][nn] - G[a][j][nn] * G[i][a][mm]
     return total
-
-
-def curvature_tensor_rf(m: CosmologyMetric):
-    """R^i_{jmn} of the symmetric part, all 256 entries."""
-    G = levi_civita_connection(m)
-    return [
-        [[[_riemann_entry(G, i, j, mm, nn) for nn in range(DIM)] for mm in range(DIM)]
-         for j in range(DIM)]
-        for i in range(DIM)
-    ]
 
 
 # The per-metric quantities below are pure functions of the frozen metric,
@@ -215,14 +201,13 @@ def torsion_scalar(m: CosmologyMetric) -> RationalFunction:
     """Triple inverse-metric contraction of two lowered antisymmetric
     connection components (the scalar multiplying v' - w)."""
     inv = inverse_diagonal(m)
-    dn = _rf(m.n.derivative())
-    half = Fraction(1, 2)
+    dn = RationalFunction(m.n.derivative())
     total = RF_ZERO
     for (a, c, d_), sign in (
         ((1, 2, 0), -1), ((1, 0, 2), 1), ((2, 0, 1), -1),
         ((2, 1, 0), 1), ((0, 1, 2), -1), ((0, 2, 1), 1),
     ):
-        v = dn * (half if sign > 0 else -half)
+        v = dn * (HALF if sign > 0 else -HALF)
         # diagonal inverses force both factors onto the same index triple
         total = total + inv[a] * inv[c] * inv[d_] * v * v
     return total
@@ -240,8 +225,8 @@ def matter_lagrangian_paths(m: CosmologyMetric):
     Closed form: (3/2) (v'-w) n'(t)^2 / (s1 s2 s3).
     """
     via_contraction = torsion_scalar(m) * m.vprime_minus_w
-    dn = _rf(m.n.derivative())
-    s1, s2, s3 = (_rf(p) for p in m.s[:3])
+    dn = RationalFunction(m.n.derivative())
+    s1, s2, s3 = (RationalFunction(p) for p in m.s[:3])
     closed = (dn * dn / (s1 * s2 * s3)) * (Fraction(3, 2) * m.vprime_minus_w)
     return via_contraction, closed
 
@@ -300,7 +285,7 @@ def energy_momentum(m: CosmologyMetric):
     for i in range(4):
         d_expr = expr.partial(i + 1)  # derivative in y_{i+1}
         d_val = _substitute_inverses(d_expr, m)
-        out[i][i] = d_val * (-2) + _rf(m.s[i]) * lm
+        out[i][i] = d_val * (-2) + RationalFunction(m.s[i]) * lm
     return out
 
 
@@ -356,7 +341,7 @@ def recover_n(m: CosmologyMetric, t0, t1, steps: int):
                 f"g^{i}{i} = 1/s{i} has a pole there"
             )
     lm = matter_lagrangian(m)
-    s1, s2, s3 = (_rf(p) for p in m.s[:3])
+    s1, s2, s3 = (RationalFunction(p) for p in m.s[:3])
     radicand = lm * s1 * s2 * s3
     if not radicand.is_polynomial():
         raise AssertionError("L * s1 s2 s3 is not a polynomial")
@@ -384,41 +369,3 @@ def recover_n(m: CosmologyMetric, t0, t1, steps: int):
         n1.append(acc)
     n2 = [-x for x in n1]
     return ts, n1, n2
-
-
-# ---------------------------------------------------------------------------
-# Full generalized connection and the metric-compatibility residual
-# ---------------------------------------------------------------------------
-
-
-def christoffel_full_rf(m: CosmologyMetric):
-    """Generalized connection of the full non-symmetric metric, as rational
-    functions: G^i_{jk} = 1/2 g^{ia} (g_{ja,k} - g_{jk,a} + g_{ak,j})."""
-    rows = [[_rf(p) for p in row] for row in m.metric_rows()]
-    inv = inverse_diagonal(m)
-
-    G = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                # diagonal inverse: a = i only
-                combo = _d(rows[j][i], k) - _d(rows[j][k], i) + _d(rows[i][k], j)
-                G[i][j][k] = inv[i] * combo * HALF
-    return G
-
-
-def emc_residual_rf(m: CosmologyMetric):
-    """g_{ij,k} - G^a_{ik} g_{aj} - G^a_{kj} g_{ia} with the generalized
-    connection; reported as computed (it does not vanish in general)."""
-    rows = [[_rf(p) for p in row] for row in m.metric_rows()]
-    G = christoffel_full_rf(m)
-
-    out = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                total = _d(rows[i][j], k)
-                for a in range(DIM):
-                    total = total - G[a][i][k] * rows[a][j] - G[a][k][j] * rows[i][a]
-                out[i][j][k] = total
-    return out

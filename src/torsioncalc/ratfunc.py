@@ -2,22 +2,43 @@
 
 The cosmology metrics are built from polynomials of one variable t, but their
 inverse metric components are 1/s_i(t); everything downstream of an inverse
-therefore lives in the rational-function field implemented here.  Values are
-canonical (reduced fraction, monic denominator), so equality is structural.
-
-Reducing a quotient needs the gcd of numerator and denominator.  ``Poly.gcd``
-clears denominators and runs a primitive remainder sequence on integer
-coefficients: each step takes an integer pseudo-remainder and divides out its
-content, so no ``Fraction`` is built until the result is made monic at the
-end.  A quotient whose denominator is a constant needs no gcd at all, sums
-and products with a zero operand return at once, and a product with a
-nonzero constant only rescales the numerator.
+therefore lives in the rational-function field implemented here.  ``Poly``
+keeps ``Fraction`` coefficients: it parses configs, runs Sturm sequences and
+feeds the quadrature grid.  ``RationalFunction`` keeps integer coefficients
+in a unique canonical form, so its arithmetic is plain int products and
+equality is structural.  Its reductions take the gcd from ``Poly.gcd``, a
+primitive remainder sequence on integer coefficients (Brown, JACM 1971), and
+divide by it exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+def _mul(a, b):
+    """Schoolbook product of two coefficient sequences."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _add(a, b):
+    """Sum of two coefficient sequences, trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _strip(coeffs):
@@ -32,7 +53,7 @@ def _primitive(coeffs):
     coefficient that is a rational multiple of ``coeffs`` (nonzero, no
     trailing zeros, int or Fraction entries)."""
     scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
@@ -83,13 +104,7 @@ class Poly:
         return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -99,14 +114,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(out)
+            return Poly(_mul(self.coeffs, other.coeffs))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -212,29 +220,65 @@ class Poly:
 ONE = Poly((1,))
 
 
-class RationalFunction:
-    """Reduced quotient of two polynomials with a monic denominator."""
+def _exact_quotient(a, g):
+    """a / g for integer coefficient lists, g primitive and dividing a: by
+    Gauss's lemma every coefficient of the quotient is an integer."""
+    a, dg, lead = list(a), len(g) - 1, g[-1]
+    q = [0] * (len(a) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + dg] // lead
+        for i, y in enumerate(g, k):
+            a[i] -= c * y
+    return q
 
-    __slots__ = ("num", "den")
+
+def _gcd(a, b):
+    """The primitive gcd of two integer coefficient sequences, from
+    ``Poly.gcd``; a constant or zero on either side shares no factor."""
+    if len(a) > 1 and len(b) > 1:
+        g = Poly.gcd(Poly(a), Poly(b)).coeffs
+        if len(g) > 1:
+            return _primitive(g)
+    return [1]
+
+
+def _cancel(a, b):
+    """``a`` and ``b`` divided by their gcd."""
+    g = _gcd(a, b)
+    if len(g) > 1:
+        return _exact_quotient(a, g), _exact_quotient(b, g)
+    return a, b
+
+
+def _canonical(n, d):
+    """The RationalFunction n/d for coprime integer coefficient sequences, d
+    nonzero: the joint content divided out, signed so that lead(d) > 0."""
+    if not n:
+        d = (1,)
+    c = math.gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    out = object.__new__(RationalFunction)
+    out.n, out.d = tuple(x // c for x in n), tuple(x // c for x in d)
+    return out
+
+
+class RationalFunction:
+    """Reduced quotient n/d of two integer polynomials in t, in canonical
+    form: ``n`` and ``d`` are ascending coefficient tuples with no common
+    polynomial factor, lead(d) > 0 and joint content 1; zero is ((), (1,)).
+    The form is unique, so ``==`` and ``hash`` compare it directly.  ``num``
+    and ``den`` are read-only ``Poly`` views with a monic denominator."""
+
+    __slots__ = ("n", "d")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly(), ONE
-        else:
-            if den.degree() > 0:  # a constant denominator shares no factor
-                g = num.gcd(den)
-                if g.degree() > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                inv = Fraction(1, 1) / lead
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
+        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        n, d = ([c.numerator * (scale // c.denominator) for c in p.coeffs] for p in (num, den))
+        value = _canonical(*_cancel(n, d))
+        self.n, self.d = value.n, value.d
 
     @classmethod
     def from_value(cls, value) -> "RationalFunction":
@@ -244,21 +288,34 @@ class RationalFunction:
             return cls(value)
         return cls(Poly.constant(Fraction(value)))
 
+    @property
+    def num(self) -> Poly:
+        return Poly(tuple(Fraction(c, self.d[-1]) for c in self.n))
+
+    @property
+    def den(self) -> Poly:
+        return Poly(tuple(Fraction(c, self.d[-1]) for c in self.d))
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.n
 
     def is_polynomial(self) -> bool:
-        return self.den == ONE
+        return len(self.d) == 1
 
     def __add__(self, other) -> "RationalFunction":
         other = RationalFunction.from_value(other)
-        if other.is_zero():
+        if not other.n:
             return self
-        if self.is_zero():
+        if not self.n:
             return other
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if self.d == other.d:
+            return _canonical(*_cancel(_add(self.n, other.n), self.d))
+        # Henrici: with g = gcd(d1, d2), the sum n1 (d2/g) + n2 (d1/g) over
+        # (d1/g)(d2/g) g can share factors with g only
+        g = _gcd(self.d, other.d)
+        a, b = _exact_quotient(self.d, g), _exact_quotient(other.d, g)
+        n, g = _cancel(_add(_mul(self.n, b), _mul(other.n, a)), g)
+        return _canonical(n, _mul(_mul(a, b), g))
 
     __radd__ = __add__
 
@@ -269,59 +326,53 @@ class RationalFunction:
         return RationalFunction.from_value(other) - self
 
     def __neg__(self) -> "RationalFunction":
-        # -num over the same monic den is already reduced
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
+        out = object.__new__(RationalFunction)
+        out.n, out.d = tuple(-c for c in self.n), self.d
         return out
 
     def __mul__(self, other) -> "RationalFunction":
         other = RationalFunction.from_value(other)
-        if self.is_zero() or other.is_zero():
+        if not self.n or not other.n:
             return RF_ZERO
-        for c, f in ((other, self), (self, other)):
-            if c.num.degree() == 0 and c.den == ONE:
-                # a reduced quotient times a nonzero constant stays reduced
-                # over the same monic denominator
-                out = RationalFunction.__new__(RationalFunction)
-                out.num, out.den = f.num * c.num, f.den
-                return out
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        # each numerator can share factors only with the other denominator
+        (n1, d2), (n2, d1) = _cancel(self.n, other.d), _cancel(other.n, self.d)
+        return _canonical(_mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
         other = RationalFunction.from_value(other)
-        if other.is_zero():
+        if not other.n:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        (n1, n2), (d2, d1) = _cancel(self.n, other.n), _cancel(other.d, self.d)
+        return _canonical(_mul(n1, d2), _mul(d1, n2))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return RationalFunction.from_value(other) / self
 
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        n, d = self.n, self.d
+        dn, dd = ([i * c for i, c in enumerate(p)][1:] for p in (n, d))
+        return _canonical(*_cancel(_add(_mul(dn, d), _mul(n, [-c for c in dd])), _mul(d, d)))
 
     def evaluate(self, t):
-        d = self.den.evaluate(t)
+        d = Poly(self.d).evaluate(t)
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {t}")
-        return Fraction(self.num.evaluate(t), 1) / d
+        return Fraction(Poly(self.n).evaluate(t), 1) / d
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = RationalFunction.from_value(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.n, self.d))
 
     def __repr__(self) -> str:
-        if self.den == ONE:
+        if len(self.d) == 1:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 

@@ -10,10 +10,30 @@ computes another way, kept here so the tests can compare the two.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
+- ``FractionRationalFunction``: a rational function as a reduced quotient of
+  ``Poly`` values over ``Fraction`` coefficients with a monic denominator,
+  against ``ratfunc.RationalFunction``, which carries integer coefficient
+  tuples in a canonical form.
+- ``curvature_tensor_rf``, ``christoffel_full_rf`` and ``emc_residual_rf``:
+  all 256 entries of R^i_{jmn}, the full generalized connection and the
+  metric-compatibility residual of a cosmology metric over rational
+  functions, against the entries the ``cosmology`` command sums.
 """
+
+from fractions import Fraction
 
 from torsioncalc.algebra import TensorField, contract
 from torsioncalc.connection import KIND_BY_NUMBER, ConnectionField, DerivKind
+from torsioncalc.cosmology import (
+    DIM,
+    HALF,
+    CosmologyMetric,
+    _d,
+    _riemann_entry,
+    inverse_diagonal,
+    levi_civita_connection,
+)
+from torsioncalc.ratfunc import ONE, RF_ZERO, Poly, RationalFunction
 from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref
 
 
@@ -340,3 +360,175 @@ def mixed_refs_rational(coeffs, weights):
     )
     refs += [_basis_ref(k, w) for k, w in enumerate(bracket_weights, start=6)]
     return refs
+
+
+# ---------------------------------------------------------------------------
+# Rational functions over Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+class FractionRationalFunction:
+    """Reduced quotient of two polynomials with a monic denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly = ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            num, den = Poly(), ONE
+        else:
+            if den.degree() > 0:  # a constant denominator shares no factor
+                g = num.gcd(den)
+                if g.degree() > 0:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
+            lead = den.leading()
+            if lead != 1:
+                inv = Fraction(1, 1) / lead
+                num = num.scale(inv)
+                den = den.scale(inv)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_value(cls, value) -> "FractionRationalFunction":
+        if isinstance(value, FractionRationalFunction):
+            return value
+        if isinstance(value, Poly):
+            return cls(value)
+        return cls(Poly.constant(Fraction(value)))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_polynomial(self) -> bool:
+        return self.den == ONE
+
+    def __add__(self, other) -> "FractionRationalFunction":
+        other = FractionRationalFunction.from_value(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        return FractionRationalFunction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "FractionRationalFunction":
+        return self + (-FractionRationalFunction.from_value(other))
+
+    def __rsub__(self, other) -> "FractionRationalFunction":
+        return FractionRationalFunction.from_value(other) - self
+
+    def __neg__(self) -> "FractionRationalFunction":
+        # -num over the same monic den is already reduced
+        out = FractionRationalFunction.__new__(FractionRationalFunction)
+        out.num, out.den = -self.num, self.den
+        return out
+
+    def __mul__(self, other) -> "FractionRationalFunction":
+        other = FractionRationalFunction.from_value(other)
+        if self.is_zero() or other.is_zero():
+            return FractionRationalFunction(Poly())
+        for c, f in ((other, self), (self, other)):
+            if c.num.degree() == 0 and c.den == ONE:
+                # a reduced quotient times a nonzero constant stays reduced
+                # over the same monic denominator
+                out = FractionRationalFunction.__new__(FractionRationalFunction)
+                out.num, out.den = f.num * c.num, f.den
+                return out
+        return FractionRationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FractionRationalFunction":
+        other = FractionRationalFunction.from_value(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return FractionRationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other) -> "FractionRationalFunction":
+        return FractionRationalFunction.from_value(other) / self
+
+    def derivative(self) -> "FractionRationalFunction":
+        return FractionRationalFunction(
+            self.num.derivative() * self.den - self.num * self.den.derivative(),
+            self.den * self.den,
+        )
+
+    def evaluate(self, t):
+        d = self.den.evaluate(t)
+        if d == 0:
+            raise ZeroDivisionError(f"pole at t = {t}")
+        return Fraction(self.num.evaluate(t), 1) / d
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            other = FractionRationalFunction.from_value(other)
+        if not isinstance(other, FractionRationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        if self.den == ONE:
+            return repr(self.num)
+        return f"({self.num!r}) / ({self.den!r})"
+
+
+# ---------------------------------------------------------------------------
+# Rational-function geometry of the cosmology metric
+# ---------------------------------------------------------------------------
+
+
+def curvature_tensor_rf(m: CosmologyMetric):
+    """R^i_{jmn} of the symmetric part, all 256 entries."""
+    G = levi_civita_connection(m)
+    return [
+        [[[_riemann_entry(G, i, j, mm, nn) for nn in range(DIM)] for mm in range(DIM)]
+         for j in range(DIM)]
+        for i in range(DIM)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Full generalized connection and the metric-compatibility residual
+# ---------------------------------------------------------------------------
+
+
+def christoffel_full_rf(m: CosmologyMetric):
+    """Generalized connection of the full non-symmetric metric, as rational
+    functions: G^i_{jk} = 1/2 g^{ia} (g_{ja,k} - g_{jk,a} + g_{ak,j})."""
+    rows = [[RationalFunction(p) for p in row] for row in m.metric_rows()]
+    inv = inverse_diagonal(m)
+
+    G = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(DIM):
+            for k in range(DIM):
+                # diagonal inverse: a = i only
+                combo = _d(rows[j][i], k) - _d(rows[j][k], i) + _d(rows[i][k], j)
+                G[i][j][k] = inv[i] * combo * HALF
+    return G
+
+
+def emc_residual_rf(m: CosmologyMetric):
+    """g_{ij,k} - G^a_{ik} g_{aj} - G^a_{kj} g_{ia} with the generalized
+    connection; reported as computed (it does not vanish in general)."""
+    rows = [[RationalFunction(p) for p in row] for row in m.metric_rows()]
+    G = christoffel_full_rf(m)
+
+    out = [[[RF_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(DIM):
+            for k in range(DIM):
+                total = _d(rows[i][j], k)
+                for a in range(DIM):
+                    total = total - G[a][i][k] * rows[a][j] - G[a][k][j] * rows[i][a]
+                out[i][j][k] = total
+    return out

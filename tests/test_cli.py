@@ -479,6 +479,14 @@ GOLDEN = {
         "s4": ["1", "0", "1"], "n": ["0", "1/2", "-2/3", "1"],
         "vprime_minus_w": "7/3", "window": ["1/3", "5/2"], "panels": 301,
     }}),
+    # degree-3 scale factors, s1 and s3 with negative leading coefficients,
+    # fractional leading coefficients and a fractional n
+    "cosmology-negative": (["cosmology"], {"cosmology": {
+        "s1": ["-6", "-11", "-6", "-1"], "s2": ["10", "29/2", "5", "1/2"],
+        "s3": ["-2", "-2/3", "-2", "-2/3"], "s4": ["24", "36", "18", "3"],
+        "n": ["1/3", "-2/5", "3/4", "-5/7"],
+        "vprime_minus_w": "5/6", "window": ["0", "2"], "panels": 500,
+    }}),
     # s1 = t - 1 vanishes inside the window: FAIL eq:60
     "cosmology-degenerate": (["cosmology"], {"cosmology": {
         "s1": ["-1", "1"], "s2": ["1"], "s3": ["1"], "s4": ["1"], "n": ["0", "1"],

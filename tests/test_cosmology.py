@@ -9,10 +9,7 @@ from torsioncalc.cosmology import (
     DegenerateMetricError,
     antisym_christoffel_generic,
     antisym_christoffel_table,
-    christoffel_full_rf,
     clear_metric_memo,
-    curvature_tensor_rf,
-    emc_residual_rf,
     energy_momentum,
     inverse_diagonal,
     levi_civita_connection,
@@ -24,6 +21,8 @@ from torsioncalc.cosmology import (
     torsion_scalar,
 )
 from torsioncalc.sampling import derive_rng
+
+from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf
 
 
 def _metric(s_lists, n_list, vw="1"):

@@ -1,9 +1,15 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsioncalc.ratfunc import ONE, RF_ONE, RF_ZERO, Poly, RationalFunction
+
+from oracles import FractionRationalFunction
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:
@@ -135,3 +141,117 @@ def test_constant_products_rescale_without_a_gcd(monkeypatch):
             assert product.den.leading() == 1
     assert RF_ONE * RF_ONE == RF_ONE
     assert not calls
+
+
+# ---------------------------------------------------------------------------
+# integer canonical form against the Fraction reference
+# ---------------------------------------------------------------------------
+
+_COEFFS = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+_LEADS = st.sampled_from([1, -1, 3, -2, Fraction(1, 2), Fraction(-5, 3)])
+_SCALES = st.sampled_from([1, 2, -6, Fraction(4, 9), Fraction(-3, 2)])
+
+
+@st.composite
+def _polys(draw, max_degree=2):
+    """Nonzero, with a leading coefficient that may be negative or a Fraction."""
+    degree = draw(st.integers(0, max_degree))
+    return Poly(draw(st.lists(_COEFFS, min_size=degree, max_size=degree)) + [draw(_LEADS)])
+
+
+@st.composite
+def _quotients(draw):
+    """(num, den): a planted common factor (a constant one scales the
+    content), a scale that makes the integer content greater than 1, and
+    zero or constant numerators."""
+    common, scale = draw(_polys(1)), draw(_SCALES)
+    num = draw(st.one_of(st.just(Poly()), _polys(0), _polys()))
+    return num * common * scale, draw(_polys()) * common * scale
+
+
+_APPLY = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    "neg": lambda x, y: -x,
+    "d/dt": lambda x, y: x.derivative(),
+    "* c": lambda x, y: x * Fraction(-3, 2),
+    "c -": lambda x, y: 1 - x,
+}
+_POINTS = (0, 1, -1, Fraction(1, 3), Fraction(-5, 2))
+
+
+def _value_at(x, t):
+    try:
+        return x.evaluate(t)
+    except ZeroDivisionError:
+        return "pole"
+
+
+def _assert_canonical(x):
+    """Coprime integer tuples, lead(d) > 0, joint content 1; zero is
+    ((), (1,))."""
+    n, d = x.n, x.d
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0 and (not n or n[-1])
+    assert math.gcd(*n, *d) == 1
+    assert _euclid_gcd(Poly(n), Poly(d)) == ONE
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_quotients(), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(sorted(_APPLY)), st.integers(0, 99),
+                       st.integers(0, 99)), max_size=6),
+)
+def test_integer_form_matches_the_fraction_reference(operands, steps):
+    pool = [(RationalFunction(n, d), FractionRationalFunction(n, d)) for n, d in operands]
+    for op, i, j in steps:
+        (x, rx), (y, ry) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "/" and y.is_zero():
+            for a, b in ((x, y), (rx, ry)):
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+            continue
+        pool.append((_APPLY[op](x, y), _APPLY[op](rx, ry)))
+    for x, rx in pool:
+        _assert_canonical(x)
+        assert (x.num, x.den, repr(x)) == (rx.num, rx.den, repr(rx))
+        assert x.is_polynomial() == rx.is_polynomial()
+        assert [_value_at(x, t) for t in _POINTS] == [_value_at(rx, t) for t in _POINTS]
+    for (x, rx), (y, ry) in itertools.product(pool, repeat=2):
+        assert (x == y) == (rx == ry)
+        assert x != y or hash(x) == hash(y)
+    assert len({x for x, _ in pool}) == len({rx for _, rx in pool})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), _polys(), _polys(1), _SCALES, _polys(1))
+def test_scaled_inputs_give_one_canonical_value(num, den, common, scale, z):
+    x = RationalFunction(num, den)
+    _assert_canonical(x)
+    for y in (
+        RationalFunction(num * common * scale, den * common * scale),
+        RationalFunction(-num, -den),
+        x * z / z,
+        x / z * z,
+        x + z - z,
+        RationalFunction(num.scale(Fraction(1, 2)), den.scale(Fraction(1, 2))),
+    ):
+        _assert_canonical(y)
+        assert (y.n, y.d) == (x.n, x.d)
+        assert y == x and hash(y) == hash(x)
+
+
+def test_zero_and_constants_have_their_canonical_tuples():
+    assert (RF_ZERO.n, RF_ZERO.d) == ((), (1,))
+    assert (RF_ONE.n, RF_ONE.d) == ((1,), (1,))
+    t = Poly.t()
+    assert (RationalFunction(Poly(), t).n, RationalFunction(Poly(), t).d) == ((), (1,))
+    half = RationalFunction.from_value(Fraction(-1, 2))
+    assert (half.n, half.d) == ((-1,), (2,))
+    x = RationalFunction(t.scale(Fraction(2, 3)), (t + ONE).scale(-4))
+    assert (x.n, x.d) == ((0, -1), (6, 6))
+    assert (x - x).n == () and (x - x).d == (1,)
