@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .algebra import (
     ExponentOverflowError,
     LinearSystem,
-    Rational,
     ScalarField,
     TensorField,
     contract,
@@ -27,16 +26,13 @@ from .connection import (
     ConnectionField,
     DerivKind,
     covariant_derivative,
-    decompose_connection,
     derivative_kind_rank,
-    double_covariant_derivative,
     verify_derivative_relations,
 )
 from .curvature import (
     CURVATURE_R_MEMBER,
     INDEPENDENT_SIX_SETS,
     RhoCoefficients,
-    bracket_objects,
     curvature_R,
     rho,
     rho_catalogue,
@@ -58,9 +54,6 @@ from .ricci import (
     solve_all_identities,
     solve_identity_coefficients,
     solved_span_rank,
-    verify_expanded_identity,
-    verify_identity,
-    verify_mixed_family,
 )
 from .metrics import (
     GeneralizedMetric,

@@ -26,11 +26,6 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import mul, or_
 
-# A rational scalar.  ``int`` values are accepted everywhere a Rational is;
-# they are exact and considerably faster, so integer-only pipelines never pay
-# for Fraction normalisation.
-Rational = Fraction
-
 MAX_DIMENSION = 6
 
 # Exponent multi-indices are packed into a single int, 8 bits per coordinate,
@@ -403,31 +398,6 @@ class TensorField:
         r, s = self.valence
         return f"TensorField(dim={self.dim}, valence=({r},{s}))"
 
-    def tensor_product(self, other: "TensorField") -> "TensorField":
-        """Outer product; upper indices of both factors precede lower ones."""
-        r1, s1 = self.valence
-        r2, s2 = other.valence
-        u1, l1, u2, l2 = _split_letters(r1, s1, r2, s2)
-        return contract(
-            (r1 + r2, s1 + s2), (1, f"{u1}{l1},{u2}{l2}->{u1}{u2}{l1}{l2}", self, other)
-        )
-
-    def contract(self, upper: int, lower: int) -> "TensorField":
-        """Sum an upper index against a lower index.
-
-        ``upper`` counts within the upper slots, ``lower`` within the lower
-        slots; the result drops both.
-        """
-        r, s = self.valence
-        if not 0 <= upper < r:
-            raise ValueError(f"upper position {upper} out of range for valence {self.valence}")
-        if not 0 <= lower < s:
-            raise ValueError(f"lower position {lower} out of range for valence {self.valence}")
-        letters = list(_LETTERS[: r + s])
-        letters[r + lower] = letters[upper]
-        kept = "".join(c for p, c in enumerate(letters) if p not in (upper, r + lower))
-        return contract((r - 1, s - 1), (1, f"{''.join(letters)}->{kept}", self))
-
     def partial_gradient(self) -> "TensorField":
         """Entry-wise partial derivative, appended as a final lower index."""
         r, s = self.valence
@@ -438,22 +408,12 @@ class TensorField:
                 out.append(e.partial(k))
         return TensorField(dim, (r, s + 1), out)
 
-    def transpose_lower(self, perm: tuple) -> "TensorField":
-        """Permute lower indices: new entry at lower slots ``p`` is the old
-        entry at slots ``(p[perm[0]], p[perm[1]], ...)``."""
-        r, s = self.valence
-        if sorted(perm) != list(range(s)):
-            raise ValueError("perm must be a permutation of the lower slots")
-        uppers, lowers = _split_letters(r, s)
-        moved = "".join(lowers[p] for p in perm)
-        return contract(self.valence, (1, f"{uppers}{moved}->{uppers}{lowers}", self))
-
     def swap_last_lower(self) -> "TensorField":
         """Swap the final two lower indices (antisymmetry checks, LHS swaps)."""
-        s = self.valence[1]
-        perm = list(range(s))
-        perm[-2], perm[-1] = perm[-1], perm[-2]
-        return self.transpose_lower(tuple(perm))
+        if self.valence[1] < 2:
+            raise ValueError("swap_last_lower needs two lower indices")
+        head = "abcdefghijklmnopqrstuvwx"[: self.rank() - 2]
+        return contract(self.valence, (1, f"{head}yz->{head}zy", self))
 
     def _check_compatible(self, other: "TensorField") -> None:
         if self.dim != other.dim:
@@ -468,18 +428,6 @@ def _flat_to_indices(flat: int, dim: int, rank: int) -> tuple:
         idx[pos] = flat % dim
         flat //= dim
     return tuple(idx)
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def _split_letters(*counts) -> list:
-    """Consecutive runs of distinct index letters, one run per count."""
-    runs, start = [], 0
-    for n in counts:
-        runs.append(_LETTERS[start : start + n])
-        start += n
-    return runs
 
 
 @lru_cache(maxsize=1024)

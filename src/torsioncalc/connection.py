@@ -91,9 +91,6 @@ class ConnectionField:
             self._tor = (self.coeffs - swapped).scale(HALF)
         return self._tor
 
-    def torsion(self) -> TensorField:
-        return self.torsion_half().scale(2)
-
     def __eq__(self, other):
         if not isinstance(other, ConnectionField):
             return NotImplemented
@@ -101,12 +98,6 @@ class ConnectionField:
 
     def __repr__(self):
         return f"ConnectionField(dim={self.dim})"
-
-
-def decompose_connection(L: ConnectionField):
-    """Split into the symmetric part and the torsion half; they reassemble
-    the input exactly."""
-    return L.symmetric_part(), L.torsion_half()
 
 
 def _coeff_entries(L: ConnectionField, sigma: int, transpose_when: int):
@@ -176,21 +167,6 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) ->
                 acc[d] = acc.get(d, 0) + coeff * e
         out.append(ScalarField(dim, _strip_zeros(acc)))
     return TensorField(dim, (r, s + 1), out)
-
-
-def _as_kind(which) -> DerivKind:
-    if isinstance(which, DerivKind):
-        return which
-    return KIND_BY_NUMBER[which]
-
-
-def double_covariant_derivative(p, q, a: TensorField, L: ConnectionField) -> TensorField:
-    """Second covariant derivative by composition: rule ``p`` first, then
-    rule ``q`` applied to the valence-(r, s+1) result.  Rules may be given
-    as DerivKind members or as the numbers 1..4."""
-    return covariant_derivative(
-        _as_kind(q), covariant_derivative(_as_kind(p), a, L), L
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Curvature tensors of the associated symmetric space and the five-parameter
-family built from torsion corrections, plus the bracket pseudotensor objects.
+family built from torsion corrections.
 
 The family member with coefficients (u, u', v, v', w) is
 
@@ -54,10 +54,6 @@ class RhoCoefficients:
         """Coefficients against the basis (R, T;, T;, TT, TT, TT) with the
         leading 1 for the torsion-free curvature tensor."""
         return (1, self.u, self.u_prime, self.v, self.v_prime, self.w)
-
-    def mn_swapped(self) -> "RhoCoefficients":
-        """Coefficients c' with rho(c) m,n-swapped == -rho(c')."""
-        return RhoCoefficients(-self.u_prime, -self.u, -self.v_prime, -self.v, self.w)
 
 
 #: The torsion-free curvature tensor as the family member with no torsion terms.
@@ -121,38 +117,3 @@ def six_set_members(indices):
     """Resolve a tuple of catalogue indices (0 = plain curvature tensor)."""
     cat = rho_catalogue()
     return [CURVATURE_R_MEMBER if k == 0 else cat[k - 1] for k in indices]
-
-
-# ---------------------------------------------------------------------------
-# Bracket pseudotensor objects
-# ---------------------------------------------------------------------------
-
-BRACKET_TAGS = ("eq:40", "eq:41", "eq:42", "eq:43", "eq:44")
-
-
-def bracket_objects(a: TensorField, L: ConnectionField):
-    """The five bracket objects from the symmetric/antisymmetric split of the
-    connection.  The first is T^i_Am a^A_j,n - T^A_jm a^i_A,n; the others
-    are the raw-connection brackets rewritten through sym and T."""
-    if a.valence != (1, 1):
-        raise ValueError("bracket objects are defined for valence (1, 1)")
-    sym, tor, da = L.symmetric_part().coeffs, L.torsion_half(), a.partial_gradient()
-    objects = (
-        ((1, "iAm,Ajn->ijmn", tor, da), (-1, "Ajm,iAn->ijmn", tor, da)),
-        # 2(sym T - T sym), the factor 2 from expanding the raw forms
-        ((2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
-        ((-2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
-        (
-            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
-            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
-            (-1, "AB,iAm,Bjn->ijmn", a, tor, sym),
-            (1, "AB,iAn,Bjm->ijmn", a, sym, tor),
-        ),
-        (
-            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
-            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
-            (1, "AB,iAm,Bjn->ijmn", a, sym, tor),
-            (-1, "AB,iAn,Bjm->ijmn", a, tor, sym),
-        ),
-    )
-    return [contract((1, 3), *terms) for terms in objects]

@@ -3,10 +3,10 @@
 The cosmology metrics are built from polynomials of one variable t, but their
 inverse metric components are 1/s_i(t); everything downstream of an inverse
 therefore lives in the rational-function field implemented here.  ``Poly``
-keeps ``Fraction`` coefficients: it parses configs, runs Sturm sequences and
-feeds the quadrature grid.  ``RationalFunction`` keeps integer coefficients
-in a unique canonical form, so its arithmetic is plain int products and
-equality is structural.  Its reductions take the gcd from ``Poly.gcd``, a
+keeps ``Fraction`` coefficients: it parses configs and feeds the quadrature
+grid; its Sturm sequences run on integer coefficients.  ``RationalFunction``
+keeps integer coefficients in a unique canonical form, so its arithmetic is
+plain int products and equality is structural.  Its reductions take the gcd from ``Poly.gcd``, a
 primitive remainder sequence on integer coefficients (Brown, JACM 1971), and
 divide by it exactly.
 """
@@ -61,18 +61,37 @@ def _primitive(coeffs):
 
 
 def _pseudo_remainder(a, b):
-    """A nonzero integer multiple of the remainder of ``a`` by ``b``, both
-    integer coefficient lists with no trailing zeros and b nonzero."""
+    """A positive integer multiple of the remainder of ``a`` by ``b``, both
+    integer coefficient lists with no trailing zeros and b nonzero.  Each
+    step scales by |lead(b)|, so every sign of the remainder is kept."""
     a = list(a)
     db, lead_b = len(b) - 1, b[-1]
+    scale, sign = abs(lead_b), 1 if lead_b > 0 else -1
     while len(a) > db:
-        lead_a, shift = a[-1], len(a) - 1 - db
-        a = [lead_b * c for c in a]
+        lead_a, shift = sign * a[-1], len(a) - 1 - db
+        a = [scale * c for c in a]
         for i, c in enumerate(b):
             a[shift + i] -= lead_a * c
         while a and a[-1] == 0:
             a.pop()
     return a
+
+
+def _sturm_sequence(coeffs):
+    """The Sturm sequence p, p', -rem(p, p'), ... of a nonzero polynomial as
+    integer coefficient lists.  Scaled only by positive constants (a common
+    denominator, |lead| in :func:`_pseudo_remainder`, a positive content),
+    each member is a positive multiple of the one over the rationals, so it
+    has the same signs."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    seq = [[c.numerator * (scale // c.denominator) for c in coeffs]]
+    d = [i * c for i, c in enumerate(seq[0]) if i]
+    while d:
+        seq.append(d)
+        r = _pseudo_remainder(seq[-2], d)
+        content = math.gcd(*r)
+        d = [-c // content for c in r]
+    return seq
 
 
 class Poly:
@@ -125,22 +144,6 @@ class Poly:
             return Poly()
         return Poly(tuple(factor * c for c in self.coeffs))
 
-    def divmod(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quot = [0] * max(0, len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            q = Fraction(rem[k + dd], 1) / lead
-            if q:
-                quot[k] = q
-                for i, c in enumerate(div):
-                    rem[k + i] -= q * c
-        return Poly(quot), Poly(rem)
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; the zero polynomial when both are
         zero.  Primitive remainder sequence on integer coefficients."""
@@ -178,10 +181,7 @@ class Poly:
         t0, t1 = sorted((Fraction(t0), Fraction(t1)))
         if self.is_zero() or self.evaluate(t0) == 0 or self.evaluate(t1) == 0:
             return True
-        seq = [self, self.derivative()]
-        while not seq[-1].is_zero():
-            seq.append(-seq[-2].divmod(seq[-1])[1])
-        seq.pop()
+        seq = [Poly(p) for p in _sturm_sequence(self.coeffs)]
 
         def variations(t):
             signs = [v > 0 for v in (p.evaluate(t) for p in seq) if v != 0]

@@ -74,18 +74,17 @@ def residual_check(check_id, zero: bool, instances: int, elapsed_ms=None, detail
     )
 
 
-def rank_check(check_id, expected: int, actual: int, elapsed_ms=None) -> Check:
+def rank_check(check_id, expected: int, actual: int) -> Check:
     return Check(
         id=check_id,
         kind="rank",
         passed=expected == actual,
         expected=expected,
         actual=actual,
-        elapsed_ms=elapsed_ms,
     )
 
 
-def value_check(check_id, expected, actual, elapsed_ms=None, detail=None) -> Check:
+def value_check(check_id, expected, actual, detail=None) -> Check:
     return Check(
         id=check_id,
         kind="value",
@@ -93,11 +92,10 @@ def value_check(check_id, expected, actual, elapsed_ms=None, detail=None) -> Che
         expected=str(expected),
         actual=str(actual),
         detail=detail,
-        elapsed_ms=elapsed_ms,
     )
 
 
-def quadrature_check(check_id, max_abs: float, tolerance: float, elapsed_ms=None, detail=None) -> Check:
+def quadrature_check(check_id, max_abs: float, tolerance: float, detail=None) -> Check:
     return Check(
         id=check_id,
         kind="quadrature",
@@ -106,7 +104,6 @@ def quadrature_check(check_id, max_abs: float, tolerance: float, elapsed_ms=None
         max_abs_float=max_abs,
         tolerance=tolerance,
         detail=detail,
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -118,9 +115,6 @@ class Report:
 
     def add(self, check: Check) -> None:
         self.checks.append(check)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
 
     @property
     def failures(self):

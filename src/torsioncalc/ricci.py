@@ -10,12 +10,13 @@ derivatives, torsion derivatives, and torsion-quadratic contractions, and
 every coefficient c_k lies in {-1, 0, 1}.  This module carries the catalogue
 of seventeen independent members, evaluates the right side for arbitrary
 coefficients, recovers coefficients for any of the 81 (p,q,r,s) combinations
-by exact linear solving, and checks the equivalent mixed-rule and
-partial-derivative (pseudotensor-revealing) forms of the family.
+by exact linear solving, and checks the equivalent mixed-rule form of the
+family.  The partial-derivative (pseudotensor-revealing) form is a reference
+the tests evaluate, ``rhs_expanded`` in ``tests/oracles.py``.
 
-The mixed and expanded forms are implemented from the substitution rules
-relating the derivative kinds, with every bracket correction carried at the
-weight the substitution actually produces.
+The mixed form is implemented from the substitution rules relating the
+derivative kinds, with every bracket correction carried at the weight the
+substitution actually produces.
 
 Second derivatives come from one symmetric pass.  Every rule is
 D = S + sigma_up U + sigma_lo V, with S the symmetric-part rule and U, V the
@@ -433,9 +434,8 @@ class IdentityWorkspace:
     def _operand(self, name: str) -> TensorField:
         """A factor named in the spec tables: ``a``, the torsion half ``tor``,
         its symmetric-rule derivative ``dtor``, a first derivative of ``a``
-        (``d_sym``, ``d_1``..``d_4`` by rule tag, ``grad_a`` the plain
-        partial gradient), ``dd_sym`` (SSa), ``rcomm`` or a cached block of
-        ``_BLOCKS``."""
+        (``d_sym``, ``d_1``..``d_4`` by rule tag), ``dd_sym`` (SSa),
+        ``rcomm`` or a cached block of ``_BLOCKS``."""
         if name == "a":
             return self.a
         if name == "tor":
@@ -444,8 +444,6 @@ class IdentityWorkspace:
             return self.r_commutator()
         if name in _BLOCKS:
             return self._contraction(*_BLOCKS[name])
-        if name == "grad_a":
-            return self._get(name, self.a.partial_gradient)
         if name == "dtor":
             return self._get(
                 name,
@@ -542,33 +540,6 @@ class IdentityWorkspace:
         linear in :func:`identity_row` of ``coeffs``."""
         return contract((1, 3), *self.residual_pieces(coeffs))
 
-    def rhs_expanded(self, coeffs: IdentityCoefficients) -> TensorField:
-        """The pseudotensor-revealing form: first derivatives replaced by
-        plain partials, with the induced symmetric-part cross terms carried
-        inside the brackets.  Agrees exactly with :meth:`rhs`."""
-        c = (None,) + coeffs.c  # 1-based
-        a, tor = self.a, self.L.torsion_half()
-        sym = self.L.symmetric_part().coeffs
-        pieces = [(1, ID, self.r_commutator())]
-        pieces += [
-            (2 * c[k], ID, self._contraction(_DTERM_SPECS[k - 1], "tor", "grad_a"))
-            for k in range(1, 6)
-        ]
-        pieces += [(c[k], ID, self.basis(k)) for k in range(6, 18)]
-        pieces += [
-            (2 * c[3], "Aj,iAB,Bmn->ijmn", a, sym, tor),
-            (2 * c[4], "Aj,iBn,BAm->ijmn", a, tor, sym),
-            (2 * c[5], "Aj,iBm,BAn->ijmn", a, tor, sym),
-            (-2 * c[1], "iA,ABn,Bjm->ijmn", a, sym, tor),
-            (-2 * c[2], "iA,ABm,Bjn->ijmn", a, sym, tor),
-            (-2 * c[3], "iA,AjB,Bmn->ijmn", a, sym, tor),
-            (2 * c[1], "AB,iAn,Bjm->ijmn", a, sym, tor),
-            (2 * c[2], "AB,iAm,Bjn->ijmn", a, sym, tor),
-            (-2 * c[4], "AB,iAn,Bjm->ijmn", a, tor, sym),
-            (-2 * c[5], "AB,iAm,Bjn->ijmn", a, tor, sym),
-        ]
-        return contract((1, 3), *pieces)
-
     def rhs_mixed(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
         """The family with the five derivative terms written as rule-1/2/3
         mixtures; bracket coefficients pick up the substitution leftovers.
@@ -583,12 +554,6 @@ class IdentityWorkspace:
         weights.den, merged per column; every weight is an int."""
         lhs = [(weights.den * w, read, key) for w, read, key in _lhs_refs(coeffs.pqrs)]
         return self._pieces([*lhs, *_mixed_refs(coeffs, weights, sign=-1)])
-
-    def mixed_residual(self, coeffs: IdentityCoefficients, weights: MixWeights) -> TensorField:
-        """den * (lhs - rhs_mixed) in one pass, den = weights.den.  Every
-        weight is an int, so the accumulation runs on ints; the result is
-        zero exactly when the rational residual is."""
-        return contract((1, 3), *self.mixed_residual_pieces(coeffs, weights))
 
     def nonzero_members(self, members, dens=None) -> dict:
         """Which of K residuals are nonzero, from one packed ``contract``.
@@ -684,45 +649,6 @@ class IdentityWorkspace:
             slots.append(index[key])
         found = self.nonzero_members(distinct)
         return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def verify_identity(pqrs, a: TensorField, L: ConnectionField) -> TensorField:
-    """Residual (left minus right side) for a catalogued combination."""
-    pqrs = tuple(pqrs)
-    if pqrs not in CATALOGUE_BY_PQRS:
-        raise ValueError(
-            f"{pqrs} is not catalogued; use solve_identity_coefficients for it"
-        )
-    return IdentityWorkspace(a, L).residual(CATALOGUE_BY_PQRS[pqrs])
-
-
-def verify_mixed_family(
-    pqrs, weights: MixWeights, a: TensorField, L: ConnectionField
-) -> TensorField:
-    """Residual of the mixed-rule form for a catalogued combination, scaled
-    by the weights' denominator ``weights.den`` (see
-    :meth:`IdentityWorkspace.mixed_residual`): it has integer coefficients
-    on integral instances and vanishes exactly when the rational one does."""
-    pqrs = tuple(pqrs)
-    if pqrs not in CATALOGUE_BY_PQRS:
-        raise ValueError("mixed-family verification covers catalogued combinations")
-    return IdentityWorkspace(a, L).mixed_residual(CATALOGUE_BY_PQRS[pqrs], weights)
-
-
-def verify_expanded_identity(pqrs, a: TensorField, L: ConnectionField) -> TensorField:
-    """Difference between the partial-derivative (expanded) form and the
-    covariant form of the right side; exactly zero when both are correct."""
-    pqrs = tuple(pqrs)
-    if pqrs not in CATALOGUE_BY_PQRS:
-        raise ValueError("expanded-form verification covers catalogued combinations")
-    ws = IdentityWorkspace(a, L)
-    coeffs = CATALOGUE_BY_PQRS[pqrs]
-    return ws.rhs_expanded(coeffs) - ws.rhs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +806,9 @@ def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
     return SolvedIdentities(solutions, verify_solutions(solutions, seed, verify_dims, degree))
 
 
+# Both solvers feed instances of dim 3 first, then dim 4.  In dim 2 the 17
+# basis tensors have rank 15, so a feed of dim-2 instances alone stops short
+# of full column rank and raises IdentityAmbiguityError.
 def solve_identity_coefficients(
     pqrs, seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3,)
 ) -> IdentityCoefficients:

@@ -71,18 +71,6 @@ def random_connection(
     return ConnectionField(random_tensor_field(rng, dim, (1, 2), degree, bound))
 
 
-def random_symmetric_connection(
-    rng: random.Random,
-    dim: int,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
-) -> ConnectionField:
-    """Torsion-free connection: random coefficients symmetrised in (j, k)."""
-    raw = random_tensor_field(rng, dim, (1, 2), degree, bound)
-    sym = (raw + raw.swap_last_lower())  # even coefficients, stays integral
-    return ConnectionField(sym)
-
-
 def random_even_connection(
     rng: random.Random,
     dim: int,
@@ -95,40 +83,3 @@ def random_even_connection(
     L = random_connection(rng, dim, degree, bound)
     return ConnectionField(L.coeffs.scale(2))
 
-
-def random_metric_field(
-    rng: random.Random,
-    dim: int,
-    degree: int = 1,
-    bound: int = 2,
-    antisym_degree: int | None = 1,
-) -> TensorField:
-    """Random metric whose symmetric part has an exact polynomial inverse.
-
-    Built as U^T D U with U unipotent upper-triangular (polynomial entries)
-    and D a constant nonsingular diagonal, so the determinant is constant.
-    ``antisym_degree=None`` gives a symmetric metric; otherwise a random
-    antisymmetric polynomial part is added on top.
-    """
-    zero = ScalarField(dim)
-    one = ScalarField.constant(1, dim)
-    u = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u[i][j] = random_scalar_field(rng, dim, degree, bound)
-    d = [rng.choice([x for x in range(-bound, bound + 1) if x]) for _ in range(dim)]
-
-    def sym_entry(i, j):
-        total = ScalarField(dim)
-        for k in range(dim):
-            total = total + u[k][i].scale(d[k]) * u[k][j]
-        return total
-
-    entries = [[sym_entry(i, j) for j in range(dim)] for i in range(dim)]
-    if antisym_degree is not None:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                h = random_scalar_field(rng, dim, antisym_degree, bound)
-                entries[i][j] = entries[i][j] + h
-                entries[j][i] = entries[j][i] - h
-    return TensorField(dim, (0, 2), [entries[i][j] for i in range(dim) for j in range(dim)])

@@ -1,15 +1,21 @@
 """Test-only oracles: literal transcriptions of formulas that the package
-computes another way, kept here so the tests can compare the two.
+computes another way, kept here so the tests can compare the two, and the
+reference forms and generators that only the tests use.
 
 - ``double_covariant_derivative_explicit``: the written-out second covariant
-  derivative of a valence-(1,1) tensor for rules 1..3, against the
-  composition ``connection.double_covariant_derivative``.
-- ``bracket_objects_raw``: the five bracket objects from the raw connection
-  forms, against the symmetric/antisymmetric split of
-  ``curvature.bracket_objects``.
+  derivative of a valence-(1,1) tensor for rules 1..3, against two
+  ``connection.covariant_derivative`` calls composed.
+- ``bracket_objects`` and ``bracket_objects_raw``: the five bracket objects
+  (eq:40-44) from the symmetric/antisymmetric split of the connection and
+  from the raw connection forms, against each other.
+- ``rhs_expanded``: the partial-derivative (pseudotensor-revealing) form of
+  the identity family's right side, against ``IdentityWorkspace.rhs``.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
+- ``poly_divmod`` and ``sturm_sequence_fraction``: polynomial division and
+  the Sturm sequence over ``Fraction`` coefficients, against the integer
+  sequence of ``ratfunc._sturm_sequence``.
 - ``FractionRationalFunction``: a rational function as a reduced quotient of
   ``Poly`` values over ``Fraction`` coefficients with a monic denominator,
   against ``ratfunc.RationalFunction``, which carries integer coefficient
@@ -18,11 +24,13 @@ computes another way, kept here so the tests can compare the two.
   all 256 entries of R^i_{jmn}, the full generalized connection and the
   metric-compatibility residual of a cosmology metric over rational
   functions, against the entries the ``cosmology`` command sums.
+- ``random_symmetric_connection`` and ``random_metric_field``: seeded
+  torsion-free connections and metrics with an exact polynomial inverse.
 """
 
 from fractions import Fraction
 
-from torsioncalc.algebra import TensorField, contract
+from torsioncalc.algebra import ScalarField, TensorField, contract
 from torsioncalc.connection import KIND_BY_NUMBER, ConnectionField, DerivKind
 from torsioncalc.cosmology import (
     DIM,
@@ -35,6 +43,12 @@ from torsioncalc.cosmology import (
 )
 from torsioncalc.ratfunc import ONE, RF_ZERO, Poly, RationalFunction
 from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref
+from torsioncalc.sampling import (
+    DEFAULT_COEFF_BOUND,
+    DEFAULT_DEGREE,
+    random_scalar_field,
+    random_tensor_field,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +321,39 @@ def double_covariant_derivative_explicit(
     return contract((1, 3), *terms)
 
 
+# ---------------------------------------------------------------------------
+# Bracket pseudotensor objects (eq:40-44)
+# ---------------------------------------------------------------------------
+
+
+def bracket_objects(a: TensorField, L: ConnectionField):
+    """The five bracket objects from the symmetric/antisymmetric split of the
+    connection.  The first is T^i_Am a^A_j,n - T^A_jm a^i_A,n; the others
+    are the raw-connection brackets rewritten through sym and T."""
+    if a.valence != (1, 1):
+        raise ValueError("bracket objects are defined for valence (1, 1)")
+    sym, tor, da = L.symmetric_part().coeffs, L.torsion_half(), a.partial_gradient()
+    objects = (
+        ((1, "iAm,Ajn->ijmn", tor, da), (-1, "Ajm,iAn->ijmn", tor, da)),
+        # 2(sym T - T sym), the factor 2 from expanding the raw forms
+        ((2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
+        ((-2, "AB,iAm,Bjn->ijmn", a, sym, tor), (-2, "AB,iAm,Bjn->ijmn", a, tor, sym)),
+        (
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
+            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, sym),
+            (1, "AB,iAn,Bjm->ijmn", a, sym, tor),
+        ),
+        (
+            (-1, "AB,iAm,Bjn->ijmn", a, tor, tor),
+            (1, "AB,iAn,Bjm->ijmn", a, tor, tor),
+            (1, "AB,iAm,Bjn->ijmn", a, sym, tor),
+            (-1, "AB,iAn,Bjm->ijmn", a, tor, sym),
+        ),
+    )
+    return [contract((1, 3), *terms) for terms in objects]
+
+
 def bracket_objects_raw(a: TensorField, L: ConnectionField):
     """The five bracket objects evaluated from the raw connection forms."""
     if a.valence != (1, 1):
@@ -320,6 +367,38 @@ def bracket_objects_raw(a: TensorField, L: ConnectionField):
         ((1, "AB,imA,Bjn->ijmn", a, raw, tor), (-1, "AB,iAn,Bmj->ijmn", a, tor, raw)),
     )
     return [contract((1, 3), *terms) for terms in objects]
+
+
+# ---------------------------------------------------------------------------
+# Expanded (partial-derivative) right side of the identity family
+# ---------------------------------------------------------------------------
+
+
+def rhs_expanded(ws, coeffs):
+    """The pseudotensor-revealing form of ``ws.rhs(coeffs)``: first
+    derivatives replaced by plain partials, with the induced symmetric-part
+    cross terms carried inside the brackets.  Agrees exactly with
+    ``IdentityWorkspace.rhs``."""
+    c = (None,) + coeffs.c  # 1-based
+    a, tor = ws.a, ws.L.torsion_half()
+    sym = ws.L.symmetric_part().coeffs
+    da = a.partial_gradient()
+    terms = [(1, ID, ws.r_commutator())]
+    terms += [(2 * c[k], _DTERM_SPECS[k - 1], tor, da) for k in range(1, 6)]
+    terms += [(c[k], ID, ws.basis(k)) for k in range(6, 18)]
+    terms += [
+        (2 * c[3], "Aj,iAB,Bmn->ijmn", a, sym, tor),
+        (2 * c[4], "Aj,iBn,BAm->ijmn", a, tor, sym),
+        (2 * c[5], "Aj,iBm,BAn->ijmn", a, tor, sym),
+        (-2 * c[1], "iA,ABn,Bjm->ijmn", a, sym, tor),
+        (-2 * c[2], "iA,ABm,Bjn->ijmn", a, sym, tor),
+        (-2 * c[3], "iA,AjB,Bmn->ijmn", a, sym, tor),
+        (2 * c[1], "AB,iAn,Bjm->ijmn", a, sym, tor),
+        (2 * c[2], "AB,iAm,Bjn->ijmn", a, sym, tor),
+        (-2 * c[4], "AB,iAn,Bjm->ijmn", a, tor, sym),
+        (-2 * c[5], "AB,iAm,Bjn->ijmn", a, tor, sym),
+    ]
+    return contract((1, 3), *terms)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +442,38 @@ def mixed_refs_rational(coeffs, weights):
 
 
 # ---------------------------------------------------------------------------
+# Polynomial division and Sturm sequences over Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def poly_divmod(p: Poly, divisor: Poly):
+    """(quotient, remainder) of ``p`` by a nonzero ``divisor``."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    div = divisor.coeffs
+    dd = len(div) - 1
+    lead = div[-1]
+    quot = [0] * max(0, len(rem) - dd)
+    for k in range(len(rem) - dd - 1, -1, -1):
+        q = Fraction(rem[k + dd], 1) / lead
+        if q:
+            quot[k] = q
+            for i, c in enumerate(div):
+                rem[k + i] -= q * c
+    return Poly(quot), Poly(rem)
+
+
+def sturm_sequence_fraction(p: Poly):
+    """p, p', -rem(p, p'), ... up to the last nonzero member, over Fractions."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        seq.append(-poly_divmod(seq[-2], seq[-1])[1])
+    seq.pop()
+    return seq
+
+
+# ---------------------------------------------------------------------------
 # Rational functions over Fraction coefficients
 # ---------------------------------------------------------------------------
 
@@ -381,8 +492,8 @@ class FractionRationalFunction:
             if den.degree() > 0:  # a constant denominator shares no factor
                 g = num.gcd(den)
                 if g.degree() > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
+                    num = poly_divmod(num, g)[0]
+                    den = poly_divmod(den, g)[0]
             lead = den.leading()
             if lead != 1:
                 inv = Fraction(1, 1) / lead
@@ -532,3 +643,58 @@ def emc_residual_rf(m: CosmologyMetric):
                     total = total - G[a][i][k] * rows[a][j] - G[a][k][j] * rows[i][a]
                 out[i][j][k] = total
     return out
+
+
+# ---------------------------------------------------------------------------
+# Test-only generators
+# ---------------------------------------------------------------------------
+
+
+def random_symmetric_connection(
+    rng,
+    dim: int,
+    degree: int = DEFAULT_DEGREE,
+    bound: int = DEFAULT_COEFF_BOUND,
+) -> ConnectionField:
+    """Torsion-free connection: random coefficients symmetrised in (j, k)."""
+    raw = random_tensor_field(rng, dim, (1, 2), degree, bound)
+    sym = (raw + raw.swap_last_lower())  # even coefficients, stays integral
+    return ConnectionField(sym)
+
+
+def random_metric_field(
+    rng,
+    dim: int,
+    degree: int = 1,
+    bound: int = 2,
+    antisym_degree: int | None = 1,
+) -> TensorField:
+    """Random metric whose symmetric part has an exact polynomial inverse.
+
+    Built as U^T D U with U unipotent upper-triangular (polynomial entries)
+    and D a constant nonsingular diagonal, so the determinant is constant.
+    ``antisym_degree=None`` gives a symmetric metric; otherwise a random
+    antisymmetric polynomial part is added on top.
+    """
+    zero = ScalarField(dim)
+    one = ScalarField.constant(1, dim)
+    u = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            u[i][j] = random_scalar_field(rng, dim, degree, bound)
+    d = [rng.choice([x for x in range(-bound, bound + 1) if x]) for _ in range(dim)]
+
+    def sym_entry(i, j):
+        total = ScalarField(dim)
+        for k in range(dim):
+            total = total + u[k][i].scale(d[k]) * u[k][j]
+        return total
+
+    entries = [[sym_entry(i, j) for j in range(dim)] for i in range(dim)]
+    if antisym_degree is not None:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                h = random_scalar_field(rng, dim, antisym_degree, bound)
+                entries[i][j] = entries[i][j] + h
+                entries[j][i] = entries[j][i] - h
+    return TensorField(dim, (0, 2), [entries[i][j] for i in range(dim) for j in range(dim)])

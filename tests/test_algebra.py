@@ -86,7 +86,7 @@ def test_contract_products_check_exponent_overflow():
         return TensorField(2, (0, 1), [ScalarField.from_terms({(e, 0): 1}, 2)] * 2)
 
     with pytest.raises(ExponentOverflowError, match="x0: exponents 200 \\+ 100"):
-        field(200).tensor_product(field(100))
+        contract((0, 2), (1, "a,b->ab", field(200), field(100)))
     with pytest.raises(ExponentOverflowError, match="x0: exponents 100 \\+ 100 \\+ 100"):
         contract((0, 0), (1, "a,a,a->", field(100), field(100), field(100)))
     cube = contract((0, 0), (1, "a,a,a->", field(85), field(85), field(85)))
@@ -130,7 +130,7 @@ def test_partial_is_a_derivation(f, g):
 def test_kronecker_trace_is_dimension():
     for dim in (2, 3, 4):
         delta = TensorField.kronecker(dim)
-        trace = delta.contract(0, 0)
+        trace = contract((0, 0), (1, "aa->", delta))
         assert trace.get() == ScalarField.constant(dim, dim)
 
 
@@ -139,15 +139,15 @@ def test_trace_of_constant_diagonal():
     two = ScalarField.constant(2, 2)
     zero = ScalarField(2)
     a = TensorField(2, (1, 1), [one, zero, zero, two])
-    assert a.contract(0, 0).get() == ScalarField.constant(3, 2)
+    assert contract((0, 0), (1, "aa->", a)).get() == ScalarField.constant(3, 2)
 
 
 def test_contract_matches_explicit_loop():
     rng = derive_rng(2, "contract")
     a = random_tensor_field(rng, 3, (1, 1), degree=1)
     b = random_tensor_field(rng, 3, (0, 1), degree=1)
-    prod = a.tensor_product(b)  # valence (1, 2), lower order (j from a, k from b)
-    contracted = prod.contract(0, 0)
+    prod = contract((1, 2), (1, "ij,k->ijk", a, b))  # lower order (j from a, k from b)
+    contracted = contract((0, 1), (1, "iik->k", prod))
     # brute-force oracle: c_k = sum_i a^i_i b_k
     for k in range(3):
         total = ScalarField(3)
@@ -156,19 +156,20 @@ def test_contract_matches_explicit_loop():
         assert contracted.get(k) == total
 
 
-def test_contract_position_validation():
-    a = random_tensor_field(derive_rng(3, "cv"), 2, (1, 1), degree=0)
-    with pytest.raises(ValueError):
-        a.contract(1, 0)
-    with pytest.raises(ValueError):
-        a.contract(0, 1)
-
-
 def test_tensor_addition_shape_checks():
     a = TensorField.zero(2, (1, 1))
     b = TensorField.zero(2, (0, 2))
     with pytest.raises(ValueError):
         a + b
+
+
+def test_swap_last_lower_swaps_the_final_lower_pair():
+    t = random_tensor_field(derive_rng(5, "swap"), 2, (1, 2), degree=1)
+    swapped = t.swap_last_lower()
+    for i, j, k in itertools.product(range(2), repeat=3):
+        assert swapped.get(i, j, k) == t.get(i, k, j)
+    with pytest.raises(ValueError, match="two lower indices"):
+        TensorField.zero(2, (1, 1)).swap_last_lower()
 
 
 def test_partial_gradient_appends_index():

@@ -1,7 +1,8 @@
-"""The benchmark's traced run wraps package attributes by name
-(``perfbench/layers.py``, ``Tracer.install``).  Renaming or deleting one of
-them breaks ``perfbench/run.py --trace 1``; this test makes that a tier-1
-failure instead."""
+"""The benchmark calls package attributes by name: the traced run wraps
+them (``perfbench/layers.py``, ``Tracer.install``), and every run calls a
+few without wrapping (the negative controls, the worker count variable).
+Renaming or deleting one of them breaks ``perfbench/run.py``; these tests
+make that a tier-1 failure instead."""
 
 import importlib
 import os
@@ -37,3 +38,14 @@ def test_tracer_wraps_and_restores_every_attribute(monkeypatch):
     for owner, attr, original in patched:
         assert _current(owner, attr) is original, (owner, attr)
     assert not tracer._patches
+
+
+def test_negative_controls_and_worker_variable_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    w = workloads.smoke_workload(layers.WORKLOADS["catalogue"])
+    assert (w.dimension, w.degree) == (2, 1)
+    # (attempted, failed): every flipped catalogue member leaves a residual
+    assert layers.negative_controls(layers.control_workspace(w, 7), 7) == (3, 0)
+    assert layers.cli.WORKERS_ENV == "TORSIONCALC_WORKERS"

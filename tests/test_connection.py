@@ -2,28 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncalc.algebra import ScalarField, TensorField
+from torsioncalc.algebra import ScalarField, TensorField, contract
 from torsioncalc.connection import (
     ALL_KINDS,
     DEPENDENT_TRIPLES,
     INDEPENDENT_TRIPLES,
+    KIND_BY_NUMBER,
     ConnectionField,
     DerivKind,
     covariant_derivative,
-    decompose_connection,
     derivative_kind_rank,
-    double_covariant_derivative,
     verify_derivative_relations,
 )
-from torsioncalc.sampling import (
-    derive_rng,
-    random_connection,
-    random_symmetric_connection,
-    random_tensor_field,
-)
+from torsioncalc.sampling import derive_rng, random_connection, random_tensor_field
 
 from conftest import make_instance
-from oracles import double_covariant_derivative_explicit
+from oracles import double_covariant_derivative_explicit, random_symmetric_connection
 
 HALF = Fraction(1, 2)
 
@@ -34,7 +28,7 @@ HALF = Fraction(1, 2)
 
 def test_decompose_symmetric_has_zero_torsion():
     L = random_symmetric_connection(derive_rng(1, "dec"), 3)
-    sym, tor = decompose_connection(L)
+    sym, tor = L.symmetric_part(), L.torsion_half()
     assert tor.is_zero()
     assert sym.coeffs == L.coeffs
 
@@ -46,7 +40,7 @@ def test_decompose_single_entry():
     one = ScalarField.constant(1, 3)
     entries[(1 * 3 + 2) * 3 + 0] = one  # L^1_{20} in 0-based slots
     L = ConnectionField(TensorField(3, (1, 2), entries))
-    sym, tor = decompose_connection(L)
+    sym, tor = L.symmetric_part(), L.torsion_half()
     assert sym.coeffs.get(1, 2, 0) == ScalarField.constant(HALF, 3)
     assert sym.coeffs.get(1, 0, 2) == ScalarField.constant(HALF, 3)
     assert tor.get(1, 2, 0) == ScalarField.constant(HALF, 3)
@@ -57,7 +51,7 @@ def test_decompose_round_trip():
     rng = derive_rng(2, "roundtrip")
     for _ in range(50):
         L = random_connection(rng, 3, degree=1)
-        sym, tor = decompose_connection(L)
+        sym, tor = L.symmetric_part(), L.torsion_half()
         assert sym.coeffs + tor == L.coeffs
         assert sym.coeffs.swap_last_lower() == sym.coeffs
         assert tor.swap_last_lower() == -tor
@@ -86,7 +80,7 @@ def test_kronecker_rule1_vanishes():
 def test_kronecker_rule3_gives_torsion():
     L = random_connection(derive_rng(5, "delta3"), 3)
     delta = TensorField.kronecker(3)
-    assert covariant_derivative(DerivKind.K3, delta, L) == L.torsion()
+    assert covariant_derivative(DerivKind.K3, delta, L) == L.torsion_half().scale(2)
 
 
 def test_dimension_mismatch():
@@ -113,7 +107,7 @@ def test_product_rule_mixed_valence():
     L = random_connection(rng, 2, degree=1)
     a = random_tensor_field(rng, 2, (1, 1), degree=1)
     b = random_tensor_field(rng, 2, (0, 1), degree=1)
-    c = a.tensor_product(b)  # lower index order (j, l)
+    c = contract((1, 2), (1, "ij,l->ijl", a, b))  # lower index order (j, l)
     for kind in ALL_KINDS:
         dc = covariant_derivative(kind, c, L)  # indices (i; j, l, k)
         da = covariant_derivative(kind, a, L)  # (i; j, k)
@@ -192,7 +186,8 @@ def test_double_derivative_zero_connection():
     rng = derive_rng(11, "dd0")
     a = random_tensor_field(rng, 2, (1, 1))
     L = ConnectionField.zero(2)
-    dd = double_covariant_derivative(1, 1, a, L)
+    k1 = KIND_BY_NUMBER[1]
+    dd = covariant_derivative(k1, covariant_derivative(k1, a, L), L)
     for i in range(2):
         for j in range(2):
             for m in range(2):
@@ -206,7 +201,8 @@ def test_composition_matches_explicit_formulas():
     L = random_connection(rng, 3, degree=1)
     a = random_tensor_field(rng, 3, (1, 1), degree=2)
     for p, q in ((1, 1), (2, 3), (3, 3)):
-        comp = double_covariant_derivative(p, q, a, L)
+        kp, kq = KIND_BY_NUMBER[p], KIND_BY_NUMBER[q]
+        comp = covariant_derivative(kq, covariant_derivative(kp, a, L), L)
         expl = double_covariant_derivative_explicit(p, q, a, L)
         assert comp == expl, (p, q)
 
@@ -218,4 +214,4 @@ def test_explicit_rejects_rule_four():
     with pytest.raises(ValueError):
         double_covariant_derivative_explicit(1, 4, a, L)
     # composition path accepts every rule
-    double_covariant_derivative(DerivKind.SYM, DerivKind.K4, a, L)
+    covariant_derivative(DerivKind.K4, covariant_derivative(DerivKind.SYM, a, L), L)

@@ -12,7 +12,6 @@ from torsioncalc.curvature import (
     CURVATURE_R_MEMBER,
     INDEPENDENT_SIX_SETS,
     RhoCoefficients,
-    bracket_objects,
     curvature_R,
     rho,
     rho_catalogue,
@@ -23,11 +22,10 @@ from torsioncalc.sampling import (
     derive_rng,
     random_connection,
     random_even_connection,
-    random_symmetric_connection,
     random_tensor_field,
 )
 
-from oracles import bracket_objects_raw
+from oracles import bracket_objects, bracket_objects_raw, random_symmetric_connection
 
 # ---------------------------------------------------------------------------
 # the curvature tensor of the torsion-free part
@@ -149,10 +147,9 @@ def test_swap_pairing():
     # swapping the two antisymmetrised slots negates the member with the
     # induced coefficient swap (u <-> -u', v <-> -v', w fixed)
     L = random_even_connection(derive_rng(6, "swap"), 3, degree=1)
-    for coeffs in (rho_catalogue()[0], rho_catalogue()[6], RhoCoefficients(2, 0, -1, 1, 3)):
-        left = rho(coeffs, L).swap_last_lower()
-        right = -rho(coeffs.mn_swapped(), L)
-        assert left == right
+    for c in (rho_catalogue()[0], rho_catalogue()[6], RhoCoefficients(2, 0, -1, 1, 3)):
+        swapped = RhoCoefficients(-c.u_prime, -c.u, -c.v_prime, -c.v, c.w)
+        assert rho(c, L).swap_last_lower() == -rho(swapped, L)
 
 
 # ---------------------------------------------------------------------------

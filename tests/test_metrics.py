@@ -13,7 +13,9 @@ from torsioncalc.metrics import (
     poly_adjugate,
     poly_det,
 )
-from torsioncalc.sampling import derive_rng, random_metric_field
+from torsioncalc.sampling import derive_rng
+
+from oracles import random_metric_field
 
 
 def test_flat_constant_metric_has_zero_connection():

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsioncalc.ratfunc import ONE, RF_ONE, RF_ZERO, Poly, RationalFunction
+from torsioncalc.ratfunc import ONE, RF_ONE, RF_ZERO, Poly, RationalFunction, _sturm_sequence
 
-from oracles import FractionRationalFunction
+from oracles import FractionRationalFunction, poly_divmod, sturm_sequence_fraction
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid over ``Fraction`` coefficients: the reference
     for the integer remainder sequence of ``Poly.gcd``."""
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     if a.is_zero():
         return a
     return a.scale(Fraction(1, 1) / a.leading())
@@ -74,7 +74,7 @@ def test_integer_gcd_matches_fraction_euclid(seed):
         assert g.is_zero() or g.leading() == 1
         for p in (a, b):
             if not g.is_zero():
-                assert p.divmod(g)[1].is_zero()
+                assert poly_divmod(p, g)[1].is_zero()
 
 
 def test_planted_factor_divides_the_gcd():
@@ -83,7 +83,44 @@ def test_planted_factor_divides_the_gcd():
         common = _poly(rng, rng.randint(1, 3), fractional=True)
         a = common * _poly(rng, 2, fractional=True)
         b = common * _poly(rng, 3, fractional=True)
-        assert a.gcd(b).divmod(common)[1].is_zero()
+        assert poly_divmod(a.gcd(b), common)[1].is_zero()
+
+
+def _variations(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_integer_sturm_sequence_matches_the_fraction_one():
+    """Every member of the integer Sturm sequence is a positive multiple of
+    the Fraction one, so both count the same roots.  Leads of either sign,
+    repeated roots, a quadratic without real roots and endpoints on roots."""
+    rng = random.Random(6)
+    t = Poly.t()
+    for _ in range(300):
+        roots = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        roots += roots[: rng.randint(0, len(roots))]
+        p = Poly((Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)),))
+        for r in roots:
+            p = p * (t - Poly((r,)))
+        if rng.random() < 0.5:
+            p = p * (t * t + Poly((rng.randint(1, 5),)))
+        ints, exact = _sturm_sequence(p.coeffs), sturm_sequence_fraction(p)
+        assert len(ints) == len(exact), p
+        for x, y in zip(ints, exact):
+            ratio = x[-1] / y.leading()
+            assert ratio > 0 and Poly(x) == y.scale(ratio), p
+        ends = sorted(
+            rng.choice(roots) if roots and rng.random() < 0.5
+            else Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            for _ in range(2)
+        )
+        counts = [
+            _variations(q.evaluate(ends[0]) for q in seq) - _variations(q.evaluate(ends[1]) for q in seq)
+            for seq in ([Poly(x) for x in ints], exact)
+        ]
+        assert counts[0] == counts[1], (p, ends)
+        assert p.has_root_in(*ends) is any(ends[0] <= r <= ends[1] for r in roots), (p, ends)
 
 
 def _rf(rng):

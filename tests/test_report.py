@@ -46,7 +46,8 @@ def test_checks_render_sorted_by_id_with_summary_counts():
     report = Report("demo", {"seed": 1})
     report.add(value_check("c", "x", "y"))
     report.add(rank_check("a", 2, 2))
-    report.extend([residual_check("b", True, 3), residual_check("d", False, 3)])
+    report.add(residual_check("b", True, 3))
+    report.add(residual_check("d", False, 3))
     doc = json.loads(report.render())
     assert [c["id"] for c in doc["checks"]] == ["a", "b", "c", "d"]
     assert doc["summary"] == {"pass": 2, "fail": 2}

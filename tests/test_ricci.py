@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torsioncalc import cli, ricci
 from torsioncalc.algebra import ScalarField, contract, matrix_rank
-from torsioncalc.connection import DerivKind, covariant_derivative, double_covariant_derivative
+from torsioncalc.connection import KIND_BY_NUMBER, DerivKind, covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
     _ANTISYMMETRIC,
@@ -18,6 +18,7 @@ from torsioncalc.ricci import (
     ID,
     SWAP,
     CATALOGUE_BY_PQRS,
+    IdentityAmbiguityError,
     IdentityCoefficients,
     IdentityUnsolvableError,
     IdentityWorkspace,
@@ -33,19 +34,12 @@ from torsioncalc.ricci import (
     solve_all_identities,
     solve_identity_coefficients,
     span_basis,
-    verify_expanded_identity,
-    verify_identity,
-    verify_mixed_family,
     verify_solutions,
 )
-from torsioncalc.sampling import (
-    derive_rng,
-    random_symmetric_connection,
-    random_tensor_field,
-)
+from torsioncalc.sampling import derive_rng, random_tensor_field
 
 from conftest import make_instance
-from oracles import mixed_refs_rational
+from oracles import mixed_refs_rational, random_symmetric_connection, rhs_expanded
 
 # v -> a different value in {-1, 0, 1}
 FLIP = {1: 0, 0: -1, -1: 1}
@@ -156,9 +150,9 @@ def test_zero_coefficients_leave_commutator():
 
 def test_rhs_matches_composition_for_1111():
     L, a = make_instance(25, "cmp", 3)
-    lhs = double_covariant_derivative(1, 1, a, L) - double_covariant_derivative(
-        1, 1, a, L
-    ).swap_last_lower()
+    k1 = KIND_BY_NUMBER[1]
+    dd = covariant_derivative(k1, covariant_derivative(k1, a, L), L)
+    lhs = dd - dd.swap_last_lower()
     rhs = IdentityWorkspace(a, L).rhs(CATALOGUE_BY_PQRS[(1, 1, 1, 1)])
     assert lhs == rhs
 
@@ -169,10 +163,10 @@ def test_rhs_matches_composition_for_1111():
 
 
 def test_residuals_spot_combinations():
+    members = [CATALOGUE_BY_PQRS[pqrs] for pqrs in ((1, 2, 1, 1), (3, 1, 3, 1))]
     for idx in range(3):
         L, a = make_instance(26, f"res:{idx}", 3)
-        for pqrs in ((1, 2, 1, 1), (3, 1, 3, 1)):
-            assert verify_identity(pqrs, a, L).is_zero(), pqrs
+        assert IdentityWorkspace(a, L).nonzero_residuals(members) == {}, idx
 
 
 def test_residuals_all_catalogued_small_dimensions():
@@ -216,9 +210,9 @@ def test_mixed_residual_is_integer_scaled():
     scales = set()
     for n, ic in enumerate(identity_catalogue()):
         weights = MixWeights.random(rng)
-        assert ws.mixed_residual(ic, weights).is_zero(), ic.tag
+        assert contract((1, 3), *ws.mixed_residual_pieces(ic, weights)).is_zero(), ic.tag
         bad = flipped(ic, n % 17)
-        scaled = ws.mixed_residual(bad, weights)
+        scaled = contract((1, 3), *ws.mixed_residual_pieces(bad, weights))
         rational = ws.lhs(bad.pqrs) - ws.rhs_mixed(bad, weights)
         assert not scaled.is_zero(), ic.tag
         # D from the first nonzero coefficient, then the whole tensor
@@ -237,14 +231,7 @@ def test_symmetric_connection_residuals_trivial():
     rng = derive_rng(28, "symres")
     L = random_symmetric_connection(rng, 2, degree=1)
     a = random_tensor_field(rng, 2, (1, 1), degree=1)
-    for pqrs in CATALOGUE_BY_PQRS:
-        assert verify_identity(pqrs, a, L).is_zero()
-
-
-def test_verify_identity_rejects_uncatalogued():
-    L, a = make_instance(29, "rej", 2)
-    with pytest.raises(ValueError):
-        verify_identity((2, 3, 3, 2), a, L)
+    assert IdentityWorkspace(a, L).nonzero_residuals(identity_catalogue()) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +469,12 @@ def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
         _solve_combos([(1, 1, 1, 1), bad], 20260809, (3, 4), 1, (3,))
 
 
+def test_dim_two_instances_alone_cannot_reach_full_rank():
+    # the 17 basis tensors have rank 15 in dim 2, so the solvers feed dim 3 first
+    with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
+        solve_identity_coefficients((1, 1, 1, 1), dims=(2, 2, 2, 2), verify_dims=(3,))
+
+
 def test_solver_rejects_bad_combination():
     with pytest.raises(ValueError):
         solve_identity_coefficients((0, 1, 1, 1))
@@ -608,22 +601,31 @@ def test_integer_mixed_pieces_match_the_rational_oracle(good, bad, n, k):
     )
 
 
+def _mixed_check(ws, pqrs, weights):
+    """The check the CLI's mixed task makes, for one member and weighting:
+    {} when the mixed-form residual is zero."""
+    pieces = ws.mixed_residual_pieces(CATALOGUE_BY_PQRS[pqrs], weights)
+    return ws.nonzero_members([pieces], [weights.den])
+
+
 def test_mixed_family_pure_rows_reduce_to_single_rule():
     L, a = make_instance(32, "mix1", 3)
+    ws = IdentityWorkspace(a, L)
     for l in (1, 2, 3):
         weights = MixWeights.pure(l)
         for pqrs in ((1, 1, 1, 1), (3, 1, 3, 1)):
-            assert verify_mixed_family(pqrs, weights, a, L).is_zero(), (l, pqrs)
+            assert _mixed_check(ws, pqrs, weights) == {}, (l, pqrs)
 
 
 def test_mixed_family_uniform_and_random_weights():
     L, a = make_instance(33, "mix2", 3)
+    ws = IdentityWorkspace(a, L)
     rng = derive_rng(33, "mixw")
     for pqrs in ((1, 2, 1, 1), (2, 2, 2, 2)):
-        assert verify_mixed_family(pqrs, MixWeights.uniform(), a, L).is_zero()
+        assert _mixed_check(ws, pqrs, MixWeights.uniform()) == {}
         for _ in range(2):
             w = MixWeights.random(rng)
-            assert verify_mixed_family(pqrs, w, a, L).is_zero(), pqrs
+            assert _mixed_check(ws, pqrs, w) == {}, pqrs
 
 
 def test_mixed_family_torsion_free():
@@ -631,13 +633,7 @@ def test_mixed_family_torsion_free():
     L = random_symmetric_connection(rng, 2, degree=1)
     a = random_tensor_field(rng, 2, (1, 1), degree=1)
     w = MixWeights.random(derive_rng(34, "w"))
-    assert verify_mixed_family((1, 1, 1, 1), w, a, L).is_zero()
-
-
-def test_mixed_family_rejects_uncatalogued():
-    L, a = make_instance(35, "mixrej", 2)
-    with pytest.raises(ValueError):
-        verify_mixed_family((2, 3, 3, 2), MixWeights.uniform(), a, L)
+    assert _mixed_check(IdentityWorkspace(a, L), (1, 1, 1, 1), w) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +643,10 @@ def test_mixed_family_rejects_uncatalogued():
 
 def test_expanded_form_matches_covariant_form():
     L, a = make_instance(36, "exp", 3)
+    ws = IdentityWorkspace(a, L)
     for pqrs in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 3)):
-        assert verify_expanded_identity(pqrs, a, L).is_zero(), pqrs
+        ic = CATALOGUE_BY_PQRS[pqrs]
+        assert rhs_expanded(ws, ic) == ws.rhs(ic), pqrs
 
 
 def test_expanded_form_constant_fields():
@@ -656,8 +654,10 @@ def test_expanded_form_constant_fields():
     # compares the quadratic brackets alone
     L, a = make_instance(37, "expc", 3, degree=0)
     assert a.partial_gradient().is_zero()
+    ws = IdentityWorkspace(a, L)
     for pqrs in ((1, 1, 1, 1), (3, 3, 3, 3)):
-        assert verify_expanded_identity(pqrs, a, L).is_zero()
+        ic = CATALOGUE_BY_PQRS[pqrs]
+        assert rhs_expanded(ws, ic) == ws.rhs(ic), pqrs
 
 
 def test_expanded_form_torsion_free():
@@ -666,7 +666,7 @@ def test_expanded_form_torsion_free():
     a = random_tensor_field(rng, 2, (1, 1), degree=1)
     ws = IdentityWorkspace(a, L)
     ic = CATALOGUE_BY_PQRS[(1, 1, 1, 1)]
-    assert ws.rhs_expanded(ic) == ws.r_commutator()
+    assert rhs_expanded(ws, ic) == ws.r_commutator()
 
 
 # ---------------------------------------------------------------------------
