@@ -3,13 +3,13 @@ rationals, dense multi-index tensor fields, and exact rational linear algebra.
 
 Sums over repeated indices go through one primitive, :func:`contract`, which
 takes ``numpy.einsum``-style specs over the row-major entry layout; the
-covariant derivative in :mod:`torsioncalc.connection` also reads that layout
-directly, to list its connection terms.  Both form their polynomial products
-through one helper, :func:`_product_sums`: operands large enough to pay for
-it are encoded as integers (Kronecker substitution, :class:`_Kronecker`), so
-that a product is one big-int multiply, and the rest multiply term by term.
-Exact elimination likewise has one routine, :class:`LinearSystem`: every
-rank, span basis and coefficient solve in the package goes through it.
+covariant derivative in :mod:`torsioncalc.connection` is one such call.  It
+forms its polynomial products through one helper, :func:`_product_sums`:
+operands large enough to pay for it are encoded as integers (Kronecker
+substitution, :class:`_Kronecker`), so that a product is one big-int
+multiply, and the rest multiply term by term.  Exact elimination likewise
+has one routine, :class:`LinearSystem`: every rank, span basis and
+coefficient solve in the package goes through it.
 
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.

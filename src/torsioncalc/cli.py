@@ -39,6 +39,7 @@ from .cosmology import (
     clear_metric_memo,
     energy_momentum,
     matter_lagrangian_paths,
+    parse_number,
     recover_n,
     scalar_curvature,
     scalar_curvature_family,
@@ -171,7 +172,7 @@ def _parse_cosmology(raw: dict):
     if not (isinstance(window, list) and len(window) == 2):
         raise ConfigError("cosmology.window: expected [t0, t1]")
     try:
-        t0, t1 = (Fraction(str(x)) for x in window)
+        t0, t1 = (parse_number(x) for x in window)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cosmology.window: {exc}") from exc
     if not t1 > t0:

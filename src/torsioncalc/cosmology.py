@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ScalarField, TensorField
-from .ratfunc import ONE, Poly, RationalFunction, RF_ZERO
+from .ratfunc import ONE, Poly, RationalFunction, RF_ONE, RF_ZERO
 
 DIM = 4
 HALF = Fraction(1, 2)
@@ -34,8 +34,13 @@ class DegenerateMetricError(ZeroDivisionError):
     g^{ii} = 1/s_i has a pole there, so the metric is degenerate."""
 
 
+def parse_number(value) -> Fraction:
+    """A config number read through its text: 0.1 is 1/10, a bool is refused."""
+    return Fraction(str(value))
+
+
 def _parse_poly(coeffs) -> Poly:
-    return Poly(tuple(Fraction(c) for c in coeffs))
+    return Poly(tuple(parse_number(c) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,13 @@ class CosmologyMetric:
 
     @classmethod
     def from_coefficients(cls, s_lists, n_list, vprime_minus_w) -> "CosmologyMetric":
-        """Coefficient lists are ascending in t; entries may be 'p/q' strings."""
+        """Coefficient lists are ascending in t, read by :func:`parse_number`."""
         if len(s_lists) != 4:
             raise ValueError("need exactly four diagonal coefficient lists")
         return cls(
             tuple(_parse_poly(c) for c in s_lists),
             _parse_poly(n_list),
-            Fraction(vprime_minus_w),
+            parse_number(vprime_minus_w),
         )
 
     def metric_rows(self):
@@ -262,13 +267,13 @@ def _lagrangian_in_inverse_components(m: CosmologyMetric) -> ScalarField:
 def _substitute_inverses(expr: ScalarField, m: CosmologyMetric) -> RationalFunction:
     """Evaluate a polynomial in (t, y1..y4) at y_i = 1/s_i(t).
 
-    Each term c t^k y^e becomes one RationalFunction c t^k / prod s_i^e_i,
-    reduced once."""
+    Each term c t^k y^e is c t^k times a product of the inverses 1/s_i; their
+    constant numerators need no gcd, so only the factor c t^k meets one."""
+    inv = inverse_diagonal(m)
     total = RF_ZERO
     for exps, coeff in expr.terms().items():
-        num = Poly((0,) * exps[0] + (Fraction(coeff),))
-        den = math.prod((s for s, e in zip(m.s, exps[1:]) for _ in range(e)), start=ONE)
-        total = total + RationalFunction(num, den)
+        inverses = math.prod((y for y, e in zip(inv, exps[1:]) for _ in range(e)), start=RF_ONE)
+        total = total + inverses * Poly((0,) * exps[0] + (Fraction(coeff),))
     return total
 
 

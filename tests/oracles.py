@@ -2,6 +2,10 @@
 computes another way, kept here so the tests can compare the two, and the
 reference forms and generators that only the tests use.
 
+- ``covariant_derivative_entrywise``: each entry of a covariant derivative
+  as the partial derivative plus one sum per index slot, written with
+  ``get`` and ``ScalarField`` arithmetic, against the ``contract`` terms of
+  ``connection.covariant_derivative``.
 - ``double_covariant_derivative_explicit``: the written-out second covariant
   derivative of a valence-(1,1) tensor for rules 1..3, against two
   ``connection.covariant_derivative`` calls composed.
@@ -49,6 +53,40 @@ from torsioncalc.sampling import (
     random_scalar_field,
     random_tensor_field,
 )
+
+
+# ---------------------------------------------------------------------------
+# First covariant derivative, entry by entry
+# ---------------------------------------------------------------------------
+
+
+def covariant_derivative_entrywise(kind: DerivKind, a: TensorField, L: ConnectionField):
+    """a^{i..}_{j..;k} = d_k a^{i..}_{j..} + sum over each upper slot c of
+    U^c_{Ak} a^{..A..} - sum over each lower slot c of V^A_{ck} a_{..A..},
+    with U = sym + sigma_up tor and V = sym - sigma_lo tor read from the raw
+    coefficients: (sym + sigma tor)^x_{yz} = (1 + sigma)/2 L^x_{yz} +
+    (1 - sigma)/2 L^x_{zy}."""
+    r, _ = a.valence
+
+    def coefficient(sigma, x, y, z):
+        return (
+            L.coeffs.get(x, y, z) * Fraction(1 + sigma, 2)
+            + L.coeffs.get(x, z, y) * Fraction(1 - sigma, 2)
+        )
+
+    def entry(*indices):
+        *idx, k = indices
+        total = a.get(*idx).partial(k)
+        for p, c in enumerate(idx):
+            for alpha in range(a.dim):
+                moved = a.get(*idx[:p], alpha, *idx[p + 1 :])
+                if p < r:
+                    total = total + coefficient(kind.sigma_up, c, alpha, k) * moved
+                else:
+                    total = total - coefficient(-kind.sigma_lo, alpha, c, k) * moved
+        return total
+
+    return TensorField.build(a.dim, (r, a.valence[1] + 1), entry)
 
 
 # ---------------------------------------------------------------------------

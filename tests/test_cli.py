@@ -78,6 +78,36 @@ def test_bad_cosmology_window_or_panels_exits_two(tmp_path, capsys, field, value
     assert captured.out == ""
 
 
+def test_cosmology_numbers_are_read_through_their_text(tmp_path, capsys):
+    # a JSON float is the decimal it spells, in coefficients, v'-w and the
+    # window alike, and not the nearest binary double
+    block = {
+        "s1": [1], "s2": [0.1, 1], "s3": ["1"], "s4": ["1"], "n": [0, 0.5],
+        "vprime_minus_w": 0.1, "window": [0.1, "2"], "panels": 10,
+    }
+    config = _config(tmp_path, cosmology=block)
+    assert main(["cosmology", "--config", config, "--json"]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]["cosmology"]
+    assert echo["s2"] == ["1/10", "1"]
+    assert echo["n"] == ["0", "1/2"]
+    assert echo["vprime_minus_w"] == "1/10"
+    assert echo["window"] == ["1/10", "2"]
+
+
+@pytest.mark.parametrize("field", ["s1", "n", "vprime_minus_w"])
+def test_bool_cosmology_numbers_exit_two(tmp_path, capsys, field):
+    block = {
+        "s1": ["1"], "s2": ["1"], "s3": ["1"], "s4": ["1"], "n": ["0", "1"],
+        "vprime_minus_w": "1",
+    }
+    block[field] = True if field == "vprime_minus_w" else [True]
+    config = _config(tmp_path, cosmology=block)
+    assert main(["cosmology", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cosmology:")
+    assert captured.out == ""
+
+
 def test_verify_ricci_catalogue_small_instance_passes(tmp_path, capsys):
     config = _config(tmp_path, dimension=2, degree=1, instances=1)
     code = main(["verify-ricci", "--scope", "catalogue", "--config", config, "--json"])

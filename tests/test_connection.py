@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsioncalc import algebra, connection
 from torsioncalc.algebra import ScalarField, TensorField, contract
 from torsioncalc.connection import (
     ALL_KINDS,
@@ -17,7 +20,11 @@ from torsioncalc.connection import (
 from torsioncalc.sampling import derive_rng, random_connection, random_tensor_field
 
 from conftest import make_instance
-from oracles import double_covariant_derivative_explicit, random_symmetric_connection
+from oracles import (
+    covariant_derivative_entrywise,
+    double_covariant_derivative_explicit,
+    random_symmetric_connection,
+)
 
 HALF = Fraction(1, 2)
 
@@ -60,6 +67,60 @@ def test_decompose_round_trip():
 # ---------------------------------------------------------------------------
 # covariant derivative
 # ---------------------------------------------------------------------------
+
+
+ORACLE_VALENCES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (1, 2), (2, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    valence=st.sampled_from(ORACLE_VALENCES),
+    dim=st.integers(1, 4),
+    fractional=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_covariant_derivative_matches_entrywise_oracle(kind, valence, dim, fractional, seed):
+    rng = derive_rng(seed, "entrywise")
+    # degree 1 above dim 2 keeps the oracle's ScalarField products cheap
+    degree = 2 if dim <= 2 else 1
+    L = random_connection(rng, dim, degree)
+    a = random_tensor_field(rng, dim, valence, degree)
+    if fractional:
+        # odd coefficients give the symmetric and antisymmetric parts halves
+        a = a.scale(Fraction(1, 3))
+    else:
+        L = ConnectionField(L.coeffs.scale(2))
+    assert covariant_derivative(kind, a, L) == covariant_derivative_entrywise(kind, a, L)
+
+
+def test_valence_past_the_alphabet_is_accepted():
+    # rank 30 needs more index letters than a-z; dimension 1 keeps it to one entry
+    rng = derive_rng(14, "long-valence")
+    L = random_connection(rng, 1, degree=2)
+    a = random_tensor_field(rng, 1, (13, 17), degree=3)
+    for kind in ALL_KINDS:
+        got = covariant_derivative(kind, a, L)
+        assert got.valence == (13, 18)
+        assert got == covariant_derivative_entrywise(kind, a, L)
+        assert not got.is_zero()
+
+
+def test_connection_binds_no_private_name_of_algebra():
+    # connection.py builds its terms with contract alone and knows nothing
+    # of the packed polynomial layout
+    private = {
+        name: value
+        for name, value in vars(algebra).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    bound = {
+        name
+        for name, value in vars(connection).items()
+        if not name.startswith("__")
+        and (name in private or any(value is v for v in private.values() if callable(v)))
+    }
+    assert not bound
 
 
 def test_zero_connection_reduces_to_partials():
