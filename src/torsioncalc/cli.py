@@ -11,11 +11,19 @@ process forks a child for every chunk but the first, runs the first itself,
 then collects and reaps the children in chunk order.  Results are thus
 reduced in item order, and the report bytes do not depend on the worker
 count.  One worker, or a platform without ``os.fork``, runs serially.
+
+Modules are imported per subcommand, because each spawn compiles the source
+it imports (there may be no bytecode cache): a ``cosmology`` run never
+compiles ``ricci``.  ``algebra`` and ``report``, which every subcommand uses,
+are imported at the top; the names read from the other modules are listed in
+``_NAMES`` and bound by ``_need``, which each subcommand, each instance task
+and the cosmology config parser call first.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import marshal
@@ -26,32 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ScalarField
-from .connection import (
-    DEPENDENT_TRIPLES,
-    INDEPENDENT_TRIPLES,
-    derivative_kind_rank,
-    verify_derivative_relations,
-)
-from .cosmology import (
-    CosmologyMetric,
-    antisym_christoffel_generic,
-    antisym_christoffel_table,
-    clear_metric_memo,
-    energy_momentum,
-    matter_lagrangian_paths,
-    parse_number,
-    recover_n,
-    scalar_curvature,
-    scalar_curvature_family,
-)
-from .curvature import (
-    CURVATURE_R_MEMBER,
-    INDEPENDENT_SIX_SETS,
-    rho_catalogue,
-    rho_family_rank,
-    six_set_members,
-)
-from .ratfunc import RationalFunction
 from .report import (
     Check,
     Report,
@@ -60,17 +42,52 @@ from .report import (
     residual_check,
     value_check,
 )
-from .ricci import (
-    CATALOGUE_BY_PQRS,
-    IdentityAmbiguityError,
-    IdentityUnsolvableError,
-    IdentityWorkspace,
-    MixWeights,
-    identity_catalogue,
-    solve_all_identities,
-    solved_span_rank,
-)
-from .sampling import derive_rng, random_even_connection, random_tensor_field
+
+# The names this module reads from each of the other modules; ``_need``
+# binds them here.
+_NAMES = {
+    "connection": (
+        "DEPENDENT_TRIPLES", "INDEPENDENT_TRIPLES", "derivative_kind_rank",
+        "verify_derivative_relations",
+    ),
+    "cosmology": (
+        "CosmologyMetric", "antisym_christoffel_generic", "antisym_christoffel_table",
+        "clear_metric_memo", "energy_momentum", "matter_lagrangian_paths", "parse_number",
+        "recover_n", "scalar_curvature", "scalar_curvature_family",
+    ),
+    "curvature": (
+        "CURVATURE_R_MEMBER", "INDEPENDENT_SIX_SETS", "rho_catalogue", "rho_family_rank",
+        "six_set_members",
+    ),
+    "ratfunc": ("RationalFunction",),
+    "ricci": (
+        "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
+        "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
+        "solved_span_rank",
+    ),
+    "sampling": ("derive_rng", "random_even_connection", "random_tensor_field"),
+}
+
+
+def _need(*modules):
+    """Import ``modules`` and bind the names this module reads from them.  A
+    name that is already bound keeps its value, so a wrapper set on this
+    module (by a profiler or a test) is the function that runs."""
+    scope = globals()
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            scope.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    """Bind a name of ``_NAMES`` on its first read from outside."""
+    for module, names in _NAMES.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 WORKERS_ENV = "TORSIONCALC_WORKERS"
 
@@ -145,29 +162,28 @@ def _expect_int(name, value, lo, hi) -> int:
 
 
 def _parse_cosmology(raw: dict):
+    _need("cosmology")
     if not isinstance(raw, dict):
         raise ConfigError("cosmology: expected an object")
-    lists = {}
-    for key in ("s1", "s2", "s3", "s4", "n"):
-        if key not in raw:
-            raise ConfigError(f"cosmology.{key}: missing coefficient list")
-        value = raw[key]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"cosmology.{key}: expected a non-empty list")
-        lists[key] = value
-    if "vprime_minus_w" not in raw:
-        raise ConfigError("cosmology.vprime_minus_w: missing")
     extra = set(raw) - {"s1", "s2", "s3", "s4", "n", "vprime_minus_w", "window", "panels"}
     if extra:
         raise ConfigError(f"cosmology: unknown fields {sorted(extra)}")
-    try:
-        metric = CosmologyMetric.from_coefficients(
-            [lists["s1"], lists["s2"], lists["s3"], lists["s4"]],
-            lists["n"],
-            raw["vprime_minus_w"],
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cosmology: {exc}") from exc
+    values = {}
+    for key in ("s1", "s2", "s3", "s4", "n", "vprime_minus_w"):
+        if key not in raw:
+            raise ConfigError(f"cosmology.{key}: missing")
+        value, is_list = raw[key], key != "vprime_minus_w"
+        if is_list and (not isinstance(value, list) or not value):
+            raise ConfigError(f"cosmology.{key}: expected a non-empty list")
+        try:
+            values[key] = [parse_number(c) for c in value] if is_list else parse_number(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cosmology.{key}: {exc}") from exc
+        if key[0] == "s" and not any(values[key]):
+            raise ConfigError(f"cosmology.{key}: identically zero")
+    metric = CosmologyMetric.from_coefficients(
+        [values[k] for k in ("s1", "s2", "s3", "s4")], values["n"], values["vprime_minus_w"]
+    )
     window = raw.get("window", ["0", "1"])
     if not (isinstance(window, list) and len(window) == 2):
         raise ConfigError("cosmology.window: expected [t0, t1]")
@@ -283,6 +299,7 @@ def _run_chunk(fn, chunk, fd):
 
 
 def _relations_task(args):
+    _need("connection", "sampling")
     seed, dim, degree, idx = args
     label = f"deriv:{dim}:{idx}"
     rng = derive_rng(seed, label)
@@ -318,6 +335,7 @@ def _first_nonzero(t):
 
 
 def _catalogue_task(args):
+    _need("ricci", "sampling")
     seed, dim, degree, idx = args
     label = f"ricci:{dim}:{idx}"
     rng = derive_rng(seed, label)
@@ -334,6 +352,7 @@ def _catalogue_task(args):
 
 
 def _mixed_task(args):
+    _need("ricci", "sampling")
     seed, dim, degree, idx, per_combo = args
     label = f"mixed:{dim}:{idx}"
     rng = derive_rng(seed, label)
@@ -377,6 +396,7 @@ def _and_reduce(results):
 
 
 def cmd_verify_derivatives(config: RunConfig) -> Report:
+    _need("connection", "sampling")
     report = Report("verify-derivatives", config.echo())
     t0 = time.perf_counter()
     tasks = [
@@ -395,6 +415,7 @@ def cmd_verify_derivatives(config: RunConfig) -> Report:
 
 
 def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
+    _need("ricci", "sampling")
     echo = config.echo()
     if scope == "all":  # the solve is sized by the degree alone
         echo = {key: echo[key] for key in ("seed", "degree")}
@@ -445,6 +466,7 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
 
 
 def cmd_rank_rho(config: RunConfig) -> Report:
+    _need("curvature")
     report = Report("rank-rho", config.echo())
     catalogue = rho_catalogue()
     report.add(rank_check("thm3:full-catalogue", 6, rho_family_rank(catalogue)))
@@ -457,6 +479,7 @@ def cmd_rank_rho(config: RunConfig) -> Report:
 
 
 def cmd_cosmology(config: RunConfig) -> Report:
+    _need("cosmology", "ratfunc")
     if config.cosmology is None:
         raise ConfigError("cosmology: block required for this command")
     m = config.cosmology

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import ScalarField, TensorField, contract
-from .connection import ConnectionField
 
 HALF = Fraction(1, 2)
 
@@ -123,6 +122,8 @@ def christoffel_generalized(g: GeneralizedMetric) -> ConnectionField:
 
     For a symmetric metric this is the Levi-Civita connection.
     """
+    from .connection import ConnectionField  # the cosmology path never compiles it
+
     inv, grad = g.g_sym_inv, g.g.partial_gradient()  # g_{ij,k}
     return ConnectionField(
         contract(

@@ -33,6 +33,8 @@ def test_tracer_wraps_and_restores_every_attribute(monkeypatch):
         ("IdentityWorkspace", "dd"),
         ("IdentityWorkspace", "basis"),
         ("IdentityWorkspace", "r_commutator"),
+        ("torsioncalc.cli", "recover_n"),
+        ("torsioncalc.cli", "solve_all_identities"),
     ]:
         assert name in names
     for owner, attr, original in patched:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -64,7 +65,11 @@ def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("window", ["0", "abc"]), ("panels", True), ("panels", 10**6 + 1)],
+    [
+        ("window", ["0", "abc"]), ("panels", True), ("panels", 10**6 + 1),
+        ("s4", ["abc"]), ("s3", ["1", True]), ("s2", ["0", "0"]), ("n", ["1/0"]),
+        ("vprime_minus_w", "abc"), ("s1", "1"),
+    ],
 )
 def test_bad_cosmology_window_or_panels_exits_two(tmp_path, capsys, field, value):
     block = {
@@ -104,7 +109,7 @@ def test_bool_cosmology_numbers_exit_two(tmp_path, capsys, field):
     config = _config(tmp_path, cosmology=block)
     assert main(["cosmology", "--config", config]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: cosmology:")
+    assert captured.err.startswith(f"config error: cosmology.{field}:")
     assert captured.out == ""
 
 
@@ -351,21 +356,24 @@ def test_and_reduce_keeps_the_first_failing_instance():
     ]
 
 
-def _loaded_by_importing_the_cli(module: str, argv=()) -> bool:
-    """Whether ``module`` is in sys.modules of a fresh interpreter after it
-    imports the CLI and, given ``argv``, runs it at 2 workers."""
+def _in_a_fresh_interpreter(code: str) -> str:
+    """The last line printed by ``code``, run in a fresh interpreter that has
+    imported the CLI as ``cli`` and sees 2 CPUs, at 2 workers."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, cli.WORKERS_ENV: "2"}
-    run = f"if cli.main({list(argv)!r}): sys.exit(3)\n" if argv else ""
-    code = (
-        "import os, sys, torsioncalc.cli as cli\n"
-        f"os.cpu_count = lambda: 2\n{run}print({module!r} in sys.modules)"
-    )
+    code = f"import os, sys, torsioncalc.cli as cli\nos.cpu_count = lambda: 2\n{code}"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
     )
-    return {"True": True, "False": False}[out.stdout.split()[-1]]
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_by_importing_the_cli(argv=()) -> set:
+    """The names in sys.modules of a fresh interpreter after it imports the
+    CLI and, given ``argv``, runs it at 2 workers."""
+    run = f"if cli.main({list(argv)!r}): sys.exit(3)\n" if argv else ""
+    return set(_in_a_fresh_interpreter(f"{run}print(*sys.modules)").split())
 
 
 def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
@@ -373,12 +381,71 @@ def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
     # not even a 2-worker run whose 2 tasks take the fork path
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
     argv = ["verify-ricci", "--scope", "mixed", "--config", config]
-    assert not _loaded_by_importing_the_cli("multiprocessing", argv)
+    assert "multiprocessing" not in _loaded_by_importing_the_cli(argv)
 
 
 def test_importing_the_cli_leaves_numpy_out():
     # numpy's import alone costs more than the whole CLI setup
-    assert not _loaded_by_importing_the_cli("numpy")
+    assert "numpy" not in _loaded_by_importing_the_cli()
+
+
+SMALL_COSMOLOGY = {
+    "s1": ["1", "1"], "s2": ["1"], "s3": ["2", "1"], "s4": ["1"], "n": ["0", "1"],
+    "vprime_minus_w": "1/3", "panels": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        (["cosmology"], ("cosmology", "ratfunc"), ("ricci", "curvature", "sampling", "connection")),
+        (["verify-ricci", "--scope", "catalogue"], ("ricci",), ("cosmology", "ratfunc", "metrics")),
+        (["rank-rho"], ("curvature",), ("cosmology", "ratfunc", "metrics", "ricci")),
+    ],
+    ids=["cosmology", "catalogue", "rank-rho"],
+)
+def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path, argv, used, unused):
+    # with no bytecode cache every loaded module is compiled on every run
+    fields = {"cosmology": SMALL_COSMOLOGY} if argv == ["cosmology"] else {}
+    config = _config(tmp_path, dimension=2, degree=1, instances=2, **fields)
+    loaded = _loaded_by_importing_the_cli([*argv, "--config", config])
+    assert {f"torsioncalc.{m}" for m in used} <= loaded
+    assert not {f"torsioncalc.{m}" for m in unused} & loaded
+
+
+def test_every_name_the_cli_binds_is_an_attribute_of_its_module():
+    # a rename fails here, not only in the one subcommand that reads the name
+    for module, names in cli._NAMES.items():
+        source = importlib.import_module(f"torsioncalc.{module}")
+        for name in names:
+            assert hasattr(source, name), (module, name)
+            assert getattr(cli, name) is getattr(source, name), (module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def test_a_wrapper_set_on_the_cli_is_the_function_that_runs(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps cli.recover_n this way; the subcommand's
+    # own binding must not replace the wrapper
+    calls, real = [], cli.recover_n
+    monkeypatch.setattr(cli, "recover_n", lambda *args: calls.append(args) or real(*args))
+    config = cli.load_config(_config(tmp_path, cosmology=SMALL_COSMOLOGY))
+    assert cli.cmd_cosmology(config).exit_code() == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "task, args",
+    [
+        ("_relations_task", (7, 2, 1, 0)),
+        ("_catalogue_task", (7, 2, 1, 0)),
+        ("_mixed_task", (7, 2, 1, 0, 1)),
+    ],
+)
+def test_an_instance_task_runs_with_no_subcommand_before_it(task, args):
+    # tests and profilers call a task directly, with no cmd_* before it
+    code = f"print(all(ok for _, ok, _ in cli.{task}({args!r})))"
+    assert _in_a_fresh_interpreter(code) == "True"
 
 
 # ---------------------------------------------------------------------------
