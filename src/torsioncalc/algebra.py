@@ -9,7 +9,10 @@ operands large enough to pay for it are encoded as integers (Kronecker
 substitution, :class:`_Kronecker`), so that a product is one big-int
 multiply, and the rest multiply term by term.  Exact elimination likewise
 has one routine, :class:`LinearSystem`: every rank, span basis and
-coefficient solve in the package goes through it.
+coefficient solve in the package goes through it, the solve's equations fed
+by :meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
+exact zero test, :func:`nonzero_sums`.  So no other module reads the packed
+term format.
 
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.
@@ -23,7 +26,7 @@ import itertools
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul, or_
 
 MAX_DIMENSION = 6
@@ -772,6 +775,87 @@ def _product_plan(count: int, products):
 
 
 # ---------------------------------------------------------------------------
+# Exact zero test
+# ---------------------------------------------------------------------------
+
+
+def nonzero_sums(valence: tuple, members, dens=None) -> dict:
+    """Which of K sums of one-operand ``contract`` terms are nonzero, from one
+    packed :func:`contract`.
+
+    Member k is a list of terms (weight, spec, tensor) into ``valence``,
+    summed over ``dens[k]`` (1 when ``dens`` is None).  A member whose
+    weights are not all ints is scaled to ints, and the scale joins its den.
+    Returns {k: (entry, monomial)} for every nonzero member in index order,
+    where ``entry`` is the index tuple of its first nonzero entry (row-major)
+    and ``monomial`` the first nonzero term there (packed-key order), a
+    one-term ScalarField carrying the sum's own coefficient.
+
+    The members are packed into big-int slots of b bits (SWAR).  Column j, a
+    distinct (spec, tensor) pair, is scaled by E, the lcm of the columns'
+    coefficient denominators, and weighted by sum_k w_kj << (b k).  Each
+    coefficient of the one contraction is then sum_k r_k 2^(b k), with r_k =
+    dens[k] E times member k's coefficient.  b is chosen so that 2^(b-1) > E
+    sum_j |w_kj| max|column j| for every k, hence every |r_k| < 2^(b-1);
+    such a sum is zero only when every r_k is, and the r_k decode slot by
+    slot with sign and over dens[k] E.  So this is exactly the predicate
+    ``contract(valence, *member).is_zero()`` per member, not a random
+    projection.
+    """
+    dens = list(dens) if dens else [1] * len(members)
+    columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
+    for k, pieces in enumerate(members):
+        scale = lcm(*(w.denominator for w, _, _ in pieces))
+        dens[k] *= scale
+        for w, spec, t in pieces:
+            if w:
+                _, _, ws = columns.setdefault((spec, id(t)), (spec, t, {}))
+                ws[k] = ws.get(k, 0) + int(w * scale)
+    if not columns:
+        return {}
+    tensors = {id(t): t for _, t, _ in columns.values()}
+    E, tops = 1, {}  # E: lcm of the coefficient denominators; tops: max |coefficient|
+    for key, t in tensors.items():
+        values = [v for e in t.entries for v in e._terms.values()]
+        tops[key] = max(map(abs, values), default=0)
+        if Fraction in set(map(type, values)):
+            E = lcm(E, *(v.denominator for v in values))
+    bounds = [0] * len(members)
+    for _, t, ws in columns.values():
+        top = int(E * tops[id(t)])
+        for k, w in ws.items():
+            bounds[k] += abs(w) * top
+    b = max(bounds).bit_length() + 1
+    if E != 1:  # integral copies, so the accumulation runs on ints
+        tensors = {key: t.scale(E) for key, t in tensors.items()}
+    packed = contract(
+        valence,
+        *(
+            (sum(w << (b * k) for k, w in ws.items()), spec, tensors[id(t)])
+            for spec, t, ws in columns.values()
+        ),
+    )
+
+    dim, rank = packed.dim, packed.rank()
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    found = {}
+    for e, field in enumerate(packed.entries):
+        for key in sorted(field._terms):
+            v, k = field._terms[key], 0
+            while v:
+                r = v & mask
+                if r >= half:
+                    r -= mask + 1
+                if r and k not in found:
+                    D = E * dens[k]
+                    term = r // D if r % D == 0 else Fraction(r, D)
+                    found[k] = (_flat_to_indices(e, dim, rank), ScalarField(dim, {key: term}))
+                v = (v - r) >> b
+                k += 1
+    return dict(sorted(found.items()))
+
+
+# ---------------------------------------------------------------------------
 # Exact linear algebra over the rationals
 # ---------------------------------------------------------------------------
 
@@ -849,6 +933,43 @@ class LinearSystem:
             if v:
                 self.inconsistent[j] = True
         return False
+
+    def add_coefficient_rows(self, valence: tuple, columns, targets=()) -> None:
+        """Equate polynomial coefficients of sum_j x_j columns[j] and each
+        right side, one row per (entry, monomial), until full column rank.
+
+        Each column and each target is a list of one-operand ``contract``
+        terms (weight, spec, tensor) into ``valence``.  Entries go in
+        row-major order, and an entry's rows in the packed-key order of the
+        monomials that some column or target carries there.  An entry's sums
+        are formed only when it is reached, and no entry is started once the
+        rank is ``ncols``, so the entries after full rank are never
+        assembled; the entry that reaches it is fed to its end, and those
+        rows still test the right sides' consistency.
+        """
+        rank, sums = valence[0] + valence[1], []
+        for terms in (*columns, *targets):
+            gathers = []
+            for w, spec, t in terms:
+                ranks, out_rank, (bx, *_), inner = _contraction_plan(spec, t.dim)
+                if ranks != (t.rank(),) or out_rank != rank:
+                    raise ValueError(f"{spec!r}: not one rank-{t.rank()} operand into {valence}")
+                gathers.append((w, t.entries, bx, [i for (i,) in inner]))
+                dim = t.dim
+            sums.append(gathers)
+        for e in range(dim**rank):
+            if self.rank == self.ncols:
+                return
+            polys = []
+            for gathers in sums:
+                acc = {}
+                for w, x, bx, inner in gathers:
+                    for i in inner:
+                        _add_terms(acc, x[bx[e] + i]._terms, w)
+                polys.append(_strip_zeros(acc))
+            for key in sorted(set().union(*polys)):
+                row = [p.get(key, 0) for p in polys]
+                self.add_row(row[: self.ncols], row[self.ncols :])
 
     def solve(self, which: int = 0):
         """The unique solution for right side ``which``.

@@ -3,7 +3,9 @@
 Subcommands run the package's verification sweeps from a JSON config and
 emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 (with ``--scope catalogue|all|mixed``), ``rank-rho`` and ``cosmology``.
-Exit status is 0 exactly when no check failed.
+Exit status is 0 exactly when no check failed, 1 when one did, and 2 for an
+unusable config, config file or report path, named in the message.  Every
+residual check is ``algebra.nonzero_sums``, the one exact zero test.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
 per CPU).  The instances are split into one contiguous chunk per worker: the
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import itertools
 import json
 import marshal
 import os
@@ -33,7 +34,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ScalarField
+from .algebra import nonzero_sums
 from .report import (
     Check,
     Report,
@@ -48,7 +49,7 @@ from .report import (
 _NAMES = {
     "connection": (
         "DEPENDENT_TRIPLES", "INDEPENDENT_TRIPLES", "derivative_kind_rank",
-        "verify_derivative_relations",
+        "derivative_relations",
     ),
     "cosmology": (
         "CosmologyMetric", "antisym_christoffel_generic", "antisym_christoffel_table",
@@ -205,6 +206,10 @@ def load_config(path: str | None) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse failure at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -305,12 +310,13 @@ def _relations_task(args):
     rng = derive_rng(seed, label)
     L = random_even_connection(rng, dim, degree)
     a = random_tensor_field(rng, dim, (1, 1), degree)
-    results = []
-    for tag, res in verify_derivative_relations(L, a):
-        witness = _first_nonzero(res)
-        detail = None if witness is None else _failure_detail(seed, label, dim, witness)
-        results.append((tag, witness is None, detail))
-    return results
+    relations = derivative_relations(L, a)
+    failing = nonzero_sums((1, 2), [terms for _, terms in relations])
+    return [
+        (tag, k not in failing,
+         _failure_detail(seed, label, dim, failing[k]) if k in failing else None)
+        for k, (tag, _) in enumerate(relations)
+    ]
 
 
 def _failure_detail(seed, label, dim, witness, **member):
@@ -320,18 +326,6 @@ def _failure_detail(seed, label, dim, witness, **member):
         "seed": seed, "label": label, "dim": dim, **member,
         "entry": list(entry), "monomial": repr(monomial),
     }
-
-
-def _first_nonzero(t):
-    """(entry, monomial) of a nonzero tensor: the index tuple of its first
-    nonzero entry (row-major) and that entry's first term in canonical
-    order, as IdentityWorkspace.nonzero_members reports them; None for a
-    zero tensor."""
-    for idx, field in zip(itertools.product(range(t.dim), repeat=t.rank()), t.entries):
-        if not field.is_zero():
-            exps, coeff = next(iter(field.terms().items()))
-            return idx, ScalarField.from_terms({exps: coeff}, t.dim)
-    return None
 
 
 def _catalogue_task(args):
@@ -362,7 +356,8 @@ def _mixed_task(args):
     catalogue = identity_catalogue()
     # drawn member by member, in the order of the per-member checks
     weightings = [MixWeights.random(rng) for _ in catalogue for _ in range(per_combo)]
-    failing = ws.nonzero_members(
+    failing = nonzero_sums(
+        (1, 3),
         [ws.mixed_residual_pieces(catalogue[k // per_combo], w) for k, w in enumerate(weightings)],
         [w.den for w in weightings],
     )
@@ -613,8 +608,13 @@ def main(argv=None) -> int:
 
     rendered = report.render(with_timings=args.timings)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"output error: cannot write {config.output}: {reason}", file=sys.stderr)
+            return 2
     if args.json:
         sys.stdout.write(rendered)
     else:

@@ -144,17 +144,14 @@ DERIVATIVE_RELATIONS = (
 )
 
 
-def verify_derivative_relations(L: ConnectionField, a: TensorField):
-    """Residual of each linear relation among the five derivative rules.
-
-    Returns a list of (tag, residual tensor); every residual is exactly zero
-    for any connection and tensor field.
-    """
+def derivative_relations(L: ConnectionField, a: TensorField):
+    """Each linear relation among the five derivative rules as (tag, terms):
+    the ``contract`` terms of its residual, which sums to exactly zero for
+    any connection and tensor field."""
     derivs = {kind: covariant_derivative(kind, a, L) for kind in ALL_KINDS}
     same = "{0}->{0}".format(_letters(a.rank() + 1))
-    valence = derivs[DerivKind.SYM].valence
     return [
-        (tag, contract(valence, (1, same, derivs[lhs]), *((-w, same, derivs[k]) for w, k in combo)))
+        (tag, [(1, same, derivs[lhs]), *((-w, same, derivs[k]) for w, k in combo)])
         for tag, lhs, combo in DERIVATIVE_RELATIONS
     ]
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ScalarField, TensorField
+from .algebra import ScalarField, TensorField, contract
 from .ratfunc import ONE, Poly, RationalFunction, RF_ONE, RF_ZERO
 
 DIM = 4
@@ -127,10 +127,24 @@ def antisym_christoffel_table(m: CosmologyMetric) -> TensorField:
     return TensorField.build(DIM, (0, 3), entry)
 
 
+def christoffel_first_kind_antisym(field: TensorField) -> TensorField:
+    """Lowered antisymmetric part of the connection of a valence-(0, 2)
+    metric field, from its antisymmetric part h alone (no inverse metric, so
+    it stays polynomial): G_{a.jk} = 1/2 (h_{ja,k} - h_{jk,a} + h_{ak,j})."""
+    if field.valence != (0, 2):
+        raise ValueError("metric must have valence (0, 2)")
+    anti = contract((0, 2), (HALF, "ij->ij", field), (-HALF, "ji->ij", field))
+    grad = anti.partial_gradient()
+    return contract(
+        (0, 3),
+        (HALF, "jak->ajk", grad),
+        (-HALF, "jka->ajk", grad),
+        (HALF, "akj->ajk", grad),
+    )
+
+
 def antisym_christoffel_generic(m: CosmologyMetric) -> TensorField:
     """Same table computed from the generic lowered-derivative formula."""
-    from .metrics import christoffel_first_kind_antisym
-
     return christoffel_first_kind_antisym(m.metric_field())
 
 

@@ -135,27 +135,6 @@ def christoffel_generalized(g: GeneralizedMetric) -> ConnectionField:
     )
 
 
-def christoffel_first_kind_antisym(g) -> TensorField:
-    """Lowered antisymmetric part of the connection, from the antisymmetric
-    metric part alone:
-    G_{a.jk} = 1/2 (h_{ja,k} - h_{jk,a} + h_{ak,j}),  h = antisymmetric part.
-
-    No inverse metric involved, so this stays polynomial for any metric;
-    accepts a GeneralizedMetric or a bare valence-(0, 2) field.
-    """
-    field = g.g if isinstance(g, GeneralizedMetric) else g
-    if field.valence != (0, 2):
-        raise ValueError("metric must have valence (0, 2)")
-    anti = contract((0, 2), (HALF, "ij->ij", field), (-HALF, "ji->ij", field))
-    grad = anti.partial_gradient()
-    return contract(
-        (0, 3),
-        (HALF, "jak->ajk", grad),
-        (-HALF, "jka->ajk", grad),
-        (HALF, "akj->ajk", grad),
-    )
-
-
 def einstein_metricity_residual(g: GeneralizedMetric, L: ConnectionField) -> TensorField:
     """g_{ij,k} - G^a_{ik} g_{aj} - G^a_{kj} g_{ia}, entrywise.
 

@@ -39,6 +39,10 @@ The same split makes the coefficient solve one right side.  A combination's
 target, lhs minus the R-commutator, is basis-column pieces, which are exact
 offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
 column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for.
+
+The residual checks go through ``algebra.nonzero_sums`` and the solve's
+equations through ``LinearSystem.add_coefficient_rows``, so this module
+never reads the packed polynomial format.
 """
 
 from __future__ import annotations
@@ -49,16 +53,7 @@ from functools import cache
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (
-    LinearSystem,
-    ScalarField,
-    TensorField,
-    _add_terms,
-    _flat_to_indices,
-    _strip_zeros,
-    contract,
-    matrix_rank,
-)
+from .algebra import LinearSystem, TensorField, contract, matrix_rank, nonzero_sums
 from .connection import (
     ALL_KINDS,
     KIND_BY_NUMBER,
@@ -420,7 +415,6 @@ class IdentityWorkspace:
             raise ValueError("dimension mismatch")
         self.a = a
         self.L = L
-        self.dim = a.dim
         self._cache = {}
 
     def _get(self, key, build):
@@ -555,90 +549,13 @@ class IdentityWorkspace:
         lhs = [(weights.den * w, read, key) for w, read, key in _lhs_refs(coeffs.pqrs)]
         return self._pieces([*lhs, *_mixed_refs(coeffs, weights, sign=-1)])
 
-    def nonzero_members(self, members, dens=None) -> dict:
-        """Which of K residuals are nonzero, from one packed ``contract``.
-
-        ``members`` holds one piece list per member, as built by
-        :meth:`residual_pieces` or :meth:`mixed_residual_pieces`, every
-        weight an int.  Member k's residual is the sum of its pieces over
-        ``dens[k]``, the denominator its weights are scaled by
-        (``weights.den`` for mixed pieces; every den is 1 when ``dens`` is
-        None).  Returns {k: (entry, monomial)} for every nonzero member in
-        index order, where ``entry`` is the index tuple of its first nonzero
-        entry (row-major) and ``monomial`` the first nonzero term there
-        (packed-key order), a one-term ScalarField carrying the residual's
-        own coefficient.
-
-        The members are packed into big-int slots of b bits (SWAR).  Column
-        j, a distinct (spec, tensor) pair, is scaled by E, the lcm of the
-        columns' coefficient denominators, and weighted by
-        sum_k w_kj << (b k).  Each coefficient of the one contraction is
-        then sum_k r_k 2^(b k), with r_k = dens[k] E times member k's
-        coefficient.  b is chosen so that 2^(b-1) > E sum_j |w_kj|
-        max|column j| for every k, hence every |r_k| < 2^(b-1); such a sum
-        is zero only when every r_k is, and the r_k decode slot by slot with
-        sign and over dens[k] E.  So this is exactly the predicate
-        ``residual.is_zero()`` per member, not a random projection.
-        """
-        columns = {}  # (spec, id(tensor)) -> (spec, tensor, {k: weight})
-        for k, pieces in enumerate(members):
-            for w, spec, t in pieces:
-                if w:
-                    _, _, ws = columns.setdefault((spec, id(t)), (spec, t, {}))
-                    ws[k] = ws.get(k, 0) + w
-        tensors = {id(t): t for _, t, _ in columns.values()}
-        stats = {}  # id(tensor) -> (max |coefficient|, lcm of denominators)
-        for key, t in tensors.items():
-            values = [v for e in t.entries for v in e._terms.values()]
-            fractional = Fraction in set(map(type, values))
-            stats[key] = (
-                max(map(abs, values), default=0),
-                lcm(*(v.denominator for v in values)) if fractional else 1,
-            )
-        E = lcm(*(den for _, den in stats.values()))
-        bounds = [0] * len(members)
-        for _, t, ws in columns.values():
-            top = int(E * stats[id(t)][0])
-            for k, w in ws.items():
-                bounds[k] += abs(w) * top
-        b = max(bounds, default=0).bit_length() + 1
-        if E != 1:  # integral copies, so the accumulation runs on ints
-            tensors = {key: t.scale(E) for key, t in tensors.items()}
-        terms = [
-            (sum(w << (b * k) for k, w in ws.items()), spec, tensors[id(t)])
-            for spec, t, ws in columns.values()
-        ]
-        if not terms:
-            return {}
-        packed = contract((1, 3), *terms)
-
-        mask, half = (1 << b) - 1, 1 << (b - 1)
-        found = {}
-        for e, field in enumerate(packed.entries):
-            for key in sorted(field._terms):
-                v, k = field._terms[key], 0
-                while v:
-                    r = v & mask
-                    if r >= half:
-                        r -= mask + 1
-                    if r and k not in found:
-                        D = E * dens[k] if dens else E
-                        term = r // D if r % D == 0 else Fraction(r, D)
-                        found[k] = (
-                            _flat_to_indices(e, self.dim, 4),
-                            ScalarField(self.dim, {key: term}),
-                        )
-                    v = (v - r) >> b
-                    k += 1
-        return dict(sorted(found.items()))
-
     def nonzero_residuals(self, members) -> dict:
-        """:meth:`nonzero_members` of the residuals of identity members
-        (:class:`IdentityCoefficients`), by member index.  Members whose
-        merged residual pieces are the same have the same residual (every
-        correct member's is SSa - SSa^(m<->n) - rcomm), so each distinct
-        piece list is packed once, and its result is reported for every
-        member that has it."""
+        """:func:`~torsioncalc.algebra.nonzero_sums` of the residuals of
+        identity members (:class:`IdentityCoefficients`), by member index.
+        Members whose merged residual pieces are the same have the same
+        residual (every correct member's is SSa - SSa^(m<->n) - rcomm), so
+        each distinct piece list is packed once, and its result is reported
+        for every member that has it."""
         index, distinct, slots = {}, [], []
         for ic in members:
             pieces = self.residual_pieces(ic)
@@ -647,7 +564,7 @@ class IdentityWorkspace:
                 index[key] = len(distinct)
                 distinct.append(pieces)
             slots.append(index[key])
-        found = self.nonzero_members(distinct)
+        found = nonzero_sums((1, 3), distinct)
         return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
 
 
@@ -664,47 +581,10 @@ def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> Identit
 
 
 def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, rests) -> None:
-    """Stack structural equations (one per tensor entry and monomial) until
-    the design matrix has full column rank.
-
-    Right side j is the tensor of ``rests[j]``, a list of weighted
-    references (see :func:`_split_target`); it is summed entry by entry from
-    its cached tensors as the rows are fed, so the entries after full rank
-    are never assembled."""
-    dim = ws.dim
-    entries = {}  # id(tensor) -> the term dicts of its entries
-
-    def columns(refs):
-        out = []
-        for w, read, t in ws._pieces(refs):
-            if id(t) not in entries:
-                entries[id(t)] = [e._terms for e in t.entries]
-            out.append((w, read == SWAP, entries[id(t)]))
-        return out
-
-    basis = [columns([_basis_ref(k)])[0] for k in range(1, 18)]
-    target_columns = [columns(rest) for rest in rests]
-    for e in range(dim**4):
-        m, n = divmod(e % (dim * dim), dim)
-        swapped = e + (n - m) * (dim - 1)  # the entry with m and n swapped (SWAP)
-        basis_terms = [(w, col[swapped if swap else e]) for w, swap, col in basis]
-        targets = []
-        for pieces in target_columns:
-            acc = {}
-            for w, swap, col in pieces:
-                _add_terms(acc, col[swapped if swap else e], w)
-            targets.append(_strip_zeros(acc))
-        keys = set()
-        for _, bt in basis_terms:
-            keys.update(bt)
-        for tg in targets:
-            keys.update(tg)
-        for key in sorted(keys):
-            row = [w * bt.get(key, 0) for w, bt in basis_terms]
-            rhs = [tg.get(key, 0) for tg in targets]
-            system.add_row(row, rhs)
-        if system.rank == 17:
-            return
+    """Equate the coefficients of the 17 basis terms with the tensor of each
+    rest (see :func:`_split_target`), entry by entry, until full rank."""
+    basis = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)]
+    system.add_coefficient_rows((1, 3), basis, [ws._pieces(rest) for rest in rests])
 
 
 def span_basis(members) -> list:

@@ -1,10 +1,15 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsioncalc
+from torsioncalc import algebra
 from torsioncalc.algebra import (
     ExponentOverflowError,
     LinearSystem,
@@ -470,3 +475,88 @@ def test_linear_system_keeps_integer_rows():
     assert [sum(a * b for a, b in zip(r, x)) for r in rows] == [
         Fraction(5, 6), 7, Fraction(-1, 2)
     ]
+
+
+class _RecordingSystem(LinearSystem):
+    """A LinearSystem that records each row and the rank before it."""
+
+    def __init__(self, ncols, nrhs):
+        super().__init__(ncols, nrhs)
+        self.fed = []
+
+    def add_row(self, coeffs, rhs=()):
+        self.fed.append((self.rank, list(coeffs), list(rhs)))
+        return super().add_row(coeffs, rhs)
+
+
+def _explicit_rows(valence, sums):
+    """Per entry of ``valence`` (row-major), the rows equating the sums'
+    coefficients: one per monomial that some sum carries, ordered by the
+    last exponent first, then the one before (the packed-key order)."""
+    tensors = [contract(valence, *terms) for terms in sums]
+    per_entry = []
+    for fields in zip(*(t.entries for t in tensors)):
+        terms = [f.terms() for f in fields]
+        monomials = sorted(set().union(*terms), key=lambda exps: exps[::-1])
+        per_entry.append([[t.get(m, 0) for t in terms] for m in monomials])
+    return per_entry
+
+
+@pytest.mark.parametrize("full_rank", [True, False])
+def test_add_coefficient_rows_flattens_entries_and_stops_at_full_rank(full_rank):
+    rng = derive_rng(60, f"coefficient-rows:{full_rank}")
+    A, B, C, T = (random_tensor_field(rng, 2, (1, 1), degree=2) for _ in range(4))
+    third = C if full_rank else A  # else columns[2] = columns[0] + columns[1]
+    columns = [
+        [(Fraction(1, 2), "ij->ij", A)],
+        [(2, "ji->ij", B), (-1, "ij->ij", B)],
+        [(Fraction(1, 2), "ij->ij", third), (2, "ji->ij", B), (-1, "ij->ij", B)],
+    ]
+    targets = [[(1, "ij->ij", T)], [(1, "ij->ij", A), (-3, "ji->ij", B)]]
+    system = _RecordingSystem(3, 2)
+    system.add_coefficient_rows((1, 1), columns, targets)
+
+    per_entry = _explicit_rows((1, 1), [*columns, *targets])
+    reference, expected = LinearSystem(3, 2), []
+    for rows in per_entry:  # fed whole entries until the rank is 3
+        if reference.rank == 3:
+            break
+        for row in rows:
+            reference.add_row(row[:3], row[3:])
+            expected.append((row[:3], row[3:]))
+    assert [(coeffs, rhs) for _, coeffs, rhs in system.fed] == expected
+    assert system._pivot_rows == reference._pivot_rows
+    assert system.inconsistent == reference.inconsistent
+    if full_rank:
+        # the rank reaches 3 inside the first entry: that entry is fed to its
+        # end, and the other three are never summed
+        assert system.rank == 3 and len(expected) == len(per_entry[0])
+        assert [rank for rank, _, _ in system.fed].count(3) > 0
+    else:
+        assert system.rank == 2 and len(expected) == sum(map(len, per_entry))
+
+
+def test_only_algebra_knows_the_packed_term_format():
+    # every other module works through contract, nonzero_sums and
+    # LinearSystem: it binds no private name of algebra and reads no ._terms
+    private = {
+        name: value
+        for name, value in vars(algebra).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    offenders = {}
+    for info in pkgutil.iter_modules(torsioncalc.__path__):
+        if info.name == "algebra":
+            continue
+        module = importlib.import_module(f"torsioncalc.{info.name}")
+        found = sorted(
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("__")
+            and (name in private or any(value is v for v in private.values() if callable(v)))
+        )
+        if "._terms" in inspect.getsource(module):
+            found.append("._terms")
+        if found:
+            offenders[info.name] = found
+    assert offenders == {}

@@ -131,6 +131,40 @@ def test_unknown_config_field_exits_two(tmp_path, capsys):
     assert "'dimensions'" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_two_naming_the_path(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"output": "r\xe9port.json"}')  # Latin-1, not UTF-8
+    code = main(["rank-rho", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("via", ["--out", "config"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_report_path_exits_two_naming_the_path(tmp_path, capsys, via, target):
+    out = tmp_path / "reports"
+    if target == "directory":
+        out.mkdir()
+    else:
+        out = out / "report.json"
+    fields = {"output": str(out)} if via == "config" else {}
+    argv = ["rank-rho", "--config", _config(tmp_path, **fields)]
+    if via == "--out":
+        argv += ["--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("output error:")
+    assert str(out) in captured.err
+    assert captured.out == ""
+
+
 def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     # 8 instances make 2 tasks, so 2 workers fork one child
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
@@ -398,7 +432,11 @@ SMALL_COSMOLOGY = {
 @pytest.mark.parametrize(
     "argv, used, unused",
     [
-        (["cosmology"], ("cosmology", "ratfunc"), ("ricci", "curvature", "sampling", "connection")),
+        (
+            ["cosmology"],
+            ("cosmology", "ratfunc"),
+            ("ricci", "curvature", "sampling", "connection", "metrics"),
+        ),
         (["verify-ricci", "--scope", "catalogue"], ("ricci",), ("cosmology", "ratfunc", "metrics")),
         (["rank-rho"], ("curvature",), ("cosmology", "ratfunc", "metrics", "ricci")),
     ],

@@ -72,7 +72,7 @@ def coefficient_kinds(fractional):
     return st.one_of(ints, fractions) if fractional else ints
 
 
-# SWAR weights as IdentityWorkspace.nonzero_members builds them: one signed
+# SWAR weights as algebra.nonzero_sums builds them: one signed
 # member coefficient per 70-bit slot
 swar = st.lists(small, min_size=2, max_size=17).map(
     lambda cs: sum(c << (70 * k) for k, c in enumerate(cs))

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsioncalc import cli, ricci
-from torsioncalc.algebra import ScalarField, contract, matrix_rank
-from torsioncalc.connection import KIND_BY_NUMBER, DerivKind, covariant_derivative
+from torsioncalc import algebra, cli, ricci
+from torsioncalc.algebra import ScalarField, contract, matrix_rank, nonzero_sums
+from torsioncalc.connection import (
+    KIND_BY_NUMBER,
+    DerivKind,
+    covariant_derivative,
+    derivative_relations,
+)
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
     _ANTISYMMETRIC,
@@ -433,7 +438,7 @@ def test_flipping_a_folded_column_fails_every_catalogue_member():
     L, a = make_instance(51, "fold-flip", 3, degree=1)
     ws = IdentityWorkspace(a, L)
     members = [flipped(ic, k) for ic in identity_catalogue() for k in (2, 9, 14)]
-    found = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    found = nonzero_sums((1, 3), [ws.residual_pieces(ic) for ic in members])
     assert list(found) == list(range(len(members)))
 
 
@@ -594,7 +599,7 @@ def test_integer_mixed_pieces_match_the_rational_oracle(good, bad, n, k):
         members.append(pieces)
         rational.append(contract((1, 3), *expected))
     # one packed check of both, each slot decoded over its own denominator
-    found = ws.nonzero_members(members, [good.den, bad.den])
+    found = nonzero_sums((1, 3), members, [good.den, bad.den])
     assert rational[0].is_zero()
     assert {m: (e, mono.terms()) for m, (e, mono) in found.items()} == (
         {} if rational[1].is_zero() else {1: _first_term(rational[1])}
@@ -605,7 +610,7 @@ def _mixed_check(ws, pqrs, weights):
     """The check the CLI's mixed task makes, for one member and weighting:
     {} when the mixed-form residual is zero."""
     pieces = ws.mixed_residual_pieces(CATALOGUE_BY_PQRS[pqrs], weights)
-    return ws.nonzero_members([pieces], [weights.den])
+    return nonzero_sums((1, 3), [pieces], [weights.den])
 
 
 def test_mixed_family_pure_rows_reduce_to_single_rule():
@@ -677,20 +682,20 @@ def test_expanded_form_torsion_free():
 def _first_term(t):
     """(entry index tuple, {exponents: coefficient}) of the first nonzero
     entry of a tensor and its first term, or None for a zero tensor."""
-    for idx, e in zip(itertools.product(range(t.dim), repeat=4), t.entries):
+    for idx, e in zip(itertools.product(range(t.dim), repeat=t.rank()), t.entries):
         if not e.is_zero():
             exps, coeff = next(iter(e.terms().items()))
             return idx, {exps: coeff}
     return None
 
 
-def _assert_matches_reference(ws, members, dens=None):
-    """nonzero_members agrees member by member with one contraction each,
-    of member k's pieces over dens[k]."""
-    found = ws.nonzero_members(members, dens)
+def _assert_matches_reference(members, dens=None, valence=(1, 3)):
+    """nonzero_sums agrees member by member with one contraction each, of
+    member k's pieces over dens[k]."""
+    found = nonzero_sums(valence, members, dens)
     expected = {}
     for k, pieces in enumerate(members):
-        ref = contract((1, 3), *pieces) if pieces else None
+        ref = contract(valence, *pieces) if pieces else None
         if ref is not None and not ref.is_zero():
             expected[k] = _first_term(ref.scale(Fraction(1, dens[k])) if dens else ref)
     assert list(found) == list(expected)
@@ -710,12 +715,30 @@ def test_batched_check_agrees_with_per_member_residuals(dim, even):
         flipped(ic, (5 * n) % 17) if n % 3 == 1 else ic
         for n, ic in enumerate(identity_catalogue())
     ]
-    found = _assert_matches_reference(ws, [ws.residual_pieces(ic) for ic in members])
+    found = _assert_matches_reference([ws.residual_pieces(ic) for ic in members])
     assert list(found) == list(range(1, 17, 3))
     if not even:  # the instance really carries Fraction coefficients
         assert any(
             type(v) is Fraction for e in ws.basis(6).entries for v in e.terms().values()
         )
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_batched_check_agrees_with_per_relation_residuals_at_valence_one_two(even):
+    # the derivative relations weigh rules by 1/2: each such member is scaled
+    # to ints, and that scale joins its den when its witness is decoded
+    L, a = make_instance(49, f"batch-rel:{even}", 3, degree=1, even=even)
+    relations = [terms for _, terms in derivative_relations(L, a)]
+    assert any(type(w) is Fraction for terms in relations for w, _, _ in terms)
+    # the last weight of every third relation off by 1/3: a residual over 6
+    broken = [[*terms[:-1], (terms[-1][0] - Fraction(1, 3), *terms[-1][1:])]
+              for terms in relations[::3]]
+    members = [*relations, *broken]
+    dens = [1 + 4 * (k % 2) for k in range(len(members))]  # dens 1 and 5
+    found = _assert_matches_reference(members, dens, valence=(1, 2))
+    assert list(found) == list(range(len(relations), len(members)))
+    assert any(Fraction(c).denominator > 1 for _, mono in found.values()
+               for c in mono.terms().values())
 
 
 def test_batched_check_names_flips_in_first_middle_and_last_slot():
@@ -725,15 +748,13 @@ def test_batched_check_names_flips_in_first_middle_and_last_slot():
     members = list(catalogue)
     for n in (0, 8, 16):
         members[n] = flipped(catalogue[n], n % 17)
-    found = ws.nonzero_members([ws.residual_pieces(ic) for ic in members])
+    found = nonzero_sums((1, 3), [ws.residual_pieces(ic) for ic in members])
     assert list(found) == [0, 8, 16]
     for n, (entry, mono) in found.items():
         assert (entry, mono.terms()) == _first_term(ws.residual(members[n]))
 
 
 def test_batched_check_decodes_negative_and_cancelling_slots():
-    L, a = make_instance(45, "batch-sign", 2, degree=1)
-    ws = IdentityWorkspace(a, L)
     T = random_tensor_field(derive_rng(45, "batch-sign-T"), 2, (1, 3), degree=1)
     assert any(v < 0 for e in T.entries for v in e.terms().values())
     members = [
@@ -744,15 +765,13 @@ def test_batched_check_decodes_negative_and_cancelling_slots():
         [],
         [(1, "ijmn->ijmn", T)],
     ]
-    found = _assert_matches_reference(ws, members)
+    found = _assert_matches_reference(members)
     assert list(found) == [0, 1, 3, 5]
     (_, plus), (_, minus) = found[0], found[1]
     assert plus.terms() == (-minus).terms()
 
 
 def test_batched_check_widens_slots_for_large_coefficients():
-    L, a = make_instance(46, "batch-wide", 2, degree=1)
-    ws = IdentityWorkspace(a, L)
     T = random_tensor_field(derive_rng(46, "batch-wide-T"), 2, (1, 3), degree=1)
     big = T.scale(2**40)
     members = [
@@ -761,7 +780,7 @@ def test_batched_check_widens_slots_for_large_coefficients():
         [(-1, "ijmn->ijmn", big)],
         [(1, "ijmn->ijmn", T), (-1, "ijnm->ijmn", T)],  # over 3
     ]
-    found = _assert_matches_reference(ws, members, [1, 1, 1, 3])
+    found = _assert_matches_reference(members, [1, 1, 1, 3])
     assert list(found) == [1, 2, 3]
     entry, mono = found[2]
     assert (entry, mono.terms()) == _first_term(T.scale(-(2**40)))
@@ -779,7 +798,7 @@ def test_batched_mixed_check_matches_rational_residuals():
         members.append(ws.mixed_residual_pieces(member, weights))
         residuals.append(ws.lhs(member.pqrs) - ws.rhs_mixed(member, weights))
         dens.append(weights.den)
-    found = ws.nonzero_members(members, dens)
+    found = nonzero_sums((1, 3), members, dens)
     assert list(found) == [n for n, r in enumerate(residuals) if not r.is_zero()]
     assert list(found) == list(range(2, 17, 4))
     for n, (entry, mono) in found.items():
@@ -788,22 +807,23 @@ def test_batched_mixed_check_matches_rational_residuals():
 
 def _packed_terms(monkeypatch, check, *args):
     """The terms of the packed contraction that ``check(*args)`` makes
-    (its last ricci.contract call), and what ``check`` returned or raised."""
+    (its last algebra.contract call, made by nonzero_sums), and what
+    ``check`` returned or raised."""
     calls = []
-    real = ricci.contract
-    monkeypatch.setattr(ricci, "contract", lambda *a: calls.append(a) or real(*a))
+    real = algebra.contract
+    monkeypatch.setattr(algebra, "contract", lambda *a: calls.append(a) or real(*a))
     try:
         result = check(*args)
     except IdentityUnsolvableError as exc:
         result = exc
-    monkeypatch.setattr(ricci, "contract", real)
+    monkeypatch.setattr(algebra, "contract", real)
     return calls[-1], result
 
 
 def test_mixed_task_weights_stay_integers(monkeypatch):
-    """A full mixed task passes only int weights to ricci.contract, the
-    packed check of nonzero_members included, and no mixed piece weight is
-    a Fraction."""
+    """A full mixed task passes only int weights to contract, the packed
+    check of nonzero_sums included, and no mixed piece weight is a
+    Fraction."""
     contract_weights, piece_weights = [], []
     real_contract, real_pieces = ricci.contract, IdentityWorkspace.mixed_residual_pieces
 
@@ -817,6 +837,7 @@ def test_mixed_task_weights_stay_integers(monkeypatch):
         return pieces
 
     monkeypatch.setattr(ricci, "contract", contract_spy)
+    monkeypatch.setattr(algebra, "contract", contract_spy)
     monkeypatch.setattr(IdentityWorkspace, "mixed_residual_pieces", pieces_spy)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     results = cli._mixed_task((7, 2, 1, 0, 5))
@@ -837,7 +858,7 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
     assert all(p == pieces[0] for p in pieces)
     # 17 members pack exactly like one
     seventeen = _packed_terms(monkeypatch, ws.nonzero_residuals, catalogue)
-    assert seventeen == _packed_terms(monkeypatch, ws.nonzero_members, pieces[:1])
+    assert seventeen == _packed_terms(monkeypatch, nonzero_sums, (1, 3), pieces[:1])
     assert seventeen[1] == {}
 
     # two members flipped alike share a slot, and each is reported
@@ -847,11 +868,11 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
     pieces = [ws.residual_pieces(ic) for ic in members]
     assert pieces[4] == pieces[11] != pieces[0]
     terms, found = _packed_terms(monkeypatch, ws.nonzero_residuals, members)
-    two = _packed_terms(monkeypatch, ws.nonzero_members, [pieces[0], pieces[4]])
+    two = _packed_terms(monkeypatch, nonzero_sums, (1, 3), [pieces[0], pieces[4]])
     assert two == (terms, {1: found[4]})
     assert list(found) == [4, 11]
     assert found[4] == found[11]
-    assert found == ws.nonzero_members(pieces)
+    assert found == nonzero_sums((1, 3), pieces)
 
     # a slot is shared only by equal weights, reads and tensors
     T = ws.basis(6)
@@ -865,7 +886,7 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
     monkeypatch.setattr(ws, "residual_pieces", crafted.__getitem__)
     found = ws.nonzero_residuals(list(crafted))
     assert list(found) == [0, 2, 3, 4]
-    assert found == ws.nonzero_members(list(crafted.values()))
+    assert found == nonzero_sums((1, 3), list(crafted.values()))
 
 
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
@@ -881,7 +902,7 @@ def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     ws = _instance_workspace(20260809, "check:0:3", 3, 1)
     true = ws.residual_pieces(next(iter(solved_degree_one.values())))
     bad = ws.residual_pieces(corrupted[pqrs])
-    expected, found = _packed_terms(monkeypatch, ws.nonzero_members, [true, bad])
+    expected, found = _packed_terms(monkeypatch, nonzero_sums, (1, 3), [true, bad])
     assert terms == expected
     assert list(found) == [1]
 
