@@ -463,13 +463,20 @@ def _contraction_plan(spec: str, dim: int):
         strides.append(stride)
 
     def offsets(letters):
-        return [
-            tuple(sum(v * st[c] for c, v in zip(letters, values)) for st in strides)
-            for values in itertools.product(range(dim), repeat=len(letters))
-        ]
+        # one column of offsets per operand, in itertools.product order of
+        # the letters' values: each letter expands every offset into dim,
+        # its value varying fastest
+        columns = []
+        for st in strides:
+            col = [0]
+            for c in letters:
+                step = st[c]
+                col = [o + v * step for o in col for v in range(dim)]
+            columns.append(tuple(col))
+        return columns
 
-    bases = tuple(zip(*offsets(output)))
-    return tuple(map(len, operands)), len(output), bases, tuple(offsets(summed))
+    bases = tuple(offsets(output))
+    return tuple(map(len, operands)), len(output), bases, tuple(zip(*offsets(summed)))
 
 
 @lru_cache(maxsize=256)

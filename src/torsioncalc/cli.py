@@ -25,13 +25,13 @@ and the cosmology config parser call first.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import json
 import marshal
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import nonzero_sums
@@ -97,16 +97,24 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-@dataclass
 class RunConfig:
-    dimension: int = 3
-    seed: int = 20260809
-    degree: int = 2
-    instances: int = 20
-    cosmology: CosmologyMetric | None = None
-    window: tuple = (Fraction(0), Fraction(1))
-    panels: int = 1000
-    output: str | None = None
+    __slots__ = (
+        "dimension", "seed", "degree", "instances", "cosmology", "window", "panels", "output",
+    )
+
+    def __init__(
+        self,
+        dimension: int = 3,
+        seed: int = 20260809,
+        degree: int = 2,
+        instances: int = 20,
+        cosmology: CosmologyMetric | None = None,
+        window: tuple = (Fraction(0), Fraction(1)),
+        panels: int = 1000,
+        output: str | None = None,
+    ):
+        self.dimension, self.seed, self.degree, self.instances = dimension, seed, degree, instances
+        self.cosmology, self.window, self.panels, self.output = cosmology, window, panels, output
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -582,6 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_error(path, reason) -> int:
+    print(f"output error: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -593,6 +606,13 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out:
             config.output = args.out
+        if config.output:
+            # refuse a path that cannot be written before the work, not after;
+            # the file itself is created only when the report is written
+            if os.path.isdir(config.output):
+                return _output_error(config.output, os.strerror(errno.EISDIR))
+            if not os.path.isdir(os.path.dirname(config.output) or "."):
+                return _output_error(config.output, os.strerror(errno.ENOENT))
 
         if args.command == "verify-derivatives":
             report = cmd_verify_derivatives(config)
@@ -612,9 +632,7 @@ def main(argv=None) -> int:
             with open(config.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"output error: cannot write {config.output}: {reason}", file=sys.stderr)
-            return 2
+            return _output_error(config.output, exc.strerror or exc)
     if args.json:
         sys.stdout.write(rendered)
     else:

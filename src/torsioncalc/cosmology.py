@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ScalarField, TensorField, contract
@@ -43,19 +42,25 @@ def _parse_poly(coeffs) -> Poly:
     return Poly(tuple(parse_number(c) for c in coeffs))
 
 
-@dataclass(frozen=True)
 class CosmologyMetric:
     """The five defining polynomials and the family parameter v' - w."""
 
-    s: tuple
-    n: Poly
-    vprime_minus_w: Fraction
+    __slots__ = ("s", "n", "vprime_minus_w")
 
-    def __post_init__(self):
-        if len(self.s) != 4:
+    def __init__(self, s: tuple, n: Poly, vprime_minus_w: Fraction):
+        if len(s) != 4:
             raise ValueError("need exactly four diagonal polynomials")
-        if any(p.is_zero() for p in self.s):
+        if any(p.is_zero() for p in s):
             raise ValueError("diagonal entries must not be identically zero")
+        self.s, self.n, self.vprime_minus_w = s, n, vprime_minus_w
+
+    def __eq__(self, other):
+        if not isinstance(other, CosmologyMetric):
+            return NotImplemented
+        return (self.s, self.n, self.vprime_minus_w) == (other.s, other.n, other.vprime_minus_w)
+
+    def __hash__(self):
+        return hash((self.s, self.n, self.vprime_minus_w))
 
     @classmethod
     def from_coefficients(cls, s_lists, n_list, vprime_minus_w) -> "CosmologyMetric":

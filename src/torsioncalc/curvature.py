@@ -14,9 +14,6 @@ about the family reduce to exact ranks of the coefficient vectors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .algebra import TensorField, contract, matrix_rank
 from .connection import ConnectionField, DerivKind, covariant_derivative
 
@@ -40,15 +37,21 @@ def curvature_R(Lsym: ConnectionField) -> TensorField:
     )
 
 
-@dataclass(frozen=True)
 class RhoCoefficients:
     """Coefficients (u, u', v, v', w) selecting one curvature-family member."""
 
-    u: Fraction
-    u_prime: Fraction
-    v: Fraction
-    v_prime: Fraction
-    w: Fraction
+    __slots__ = ("u", "u_prime", "v", "v_prime", "w")
+
+    def __init__(self, u, u_prime, v, v_prime, w):
+        self.u, self.u_prime, self.v, self.v_prime, self.w = u, u_prime, v, v_prime, w
+
+    def __eq__(self, other):
+        if not isinstance(other, RhoCoefficients):
+            return NotImplemented
+        return self.basis_vector() == other.basis_vector()
+
+    def __hash__(self):
+        return hash(self.basis_vector())
 
     def basis_vector(self):
         """Coefficients against the basis (R, T;, T;, TT, TT, TT) with the

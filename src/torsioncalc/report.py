@@ -9,7 +9,6 @@ report with timings is not byte-reproducible).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -24,21 +23,32 @@ def render_exact(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass
 class Check:
     """One verification record; ``pass`` decides the process exit status."""
 
-    id: str
-    kind: str  # residual | rank | quadrature | value
-    passed: bool
-    instances: int | None = None
-    expected: object = None
-    actual: object = None
-    status: str | None = None
-    max_abs_float: float | None = None
-    tolerance: float | None = None
-    detail: object = None
-    elapsed_ms: float | None = None
+    __slots__ = (
+        "id", "kind", "passed", "instances", "expected", "actual", "status",
+        "max_abs_float", "tolerance", "detail", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,  # residual | rank | quadrature | value
+        passed: bool,
+        instances: int | None = None,
+        expected: object = None,
+        actual: object = None,
+        status: str | None = None,
+        max_abs_float: float | None = None,
+        tolerance: float | None = None,
+        detail: object = None,
+        elapsed_ms: float | None = None,
+    ):
+        self.id, self.kind, self.passed = id, kind, passed
+        self.instances, self.expected, self.actual = instances, expected, actual
+        self.status, self.max_abs_float, self.tolerance = status, max_abs_float, tolerance
+        self.detail, self.elapsed_ms = detail, elapsed_ms
 
     def to_json(self, with_timings: bool) -> dict:
         rec = {"id": self.id, "kind": self.kind, "pass": self.passed}
@@ -107,11 +117,12 @@ def quadrature_check(check_id, max_abs: float, tolerance: float, detail=None) ->
     )
 
 
-@dataclass
 class Report:
-    command: str
-    config: dict
-    checks: list = field(default_factory=list)
+    __slots__ = ("command", "config", "checks")
+
+    def __init__(self, command: str, config: dict, checks: list | None = None):
+        self.command, self.config = command, config
+        self.checks = [] if checks is None else checks
 
     def add(self, check: Check) -> None:
         self.checks.append(check)

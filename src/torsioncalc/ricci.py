@@ -48,7 +48,6 @@ never reads the packed polynomial format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import lcm
@@ -73,25 +72,30 @@ class IdentityUnsolvableError(RuntimeError):
     """No coefficient vector in the family reproduces the left side."""
 
 
-@dataclass(frozen=True)
 class IdentityCoefficients:
     """One member of the identity family: the 17-entry coefficient vector
     and the (p, q, r, s) combination it encodes."""
 
-    c: tuple
-    pqrs: tuple
-    tag: str | None = None
+    __slots__ = ("c", "pqrs", "tag")
 
-    def __post_init__(self):
-        if len(self.c) != 17:
+    def __init__(self, c: tuple, pqrs: tuple, tag: str | None = None):
+        if len(c) != 17:
             raise ValueError("coefficient vector must have 17 entries")
-        if any(v not in (-1, 0, 1) for v in self.c):
+        if any(v not in (-1, 0, 1) for v in c):
             raise ValueError("coefficients must lie in {-1, 0, 1}")
-        if len(self.pqrs) != 4 or any(x not in (1, 2, 3) for x in self.pqrs):
+        if len(pqrs) != 4 or any(x not in (1, 2, 3) for x in pqrs):
             raise ValueError("combination must be a 4-tuple over {1, 2, 3}")
+        self.c, self.pqrs, self.tag = c, pqrs, tag
+
+    def __eq__(self, other):
+        if not isinstance(other, IdentityCoefficients):
+            return NotImplemented
+        return (self.c, self.pqrs, self.tag) == (other.c, other.pqrs, other.tag)
+
+    def __hash__(self):
+        return hash((self.c, self.pqrs, self.tag))
 
 
-@dataclass(frozen=True)
 class MixWeights:
     """Row-stochastic weights d^l_k (5 rows, l = 1..3) mixing the three
     derivative rules inside the five single-derivative terms, held as int
@@ -99,25 +103,30 @@ class MixWeights:
     ``MixWeights(rows, den=1)`` reads den * d^l_k from ``rows``: ints or
     Fractions, whose denominators move into ``den``."""
 
-    num: tuple
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        rows, den = self.num, self.den
-        if len(rows) != 5 or any(len(r) != 3 for r in rows):
+    def __init__(self, num: tuple, den: int = 1):
+        if len(num) != 5 or any(len(r) != 3 for r in num):
             raise ValueError("weights must be a 5x3 matrix")
-        for k, r in enumerate(rows, start=1):
+        for k, r in enumerate(num, start=1):
             for x in r:
                 if type(x) not in (int, Fraction):
                     raise ValueError(f"weight row {k}: entry {x!r} is not an int or a Fraction")
         if type(den) is not int or den < 1:
             raise ValueError(f"weight denominator {den!r} is not a positive int")
-        scale = lcm(*(x.denominator for r in rows for x in r))
-        rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in r) for r in rows)
-        if any(sum(r) != den * scale for r in rows):
+        scale = lcm(*(x.denominator for r in num for x in r))
+        num = tuple(tuple(x.numerator * (scale // x.denominator) for x in r) for r in num)
+        if any(sum(r) != den * scale for r in num):
             raise ValueError("each weight row must sum to 1")
-        object.__setattr__(self, "num", rows)
-        object.__setattr__(self, "den", den * scale)
+        self.num, self.den = num, den * scale
+
+    def __eq__(self, other):
+        if not isinstance(other, MixWeights):
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @property
     def rows(self) -> tuple:

@@ -2,6 +2,9 @@
 computes another way, kept here so the tests can compare the two, and the
 reference forms and generators that only the tests use.
 
+- ``contraction_plan_entrywise``: the offsets of a contraction spec, one
+  sum of value times stride per letter for every entry and operand, against
+  ``algebra._contraction_plan``, which builds them by stride accumulation.
 - ``covariant_derivative_entrywise``: each entry of a covariant derivative
   as the partial derivative plus one sum per index slot, written with
   ``get`` and ``ScalarField`` arithmetic, against the ``contract`` terms of
@@ -32,6 +35,7 @@ reference forms and generators that only the tests use.
   torsion-free connections and metrics with an exact polynomial inverse.
 """
 
+import itertools
 from fractions import Fraction
 
 from torsioncalc.algebra import ScalarField, TensorField, contract
@@ -53,6 +57,37 @@ from torsioncalc.sampling import (
     random_scalar_field,
     random_tensor_field,
 )
+
+
+# ---------------------------------------------------------------------------
+# Contraction plans, entry by entry
+# ---------------------------------------------------------------------------
+
+
+def contraction_plan_entrywise(spec: str, dim: int):
+    """(ranks, out_rank, bases, inner) of ``algebra._contraction_plan``: every
+    assignment of the output (or summed) letters in ``itertools.product``
+    order, and for each operand the sum of value * stride over its letters."""
+    inputs, _, output = spec.partition("->")
+    operands = inputs.split(",")
+    used = set("".join(operands))
+    summed = sorted(used - set(output))
+
+    strides = []
+    for letters in operands:
+        stride = dict.fromkeys(used, 0)
+        for p, c in enumerate(letters):
+            stride[c] += dim ** (len(letters) - 1 - p)
+        strides.append(stride)
+
+    def offsets(letters):
+        return [
+            tuple(sum(v * st[c] for c, v in zip(letters, values)) for st in strides)
+            for values in itertools.product(range(dim), repeat=len(letters))
+        ]
+
+    bases = tuple(zip(*offsets(output)))
+    return tuple(map(len, operands)), len(output), bases, tuple(offsets(summed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import itertools
+import json
 import pkgutil
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsioncalc
-from torsioncalc import algebra
+from torsioncalc import algebra, cli, ricci
 from torsioncalc.algebra import (
     ExponentOverflowError,
     LinearSystem,
@@ -242,6 +243,57 @@ CONTRACT_CASES = {
         ],
     ),
 }
+
+
+# diagonals, traces, and three or four operands, beyond the package's specs
+PLAN_SPECS = (
+    "ii->i", "ii->", "iij->j", "iji->j", "ijj,jk->ik", "aa,aa->a", "iAA,jB->ijB",
+    "ij,jk,kl->il", "ab,bc,ca->", "a,a,a->", "AB,iAm,Bj,n->ijmn", "iAm,Bjn,AB->ijmn",
+)
+
+
+def _specs_the_package_plans(tmp_path, monkeypatch):
+    """Every spec that one small run of each subcommand plans, the pair
+    specs of three-operand terms included."""
+    seen, plan = set(), algebra._contraction_plan
+
+    def recording(spec, dim):
+        seen.add(spec)
+        return plan(spec, dim)
+
+    monkeypatch.setattr(algebra, "_contraction_plan", recording)
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")  # no fork: a child's specs would be lost
+    cosmology = {
+        "s1": ["1", "1"], "s2": ["1"], "s3": ["2", "1"], "s4": ["1"], "n": ["0", "1"],
+        "vprime_minus_w": "1/3", "panels": 10,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"dimension": 2, "degree": 1, "instances": 1, "cosmology": cosmology})
+    )
+    for argv in (
+        ["verify-derivatives"], ["verify-ricci", "--scope", "all"],
+        ["verify-ricci", "--scope", "mixed"], ["rank-rho"], ["cosmology"],
+    ):
+        assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+    return seen
+
+
+def test_contraction_plans_match_the_entrywise_offsets(tmp_path, monkeypatch):
+    from oracles import contraction_plan_entrywise
+
+    built = algebra._contraction_plan.__wrapped__  # uncached, and not the recorder below
+    seen = _specs_the_package_plans(tmp_path, monkeypatch)
+    # curvature_R's, covariant derivatives' of a (1,1) and a (1,2) tensor,
+    # and the pair step of a three-operand basis term
+    assert {"Ajm,iAn->ijmn", "aAc,Ab->abc", "aAd,Abc->abcd", "iAm,AB->imB"} <= seen
+    tables = {
+        ricci.ID, ricci.SWAP, *ricci._DTERM_SPECS,
+        *(spec for spec, *_ in ricci._BLOCKS.values()), *(row[2] for row in ricci._BASIS),
+    }
+    for spec in sorted(seen | tables | set(PLAN_SPECS)):
+        for dim in (1, 2, 3, 4):
+            assert built(spec, dim) == contraction_plan_entrywise(spec, dim), (spec, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

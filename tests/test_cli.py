@@ -122,6 +122,20 @@ def test_verify_ricci_catalogue_small_instance_passes(tmp_path, capsys):
     assert all(c["pass"] and c["status"] == "exact-zero" for c in report["checks"])
 
 
+def test_run_config_defaults_and_field_order():
+    config = cli.RunConfig()
+    assert (config.dimension, config.seed, config.degree, config.instances) == (3, 20260809, 2, 20)
+    assert config.cosmology is None and config.output is None
+    assert config.window == (Fraction(0), Fraction(1)) and config.panels == 1000
+    assert cli.RunConfig.from_dict({}).echo() == config.echo()
+    positional = cli.RunConfig(4, 7, 1, 5, None, (Fraction(1), Fraction(2)), 10, "r.json")
+    assert positional.echo() == {"dimension": 4, "seed": 7, "degree": 1, "instances": 5}
+    assert (positional.window, positional.panels, positional.output) == (
+        (Fraction(1), Fraction(2)), 10, "r.json"
+    )
+    assert cli.RunConfig(dimension=2).dimension == 2 and cli.RunConfig().dimension == 3
+
+
 def test_unknown_config_field_exits_two(tmp_path, capsys):
     config = _config(tmp_path, dimension=2, dimensions=3)
     code = main(["rank-rho", "--config", config])
@@ -147,22 +161,31 @@ def test_unreadable_config_exits_two_naming_the_path(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("via", ["--out", "config"])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-def test_unwritable_report_path_exits_two_naming_the_path(tmp_path, capsys, via, target):
+def test_unwritable_report_path_exits_two_naming_the_path(
+    tmp_path, capsys, monkeypatch, via, target
+):
     out = tmp_path / "reports"
     if target == "directory":
         out.mkdir()
     else:
         out = out / "report.json"
     fields = {"output": str(out)} if via == "config" else {}
-    argv = ["rank-rho", "--config", _config(tmp_path, **fields)]
+    config = _config(tmp_path, dimension=2, degree=1, instances=1, **fields)
+    argv = ["verify-ricci", "--scope", "all", "--config", config]
     if via == "--out":
         argv += ["--out", str(out)]
+    # the path is refused before the solve, not after it
+    calls = []
+    monkeypatch.setattr(cli, "solve_all_identities", lambda *args, **kw: calls.append(args))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("output error:")
     assert str(out) in captured.err
     assert captured.out == ""
+    assert calls == []
+    if target == "missing-parent":
+        assert not out.parent.exists()  # nothing was created on the way
 
 
 def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
@@ -421,6 +444,27 @@ def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
 def test_importing_the_cli_leaves_numpy_out():
     # numpy's import alone costs more than the whole CLI setup
     assert "numpy" not in _loaded_by_importing_the_cli()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-derivatives"],
+        ["verify-ricci", "--scope", "catalogue"],
+        ["verify-ricci", "--scope", "all"],
+        ["verify-ricci", "--scope", "mixed"],
+        ["rank-rho"],
+        ["cosmology"],
+    ],
+    ids=["derivatives", "catalogue", "all", "mixed", "rank-rho", "cosmology"],
+)
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, argv):
+    # importing dataclasses loads inspect, ast, dis and tokenize: about 10 ms
+    # and 1 MiB of every spawn, which no check needs
+    fields = {"cosmology": SMALL_COSMOLOGY} if argv == ["cosmology"] else {}
+    config = _config(tmp_path, dimension=2, degree=1, instances=2, **fields)
+    loaded = _loaded_by_importing_the_cli([*argv, "--config", config])
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 SMALL_COSMOLOGY = {

@@ -451,7 +451,23 @@ def test_emc_residual_reported():
 
 
 def test_metric_construction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need exactly four diagonal coefficient lists$"):
         CosmologyMetric.from_coefficients([["1"], ["1"], ["1"]], ["0"], "1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^diagonal entries must not be identically zero$"):
         CosmologyMetric.from_coefficients([["0"], ["1"], ["1"], ["1"]], ["0"], "1")
+    with pytest.raises(ValueError, match="^need exactly four diagonal polynomials$"):
+        CosmologyMetric((Poly((1,)),) * 3, Poly(), Fraction(1))
+
+
+def test_metrics_compare_and_hash_by_their_fields():
+    # the per-metric memo keys on them (test_per_metric_memo_hits_equal_metrics_only)
+    first = _metric([["1", "1"], ["1"], ["2", "1"], ["1"]], ["0", "1"], "1/3")
+    second = CosmologyMetric(
+        (Poly((1, 1)), Poly((1,)), Poly((2, 1)), Poly((1,))), Poly((0, 1)), Fraction(1, 3)
+    )
+    assert first is not second
+    assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+    assert first != _metric([["1", "1"], ["1"], ["2", "1"], ["1"]], ["0", "1"], "1/2")
+    assert first != _metric([["1", "1"], ["1"], ["2", "1"], ["1"]], ["0", "2"], "1/3")
+    assert first != _metric([["1", "1"], ["1"], ["2", "1"], ["2"]], ["0", "1"], "1/3")
+    assert first != (first.s, first.n, first.vprime_minus_w)

@@ -125,6 +125,20 @@ def test_catalogue_spot_values():
     assert len(catalogue) == 14
 
 
+def test_rho_coefficients_compare_and_hash_by_their_fields():
+    member = RhoCoefficients(1, -1, 1, -1, -2)
+    same = RhoCoefficients(Fraction(1), -1, 1, -1, Fraction(-2))
+    assert member == same and hash(member) == hash(same) and len({member, same}) == 1
+    for k in range(5):
+        values = [1, -1, 1, -1, -2]
+        values[k] += 1
+        assert member != RhoCoefficients(*values)
+    assert member != member.basis_vector()[1:]
+    assert CURVATURE_R_MEMBER == RhoCoefficients(0, 0, 0, 0, 0)
+    by_name = RhoCoefficients(u=1, u_prime=2, v=3, v_prime=4, w=5)
+    assert by_name.basis_vector() == (1, 1, 2, 3, 4, 5)
+
+
 def test_family_ranks():
     catalogue = rho_catalogue()
     assert rho_family_rank(catalogue) == 6

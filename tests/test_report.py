@@ -65,3 +65,19 @@ def test_exit_code_follows_failures():
     report.add(Check(id="b", kind="value", passed=False))
     assert report.exit_code() == 1
     assert [c.id for c in report.failures] == ["b"]
+
+
+def test_check_and_report_defaults():
+    check = Check("a", "rank", False, 3, 1, 2)
+    assert (check.id, check.kind, check.passed) == ("a", "rank", False)
+    assert (check.instances, check.expected, check.actual) == (3, 1, 2)
+    unset = (check.status, check.max_abs_float, check.tolerance, check.detail, check.elapsed_ms)
+    assert unset == (None,) * 5
+    assert Check(id="b", kind="value", passed=True).to_json(with_timings=True) == {
+        "id": "b", "kind": "value", "pass": True, "elapsed_ms": None,
+    }
+    first, second = Report("demo", {}), Report("demo", {})
+    assert first.checks == [] and first.checks is not second.checks
+    first.add(check)
+    assert second.checks == [] and first.checks == [check]
+    assert Report("demo", {}, [check]).checks == [check]

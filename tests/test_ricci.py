@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 from functools import cache
@@ -86,10 +87,29 @@ def test_catalogue_entry_3333_single_positive_derivative_term():
 
 
 def test_coefficient_entries_bounded():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coefficients must lie in \{-1, 0, 1\}$"):
         IdentityCoefficients((2,) + (0,) * 16, (1, 1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coefficient vector must have 17 entries$"):
         IdentityCoefficients((0,) * 16, (1, 1, 1, 1))
+    for pqrs in ((1, 1, 1), (1, 1, 1, 4)):
+        with pytest.raises(ValueError, match=r"^combination must be a 4-tuple over \{1, 2, 3\}$"):
+            IdentityCoefficients((0,) * 17, pqrs)
+
+
+def test_identity_coefficients_compare_and_hash_by_their_fields():
+    c = (1,) + (0,) * 16
+    member = IdentityCoefficients(c, (1, 2, 3, 1))
+    assert member.tag is None
+    same = IdentityCoefficients(tuple(c), (1, 2, 3, 1))
+    assert member == same and hash(member) == hash(same)
+    assert len({member, same}) == 1
+    assert member != IdentityCoefficients(c, (1, 2, 3, 1), "tagged")
+    assert member != IdentityCoefficients(c, (1, 2, 3, 2))
+    assert member != IdentityCoefficients((0,) * 17, (1, 2, 3, 1))
+    assert member != (c, (1, 2, 3, 1), None)
+    # the catalogue's members key dicts and sets
+    catalogue = identity_catalogue()
+    assert len(set(catalogue)) == len(catalogue)
 
 
 def test_catalogue_rank_is_sixteen():
@@ -511,6 +531,36 @@ def test_mix_weights_hold_int_numerators_over_one_denominator():
     # the random draw keeps its numerators over 12
     w = MixWeights.random(derive_rng(1, "mix-den"))
     assert w.den == 12 and all(sum(r) == 12 for r in w.num)
+
+
+def test_mix_weights_scale_fraction_rows_by_the_lcm_of_their_denominators():
+    # num = den * lcm * d exactly, not reduced to lowest terms
+    rng = derive_rng(3, "mix-fraction-rows")
+    for _ in range(40):
+        rows = []
+        for _ in range(5):
+            d1 = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+            d2 = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+            rows.append((d1, d2, 1 - d1 - d2))
+        den = rng.randint(1, 4)
+        given = tuple(tuple(den * x for x in r) for r in rows)
+        scale = math.lcm(*(x.denominator for r in given for x in r))
+        w = MixWeights(given, den)
+        assert w.den == den * scale
+        assert w.num == tuple(tuple(int(x * scale) for x in r) for r in given)
+        assert all(type(n) is int for r in w.num for n in r)
+        assert w.rows == tuple(rows)
+
+
+def test_mix_weights_compare_and_hash_by_num_and_den():
+    half = Fraction(1, 2)
+    w = MixWeights(((half, half, 0),) * 5)
+    same = MixWeights(((1, 1, 0),) * 5, 2)
+    assert w == same and hash(w) == hash(same) and len({w, same}) == 1
+    # the same rational weights over another denominator are other numerators
+    assert w != MixWeights(((2, 2, 0),) * 5, 4)
+    assert MixWeights.pure(1) != MixWeights.pure(2)
+    assert w != (w.num, w.den)
 
 
 def test_random_weights_are_the_rational_draw():
