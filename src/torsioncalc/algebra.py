@@ -683,7 +683,7 @@ def _product_sums(dim: int, xs, ys, plan) -> list:
     return sums
 
 
-def contract(valence: tuple, *terms) -> TensorField:
+def contract(valence: tuple, *terms, entries: range | None = None):
     """Weighted sum of index contractions with ``numpy.einsum`` letters.
 
     Each term is ``(weight, spec, *tensors)``, for example
@@ -691,18 +691,36 @@ def contract(valence: tuple, *terms) -> TensorField:
     output are free, every other letter is summed over 0..dim-1, and the
     output letters follow the row-major layout of a tensor of ``valence``.
     All terms accumulate in one pass per output entry; a term of three or
-    more operands first contracts a pair of them (:func:`_pair_first`).
-    Weights may be ints or Fractions.  A spec whose letters do not match its
-    operands' ranks, an output letter that no operand carries, or operands
-    of different dimensions raise ValueError.
+    more operands first contracts a pair of them (:func:`_pair_first`), in
+    full.  Weights may be ints or Fractions.  A spec whose letters do not
+    match its operands' ranks, an output letter that no operand carries, or
+    operands of different dimensions raise ValueError.
+
+    Returns a TensorField.  With ``entries``, a range of flat (row-major)
+    output entries, only those entries are formed, and their ScalarFields
+    come back as a list in range order; the operands are read wherever the
+    terms index them.
     """
     dim = next((t.dim for _, _, *tensors in terms for t in tensors), None)
     if dim is None:
         raise ValueError("contract needs at least one operand")
     rank = valence[0] + valence[1]
+    count = dim**rank
+    if entries is not None:
+        if entries.step != 1 or not 0 <= entries.start <= entries.stop <= count:
+            raise ValueError(f"{entries!r} is not a range of entries 0..{count - 1}")
+        window = slice(entries.start, entries.stop)
+        count = len(entries)
+
+    def plan(spec):
+        ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
+        if entries is not None:
+            bases = tuple(b[window] for b in bases)
+        return ranks, out_rank, bases, inner
+
     singles, products = [], []
     for weight, spec, *tensors in terms:
-        ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
+        ranks, out_rank, bases, inner = plan(spec)
         if out_rank != rank:
             raise ValueError(f"{spec!r}: output rank {out_rank} does not match valence {valence}")
         if len(tensors) != len(ranks):
@@ -721,7 +739,7 @@ def contract(valence: tuple, *terms) -> TensorField:
             i, j, pair_spec, pair_rank, spec = _pair_first(spec)
             pair = contract((0, pair_rank), (1, pair_spec, tensors[i], tensors[j]))
             tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [pair]
-            ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
+            ranks, out_rank, bases, inner = plan(spec)
         if len(tensors) == 1:
             # the operand's entries gathered in output order, once per
             # assignment of the summed letters (a trace has several)
@@ -731,7 +749,6 @@ def contract(valence: tuple, *terms) -> TensorField:
         _check_product_exponents(dim, *([e._terms for e in t.entries] for t in tensors))
         products.append((weight, tensors, bases, inner))
 
-    count = dim**rank
     # a weight of +-1 is a sign inside one sum of products per entry; any
     # other scales a per-term sum once
     unit = [p for p in products if p[0] in (1, -1)]
@@ -749,7 +766,7 @@ def contract(valence: tuple, *terms) -> TensorField:
         for weight, per_term in scaled:
             _add_terms(acc, per_term[e], weight)
         out.append(ScalarField(dim, _strip_zeros(acc)))
-    return TensorField(dim, valence, out)
+    return out if entries is not None else TensorField(dim, valence, out)
 
 
 def _product_plan(count: int, products):
@@ -941,38 +958,28 @@ class LinearSystem:
                 self.inconsistent[j] = True
         return False
 
-    def add_coefficient_rows(self, valence: tuple, columns, targets=()) -> None:
+    def add_coefficient_rows(self, entries) -> None:
         """Equate polynomial coefficients of sum_j x_j columns[j] and each
         right side, one row per (entry, monomial), until full column rank.
 
-        Each column and each target is a list of one-operand ``contract``
-        terms (weight, spec, tensor) into ``valence``.  Entries go in
-        row-major order, and an entry's rows in the packed-key order of the
-        monomials that some column or target carries there.  An entry's sums
-        are formed only when it is reached, and no entry is started once the
-        rank is ``ncols``, so the entries after full rank are never
-        assembled; the entry that reaches it is fed to its end, and those
-        rows still test the right sides' consistency.
+        ``entries`` yields, entry by entry, one sum per column and then one
+        per right side, each a list of (weight, ScalarField) terms.  An
+        entry's rows go in the packed-key order of the monomials that some
+        column or right side carries there.  No entry is drawn once the rank
+        is ``ncols``, so a generator forms nothing after the entry that
+        reaches it; that entry is fed to its end, and those rows still test
+        the right sides' consistency.
         """
-        rank, sums = valence[0] + valence[1], []
-        for terms in (*columns, *targets):
-            gathers = []
-            for w, spec, t in terms:
-                ranks, out_rank, (bx, *_), inner = _contraction_plan(spec, t.dim)
-                if ranks != (t.rank(),) or out_rank != rank:
-                    raise ValueError(f"{spec!r}: not one rank-{t.rank()} operand into {valence}")
-                gathers.append((w, t.entries, bx, [i for (i,) in inner]))
-                dim = t.dim
-            sums.append(gathers)
-        for e in range(dim**rank):
-            if self.rank == self.ncols:
+        entries = iter(entries)
+        while self.rank < self.ncols:
+            sums = next(entries, None)
+            if sums is None:
                 return
             polys = []
-            for gathers in sums:
+            for terms in sums:
                 acc = {}
-                for w, x, bx, inner in gathers:
-                    for i in inner:
-                        _add_terms(acc, x[bx[e] + i]._terms, w)
+                for w, field in terms:
+                    _add_terms(acc, field._terms, w)
                 polys.append(_strip_zeros(acc))
             for key in sorted(set().union(*polys)):
                 row = [p.get(key, 0) for p in polys]

@@ -8,7 +8,7 @@ unusable config, config file or report path, named in the message.  Every
 residual check is ``algebra.nonzero_sums``, the one exact zero test.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
-per CPU).  The instances are split into one contiguous chunk per worker: the
+per CPU the process may run on).  The instances are split into one contiguous chunk per worker: the
 process forks a child for every chunk but the first, runs the first itself,
 then collects and reaps the children in chunk order.  Results are thus
 reduced in item order, and the report bytes do not depend on the worker
@@ -24,16 +24,9 @@ and the cosmology config parser call first.
 
 from __future__ import annotations
 
-import argparse
-import errno
-import importlib
-import json
-import marshal
-import os
-import sys
-import time
-from fractions import Fraction
-
+# Imported first: compiling algebra's source (there may be no bytecode cache)
+# takes a transient of about 2.5 MiB in the parser, which sets the process's
+# peak RSS unless it lands on the smallest heap, before any other import.
 from .algebra import nonzero_sums
 from .report import (
     Check,
@@ -43,6 +36,16 @@ from .report import (
     residual_check,
     value_check,
 )
+
+import argparse
+import errno
+import importlib
+import json
+import marshal
+import os
+import sys
+import time
+from fractions import Fraction
 
 # The names this module reads from each of the other modules; ``_need``
 # binds them here.
@@ -226,8 +229,10 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def worker_count() -> int:
-    """Worker count from TORSIONCALC_WORKERS (default 1), capped at the CPU
-    count; a non-integer or a value below 1 is a ConfigError."""
+    """Worker count from TORSIONCALC_WORKERS (default 1), capped at the CPUs
+    this process may run on: its affinity mask, or the CPU count on a
+    platform without one.  A non-integer or a value below 1 is a
+    ConfigError."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -235,7 +240,11 @@ def worker_count() -> int:
         workers = 0
     if workers < 1:
         raise ConfigError(f"{WORKERS_ENV}: expected a positive integer, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 def _parallel_map(fn, items):

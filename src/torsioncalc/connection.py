@@ -98,7 +98,7 @@ def _letters(n: int) -> str:
     return "".join(chr(ord("a") + p) for p in range(n))
 
 
-def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) -> TensorField:
+def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, entries=None):
     """Covariant derivative of ``a`` for one of the five rules.
 
     The result appends the differentiation index k as a final lower index.
@@ -106,13 +106,17 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) ->
     L^c_{kA} a^{..A..} (sigma_up = -1), and each lower index c subtracts
     L^A_{kc} a_{..A..} (sigma_lo = +1) or L^A_{ck} a_{..A..} (sigma_lo = -1);
     sigma = 0, the symmetric rule's signature, reads the symmetric part.
+
+    Returns a TensorField.  With ``entries``, a range of flat (row-major)
+    entries of the result, only those are formed and come back as a list of
+    ScalarFields, as from :func:`~torsioncalc.algebra.contract`.
     """
     if a.dim != L.dim:
         raise ValueError(f"dimension mismatch: tensor {a.dim} vs connection {L.dim}")
     r, s = a.valence
     out = _letters(r + s + 1)
     idx, k = out[:-1], out[-1]
-    terms = [(1, f"{out}->{out}", a.partial_gradient())]
+    terms = []
     for p, c in enumerate(idx):
         if p < r:
             sign, sigma, raw, swapped = 1, kind.sigma_up, f"{c}A{k}", f"{c}{k}A"
@@ -121,7 +125,14 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) ->
         coeffs = L.symmetric_part().coeffs if sigma == 0 else L.coeffs
         spec = f"{swapped if sigma < 0 else raw},{idx[:p]}A{idx[p + 1:]}->{out}"
         terms.append((sign, spec, coeffs, a))
-    return contract((r, s + 1), *terms)
+    if entries is None or not terms:
+        gradient = (1, f"{out}->{out}", a.partial_gradient())
+        return contract((r, s + 1), gradient, *terms, entries=entries)
+    # the gradient's entry e is a's entry e // dim differentiated by
+    # coordinate e % dim, so only the range's partials are formed
+    dim, x = a.dim, a.entries
+    sums = contract((r, s + 1), *terms, entries=entries)
+    return [x[e // dim].partial(e % dim) + f for e, f in zip(entries, sums)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ target, lhs minus the R-commutator, is basis-column pieces, which are exact
 offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
 column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for.
 
+The solve's equations, one per (entry, monomial), are formed one (i, j)
+block of dim**2 entries at a time, by ``contract`` and
+``covariant_derivative`` over that range of entries, and a block only while
+the rank is short of 17.  The first block has reached it on every seed tried,
+so of the twelve (1,3) tensors the equations read (ten column contractions,
+SSa and the R-commutator) only the first dim**2 entries are formed; the
+operands the blocks read across (a, tor, d_sym, dtor, q2, q3 and R) are
+built in full.
+
 The residual checks go through ``algebra.nonzero_sums`` and the solve's
 equations through ``LinearSystem.add_coefficient_rows``, so this module
 never reads the packed polynomial format.
@@ -508,16 +517,25 @@ class IdentityWorkspace:
     def curvature(self) -> TensorField:
         return self._get("R", lambda: curvature_R(self.L.symmetric_part()))
 
+    def _rcomm_terms(self) -> tuple:
+        R = self.curvature()
+        return (1, "Aj,iAmn->ijmn", self.a, R), (-1, "iA,Ajmn->ijmn", self.a, R)
+
     def r_commutator(self) -> TensorField:
         """a^alpha_j R^i_{alpha mn} - a^i_alpha R^alpha_{jmn}."""
+        return self._get("rcomm", lambda: contract((1, 3), *self._rcomm_terms()))
 
-        def build():
-            R = self.curvature()
-            return contract(
-                (1, 3), (1, "Aj,iAmn->ijmn", self.a, R), (-1, "iA,Ajmn->ijmn", self.a, R)
-            )
-
-        return self._get("rcomm", build)
+    def _block(self, key, entries: range) -> list:
+        """The ScalarFields of the tensor of a reference key at ``entries``,
+        formed for that range alone; the operands it reads are cached in
+        full."""
+        if key == "dd_sym":
+            d_sym = self._operand("d_sym")
+            return covariant_derivative(DerivKind.SYM, d_sym, self.L, entries=entries)
+        if key == "rcomm":
+            return contract((1, 3), *self._rcomm_terms(), entries=entries)
+        spec, *names = key
+        return contract((1, 3), (1, spec, *map(self._operand, names)), entries=entries)
 
     # basis and right sides ----------------------------------------------------
 
@@ -589,11 +607,29 @@ def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> Identit
     return IdentityWorkspace(a, L)
 
 
-def _feed_rows(system: LinearSystem, ws: IdentityWorkspace, rests) -> None:
-    """Equate the coefficients of the 17 basis terms with the tensor of each
-    rest (see :func:`_split_target`), entry by entry, until full rank."""
-    basis = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)]
-    system.add_coefficient_rows((1, 3), basis, [ws._pieces(rest) for rest in rests])
+def _feed_entries(ws: IdentityWorkspace, rests):
+    """The solve's equations on one instance for
+    :meth:`LinearSystem.add_coefficient_rows`, entry by entry in row-major
+    order: the 17 basis terms, then each rest (see :func:`_split_target`),
+    as (weight, ScalarField) terms.
+
+    The tensors are formed one (i, j) block of dim**2 entries at a time, when
+    the block's first entry is drawn, so no block after the one that reaches
+    full rank is formed.  A read with m and n swapped stays inside its block,
+    so it reads the block formed for the plain read."""
+    sums = [_merge([_basis_ref(k)]) for k in range(1, 18)] + [_merge(rest) for rest in rests]
+    keys = dict.fromkeys(key for merged in sums for _, key in merged)
+    dim = ws.a.dim
+    size = dim * dim
+    # the block position of entry (m, n) read as (n, m)
+    swapped = [n * dim + m for m in range(dim) for n in range(dim)]
+    for start in range(0, size * size, size):
+        blocks = {key: ws._block(key, range(start, start + size)) for key in keys}
+        for e, s in enumerate(swapped):
+            yield [
+                [(w, blocks[key][e if read == ID else s]) for (read, key), w in merged.items()]
+                for merged in sums
+            ]
 
 
 def span_basis(members) -> list:
@@ -665,7 +701,10 @@ def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
     system = LinearSystem(17, nrhs=len(rests))
     for t, dim in enumerate(dims):
         # no reference kept: the workspace is freed before verification
-        _feed_rows(system, _instance_workspace(seed, f"solve:{t}:{dim}", dim, degree), rests)
+        label = f"solve:{t}:{dim}"
+        system.add_coefficient_rows(
+            _feed_entries(_instance_workspace(seed, label, dim, degree), rests)
+        )
         if system.rank == 17:
             break
     if system.rank < 17:

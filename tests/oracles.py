@@ -17,6 +17,9 @@ reference forms and generators that only the tests use.
   from the raw connection forms, against each other.
 - ``rhs_expanded``: the partial-derivative (pseudotensor-revealing) form of
   the identity family's right side, against ``IdentityWorkspace.rhs``.
+- ``feed_rows_full``: the coefficient solve's equations from the 17 basis
+  terms and the rests built as whole tensors, against
+  ``ricci._feed_entries``, which forms them one (i, j) block at a time.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
@@ -472,6 +475,32 @@ def rhs_expanded(ws, coeffs):
         (-2 * c[5], "AB,iAm,Bjn->ijmn", a, tor, sym),
     ]
     return contract((1, 3), *terms)
+
+
+# ---------------------------------------------------------------------------
+# The coefficient solve's feed with every tensor built in full
+# ---------------------------------------------------------------------------
+
+
+def feed_rows_full(system, ws, rests) -> int:
+    """The solve's equations of ``ricci._feed_entries`` from whole tensors:
+    the 17 basis terms and each rest as full (1,3) tensors of the
+    workspace's cached columns, then per entry in row-major order one row per
+    monomial in packed-key order (the last exponent first), whole entries
+    until the rank is 17.  Returns the number of entries fed."""
+    sums = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)]
+    sums += [ws._pieces(rest) for rest in rests]
+    tensors = [contract((1, 3), *pieces) for pieces in sums]
+    fed = 0
+    for fields in zip(*(t.entries for t in tensors)):
+        if system.rank == 17:
+            break
+        terms = [f.terms() for f in fields]
+        for monomial in sorted(set().union(*terms), key=lambda exps: exps[::-1]):
+            row = [t.get(monomial, 0) for t in terms]
+            system.add_row(row[:17], row[17:])
+        fed += 1
+    return fed
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,26 @@ def test_contract_matches_reference(case, dim):
     assert result == _reference_contract(valence, dim, terms)
 
 
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_contract_entries_are_the_full_results_entries(case):
+    dim = 3
+    rng = derive_rng(11, f"contract-entries:{case}")
+    valence, table = CONTRACT_CASES[case]
+    terms = [
+        (weight, spec, *(random_tensor_field(rng, dim, v, degree=1) for v in valences))
+        for weight, spec, valences in table
+    ]
+    full = contract(valence, *terms).entries
+    count = len(full)
+    ranges = ((0, count), (0, 1), (count - 1, count), (count // 3, count // 2), (count, count))
+    for start, stop in ranges:
+        part = contract(valence, *terms, entries=range(start, stop))
+        assert type(part) is list and part == full[start:stop], (start, stop)
+    for bad in (range(0, count + 1), range(-1, 2), range(0, count, 2)):
+        with pytest.raises(ValueError, match="is not a range of entries"):
+            contract(valence, *terms, entries=bad)
+
+
 def test_contract_rejects_mistyped_specs():
     rng = derive_rng(12, "contract-errors")
     a = random_tensor_field(rng, 3, (1, 1), degree=1)
@@ -565,8 +585,20 @@ def test_add_coefficient_rows_flattens_entries_and_stops_at_full_rank(full_rank)
         [(Fraction(1, 2), "ij->ij", third), (2, "ji->ij", B), (-1, "ij->ij", B)],
     ]
     targets = [[(1, "ij->ij", T)], [(1, "ij->ij", A), (-3, "ji->ij", B)]]
+    # each term's tensor as it is read, so an entry's terms are fields
+    reads = [
+        [(w, contract((1, 1), (1, spec, t))) for w, spec, t in terms]
+        for terms in (*columns, *targets)
+    ]
+    drawn = []
+
+    def entries():
+        for e in range(4):
+            drawn.append(e)
+            yield [[(w, t.entries[e]) for w, t in terms] for terms in reads]
+
     system = _RecordingSystem(3, 2)
-    system.add_coefficient_rows((1, 1), columns, targets)
+    system.add_coefficient_rows(entries())
 
     per_entry = _explicit_rows((1, 1), [*columns, *targets])
     reference, expected = LinearSystem(3, 2), []
@@ -581,11 +613,13 @@ def test_add_coefficient_rows_flattens_entries_and_stops_at_full_rank(full_rank)
     assert system.inconsistent == reference.inconsistent
     if full_rank:
         # the rank reaches 3 inside the first entry: that entry is fed to its
-        # end, and the other three are never summed
+        # end, and the other three are never drawn
         assert system.rank == 3 and len(expected) == len(per_entry[0])
         assert [rank for rank, _, _ in system.fed].count(3) > 0
+        assert drawn == [0]
     else:
         assert system.rank == 2 and len(expected) == sum(map(len, per_entry))
+        assert drawn == [0, 1, 2, 3]
 
 
 def test_only_algebra_knows_the_packed_term_format():

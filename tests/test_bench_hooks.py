@@ -51,3 +51,21 @@ def test_negative_controls_and_worker_variable_resolve(monkeypatch):
     # (attempted, failed): every flipped catalogue member leaves a residual
     assert layers.negative_controls(layers.control_workspace(w, 7), 7) == (3, 0)
     assert layers.cli.WORKERS_ENV == "TORSIONCALC_WORKERS"
+
+
+def test_smoke_reports_carry_exactly_the_oracle_ids(tmp_path, monkeypatch, capsys):
+    # judge counts an id outside ORACLE as a failed check, so a new check id
+    # on a benchmarked command needs ORACLE extended first
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setenv(layers.cli.WORKERS_ENV, "1")
+    capsys.readouterr()
+    for name in ("catalogue", "mixed", "solve", "cosmology"):
+        w = workloads.smoke_workload(workloads.WORKLOADS[name])
+        cli_seed = w.cli_seed(1, 0)
+        config = tmp_path / f"{name}.json"
+        w.write_config(config, cli_seed)
+        assert layers.cli.main(w.argv(config, cli_seed)) == 0, name
+        report = capsys.readouterr().out.encode()
+        assert workloads.judge(name, report) == (len(workloads.ORACLE[name]), 0), name

@@ -33,6 +33,12 @@ def _config(tmp_path, name="config.json", **fields):
     return str(path)
 
 
+def _see_cpus(monkeypatch, n):
+    """Make the CLI see n CPUs, in its affinity mask and in the CPU count."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: n)
+
+
 def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
     # s1 = t - 1 vanishes at t = 1, inside the window [0, 2]
     config = tmp_path / "degenerate.json"
@@ -191,7 +197,7 @@ def test_unwritable_report_path_exits_two_naming_the_path(
 def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     # 8 instances make 2 tasks, so 2 workers fork one child
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _see_cpus(monkeypatch, 2)
     rendered = {}
     for workers in (1, 2):
         monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
@@ -215,6 +221,8 @@ def test_elapsed_ms_only_with_timings(tmp_path, capsys):
 
 
 def test_worker_count_caps_at_cpu_count(monkeypatch):
+    # the cap on a platform with no affinity mask
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert worker_count() == 1
@@ -222,6 +230,14 @@ def test_worker_count_caps_at_cpu_count(monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, raw)
         assert worker_count() == expected, raw
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
+def test_worker_count_caps_at_the_cpus_this_process_may_run_on(monkeypatch):
+    # a one-CPU affinity mask on an 8-CPU machine allows one worker
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv(cli.WORKERS_ENV, "4")
     assert worker_count() == 1
 
 
@@ -344,7 +360,7 @@ def test_failing_catalogue_check_at_two_workers_names_the_parents_instance(monke
     # both instances fail; the first one runs in the parent's own chunk
     broken = _broken_catalogue(3)
     monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _see_cpus(monkeypatch, 2)
     config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=5)
     for idx in range(2):
         assert not _sampled(5, f"ricci:2:{idx}", 2, 1)[1].residual(broken[3]).is_zero()
@@ -418,7 +434,10 @@ def _in_a_fresh_interpreter(code: str) -> str:
     imported the CLI as ``cli`` and sees 2 CPUs, at 2 workers."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, cli.WORKERS_ENV: "2"}
-    code = f"import os, sys, torsioncalc.cli as cli\nos.cpu_count = lambda: 2\n{code}"
+    code = (
+        "import os, sys, torsioncalc.cli as cli\n"
+        f"os.cpu_count = lambda: 2\nos.sched_getaffinity = lambda pid: {{0, 1}}\n{code}"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
@@ -439,6 +458,15 @@ def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
     argv = ["verify-ricci", "--scope", "mixed", "--config", config]
     assert "multiprocessing" not in _loaded_by_importing_the_cli(argv)
+
+
+def test_importing_the_cli_compiles_algebra_before_argparse():
+    # algebra's parser transient sets the peak RSS unless it comes first
+    code = (
+        "names = list(sys.modules)\n"
+        "print(names.index('torsioncalc.algebra') < names.index('argparse'))"
+    )
+    assert _in_a_fresh_interpreter(code) == "True"
 
 
 def test_importing_the_cli_leaves_numpy_out():
@@ -552,7 +580,7 @@ def deadline():
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    _see_cpus(monkeypatch, 3)
     return lambda workers: monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
 
 
@@ -690,7 +718,7 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
 )
 def test_report_bytes_match_golden(tmp_path, monkeypatch, capsys, stem, seed, workers):
     argv, fields = GOLDEN[stem]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _see_cpus(monkeypatch, 2)
     monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
     config = _config(tmp_path, **fields)
     code = main([*argv, "--config", config, "--seed", str(seed), "--json"])

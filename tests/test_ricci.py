@@ -494,6 +494,56 @@ def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
         _solve_combos([(1, 1, 1, 1), bad], 20260809, (3, 4), 1, (3,))
 
 
+class _RecordingSystem(algebra.LinearSystem):
+    """A LinearSystem that records each row it is fed."""
+
+    def __init__(self, ncols, nrhs):
+        super().__init__(ncols, nrhs)
+        self.fed = []
+
+    def add_row(self, coeffs, rhs=()):
+        self.fed.append((list(coeffs), list(rhs)))
+        return super().add_row(coeffs, rhs)
+
+
+@pytest.mark.parametrize("dim, degree", [(3, 1), (3, 2), (4, 1), (2, 1)])
+def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch, dim, degree):
+    from oracles import feed_rows_full
+
+    rests = list(dict.fromkeys(_split_target(c)[0] for c in ALL_COMBINATIONS))
+    label = f"solve:0:{dim}"
+    formed, block = [], IdentityWorkspace._block
+
+    def recording(self, key, entries):
+        formed.append((key, entries.start, entries.stop))
+        return block(self, key, entries)
+
+    monkeypatch.setattr(IdentityWorkspace, "_block", recording)
+    system = _RecordingSystem(17, len(rests))
+    ws = _instance_workspace(20260809, label, dim, degree)
+    system.add_coefficient_rows(ricci._feed_entries(ws, rests))
+    reference = _RecordingSystem(17, len(rests))
+    entries = feed_rows_full(reference, _instance_workspace(20260809, label, dim, degree), rests)
+
+    assert system.fed == reference.fed
+    assert system._pivot_rows == reference._pivot_rows
+    assert system.inconsistent == reference.inconsistent == [False]
+    # the blocks up to the one holding the last entry fed, each formed once
+    # for each of the 12 tensors read: ten column contractions, SSa and the
+    # R-commutator
+    size = dim * dim
+    blocks = -(-entries // size)
+    assert sorted({(start, stop) for _, start, stop in formed}) == [
+        (start, start + size) for start in range(0, blocks * size, size)
+    ]
+    assert len(formed) == len(set(formed)) == 12 * blocks
+    if dim == 2:
+        # rank 15 in dim 2: every block is walked
+        assert system.rank == 15 and blocks == dim**2
+    else:
+        assert system.rank == 17 and blocks == 1
+
+
 def test_dim_two_instances_alone_cannot_reach_full_rank():
     # the 17 basis tensors have rank 15 in dim 2, so the solvers feed dim 3 first
     with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
