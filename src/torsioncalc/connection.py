@@ -109,7 +109,8 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, en
 
     Returns a TensorField.  With ``entries``, a range of flat (row-major)
     entries of the result, only those are formed and come back as a list of
-    ScalarFields, as from :func:`~torsioncalc.algebra.contract`.
+    ScalarFields, as from :func:`~torsioncalc.algebra.contract`; the range
+    still reads the full partial gradient of ``a``.
     """
     if a.dim != L.dim:
         raise ValueError(f"dimension mismatch: tensor {a.dim} vs connection {L.dim}")
@@ -125,14 +126,8 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, en
         coeffs = L.symmetric_part().coeffs if sigma == 0 else L.coeffs
         spec = f"{swapped if sigma < 0 else raw},{idx[:p]}A{idx[p + 1:]}->{out}"
         terms.append((sign, spec, coeffs, a))
-    if entries is None or not terms:
-        gradient = (1, f"{out}->{out}", a.partial_gradient())
-        return contract((r, s + 1), gradient, *terms, entries=entries)
-    # the gradient's entry e is a's entry e // dim differentiated by
-    # coordinate e % dim, so only the range's partials are formed
-    dim, x = a.dim, a.entries
-    sums = contract((r, s + 1), *terms, entries=entries)
-    return [x[e // dim].partial(e % dim) + f for e, f in zip(entries, sums)]
+    gradient = (1, f"{out}->{out}", a.partial_gradient())
+    return contract((r, s + 1), gradient, *terms, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -102,28 +102,28 @@ def inverse_diagonal(m: CosmologyMetric):
     return tuple(RationalFunction(ONE, p) for p in m.s)
 
 
+# The six nonzero lowered antisymmetric connection entries, (a, j, k) ->
+# sign, each sign * n'(t)/2 (0-based indices): 1/2 (h_{ja,k} - h_{jk,a} +
+# h_{ak,j}) for h the antisymmetric part, whose only nonzero entries are
+# h_{12} = -h_{21} = n.  The table and the torsion scalar both read it.
+_ANTISYM_SIGNS = {
+    (1, 2, 0): -1, (1, 0, 2): 1, (2, 0, 1): -1,
+    (2, 1, 0): 1, (0, 1, 2): -1, (0, 2, 1): 1,
+}
+
+
 def antisym_christoffel_table(m: CosmologyMetric) -> TensorField:
     """Lowered antisymmetric connection components as polynomial fields.
 
-    Only six entries are nonzero, all equal to +-(1/2) n'(t): with 0-based
-    indices (a, j, k), entry (1,2,0) carries -n'/2 and the pattern follows by
-    the antisymmetries of the construction.
+    Only the six entries of ``_ANTISYM_SIGNS`` are nonzero, all equal to
+    +-(1/2) n'(t).
     """
     dn = _poly_to_field(m.n.derivative())
     z = ScalarField(DIM)
     half_dn = dn.scale(HALF)
 
     def entry(a, j, k):
-        # 1/2 (h_{ja,k} - h_{jk,a} + h_{ak,j}) for h the antisymmetric part,
-        # whose only nonzero entries are h_{12} = -h_{21} = n (0-based)
-        sign = {
-            (1, 2, 0): -1,
-            (1, 0, 2): 1,
-            (2, 0, 1): -1,
-            (2, 1, 0): 1,
-            (0, 1, 2): -1,
-            (0, 2, 1): 1,
-        }.get((a, j, k))
+        sign = _ANTISYM_SIGNS.get((a, j, k))
         if sign is None:
             return z
         return half_dn if sign > 0 else -half_dn
@@ -227,10 +227,7 @@ def torsion_scalar(m: CosmologyMetric) -> RationalFunction:
     inv = inverse_diagonal(m)
     dn = RationalFunction(m.n.derivative())
     total = RF_ZERO
-    for (a, c, d_), sign in (
-        ((1, 2, 0), -1), ((1, 0, 2), 1), ((2, 0, 1), -1),
-        ((2, 1, 0), 1), ((0, 1, 2), -1), ((0, 2, 1), 1),
-    ):
+    for (a, c, d_), sign in _ANTISYM_SIGNS.items():
         v = dn * (HALF if sign > 0 else -HALF)
         # diagonal inverses force both factors onto the same index triple
         total = total + inv[a] * inv[c] * inv[d_] * v * v

@@ -1,26 +1,21 @@
 """Machine-readable verification reports.
 
 Reports are deterministic for a fixed (config, seed): checks are sorted by
-id, floats are rendered to 17 significant digits, exact rationals as "p/q"
-strings, and wall-clock timings are omitted unless explicitly requested (a
-report with timings is not byte-reproducible).
+id, floats are rendered to 17 significant digits, exact rationals through
+``str`` (so 1/2 prints as "1/2" and 2 as "2", not "2/1"), and wall-clock
+timings are omitted unless explicitly requested (a report with timings is
+not byte-reproducible).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import __version__
 
 
 def render_float(x: float) -> str:
     return f"{x:.17g}"
-
-
-def render_exact(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 class Check:

@@ -40,9 +40,12 @@ target, lhs minus the R-commutator, is basis-column pieces, which are exact
 offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
 column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for.
 
-The solve's equations, one per (entry, monomial), are formed one (i, j)
-block of dim**2 entries at a time, by ``contract`` and
-``covariant_derivative`` over that range of entries, and a block only while
+The workspace forms every tensor through one builder,
+:meth:`IdentityWorkspace._block`: a key whole, or over a range of its flat
+entries, by the same ``contract`` or ``covariant_derivative`` call given
+that range; a whole tensor is the range that covers every entry.  Whole
+tensors are cached.  The solve's equations, one per (entry, monomial), are
+formed one (i, j) block of dim**2 entries at a time, and a block only while
 the rank is short of 17.  The first block has reached it on every seed tried,
 so of the twelve (1,3) tensors the equations read (ten column contractions,
 SSa and the R-commutator) only the first dim**2 entries are formed; the
@@ -150,10 +153,6 @@ class MixWeights:
         return cls((row,) * 5)
 
     @classmethod
-    def uniform(cls) -> "MixWeights":
-        return cls(((1, 1, 1),) * 5, 3)
-
-    @classmethod
     def random(cls, rng) -> "MixWeights":
         """Rows (d1, d2, 1 - d1 - d2), each d a / b with a drawn from -6..6,
         then b from 1..4; the numerators are kept over 12 = lcm(1..4)."""
@@ -245,7 +244,16 @@ def catalogue_independence_rank() -> int:
 ID, SWAP = "ijmn->ijmn", "ijnm->ijmn"
 _SWAPPED = {ID: SWAP, SWAP: ID}
 
-_KIND_BY_TAG = {kind.tag: kind for kind in ALL_KINDS}
+# Covariant-derivative keys: key -> (rule, key of the tensor differentiated).
+# ``d_sym``, ``d_1``..``d_4`` are first derivatives of a by rule tag, ``dtor``
+# is the symmetric-rule derivative of tor, ``dd_sym`` is SSa, and ("dd", p, q)
+# is a p|m q|n by composition.
+_DERIVATIVES = {
+    "dtor": (DerivKind.SYM, "tor"),
+    "dd_sym": (DerivKind.SYM, "d_sym"),
+    **{f"d_{kind.tag}": (kind, "a") for kind in ALL_KINDS},
+    **{("dd", p, q): (kq, f"d_{p}") for p in KIND_BY_NUMBER for q, kq in KIND_BY_NUMBER.items()},
+}
 
 # Torsion-against-derivative pattern k in 1..5: tor, then X = a derivative of a.
 _DTERM_SPECS = (
@@ -256,7 +264,7 @@ _DTERM_SPECS = (
     "iAm,Ajn->ijmn",
 )
 
-# Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._operand.
+# Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._block.
 _BLOCKS = {
     "q2": ("ijA,Amn->ijmn", "tor", "tor"),
     "q3": ("iAn,Ajm->ijmn", "tor", "tor"),
@@ -423,7 +431,9 @@ class IdentityWorkspace:
 
     Every identity side is a weighted sum of cached weight-1 tensors (SSa,
     the R-commutator and the basis columns; see the module docstring), and
-    only tensors left with a nonzero merged weight are built.
+    only tensors left with a nonzero merged weight are built.  Each tensor
+    has a reference key; :meth:`_block` forms any key, whole or over a
+    range of entries, and :meth:`_tensor` caches the whole ones.
     """
 
     def __init__(self, a: TensorField, L: ConnectionField):
@@ -435,53 +445,48 @@ class IdentityWorkspace:
         self.L = L
         self._cache = {}
 
-    def _get(self, key, build):
+    def _block(self, key, entries=None):
+        """The tensor of a reference key, formed whole as a TensorField or,
+        with ``entries``, over that range of flat entries alone as a list of
+        ScalarFields (as from ``contract``); the tensors it reads are cached
+        whole.
+
+        A key is an operand name (``a``, ``tor``, ``R``, a key of
+        ``_DERIVATIVES``, a name of ``_BLOCKS``, or ``rcomm``), a (spec,
+        operand names) contraction, or ``("basis", k)``."""
+        L, read = self.L, self._tensor
+        if key in _DERIVATIVES:
+            kind, x = _DERIVATIVES[key]
+            return covariant_derivative(kind, read(x), L, entries=entries)
+        if key in _BLOCKS:
+            return self._block(_BLOCKS[key], entries)
+        if key == "rcomm":
+            a, R = self.a, read("R")
+            terms = (1, "Aj,iAmn->ijmn", a, R), (-1, "iA,Ajmn->ijmn", a, R)
+            return contract((1, 3), *terms, entries=entries)
+        if isinstance(key, tuple):
+            head, *rest = key
+            if head == "basis":
+                return contract((1, 3), *self._pieces([_basis_ref(*rest)]), entries=entries)
+            return contract((1, 3), (1, head, *map(read, rest)), entries=entries)
+        if entries is not None:
+            return read(key).entries[entries.start : entries.stop]
+        if key == "a":
+            return self.a
+        if key == "tor":
+            return L.torsion_half()
+        if key == "R":
+            return curvature_R(L.symmetric_part())
+        raise KeyError(f"no tensor is named {key!r}")
+
+    def _tensor(self, key) -> TensorField:
+        """The whole tensor of a reference key (see :meth:`_block`), formed on
+        its first read and cached, so a hit is one lookup."""
         try:
             return self._cache[key]
         except KeyError:
-            value = build()
-            self._cache[key] = value
-            return value
-
-    def _operand(self, name: str) -> TensorField:
-        """A factor named in the spec tables: ``a``, the torsion half ``tor``,
-        its symmetric-rule derivative ``dtor``, a first derivative of ``a``
-        (``d_sym``, ``d_1``..``d_4`` by rule tag), ``dd_sym`` (SSa),
-        ``rcomm`` or a cached block of ``_BLOCKS``."""
-        if name == "a":
-            return self.a
-        if name == "tor":
-            return self.L.torsion_half()
-        if name == "rcomm":
-            return self.r_commutator()
-        if name in _BLOCKS:
-            return self._contraction(*_BLOCKS[name])
-        if name == "dtor":
-            return self._get(
-                name,
-                lambda: covariant_derivative(DerivKind.SYM, self.L.torsion_half(), self.L),
-            )
-        if name == "dd_sym":
-            return self._get(
-                name,
-                lambda: covariant_derivative(DerivKind.SYM, self._operand("d_sym"), self.L),
-            )
-        return self.first_derivative(_KIND_BY_TAG[name.removeprefix("d_")])
-
-    def _contraction(self, spec: str, *names) -> TensorField:
-        """The (1,3) contraction of named operands by ``spec``, cached."""
-        return self._get(
-            (spec, *names), lambda: contract((1, 3), (1, spec, *map(self._operand, names)))
-        )
-
-    def _tensor(self, key) -> TensorField:
-        """The cached tensor of a reference key: an operand name or a
-        (spec, operand names) contraction.  A contraction and the cached
-        operands are stored under their key, so a hit is one lookup."""
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        return self._operand(key) if isinstance(key, str) else self._contraction(*key)
+            tensor = self._cache[key] = self._block(key)
+            return tensor
 
     def _pieces(self, refs) -> list:
         """``contract`` terms of weighted references (weight, read, key),
@@ -489,63 +494,32 @@ class IdentityWorkspace:
         built."""
         return [(w, read, self._tensor(key)) for (read, key), w in _merge(refs).items()]
 
-    # first and second derivatives ------------------------------------------
+    # cached reads the tests and the layer tracer call --------------------------
 
     def first_derivative(self, which) -> TensorField:
-        """Covariant derivative of ``a``: rule 1..3 or any DerivKind."""
-        kind = KIND_BY_NUMBER[which] if isinstance(which, int) else which
-        return self._get(
-            ("d1", kind), lambda: covariant_derivative(kind, self.a, self.L)
-        )
+        """Covariant derivative of ``a``: rule 1..4 or any DerivKind."""
+        return self._tensor(f"d_{KIND_BY_NUMBER.get(which, which).tag}")
 
     def dd(self, p: int, q: int) -> TensorField:
-        """a p|m q|n by composition, cached per ordered pair: the reference
-        for the block form the identity checks use."""
-
-        def build():
-            kq = KIND_BY_NUMBER[q]
-            return covariant_derivative(kq, self.first_derivative(p), self.L)
-
-        return self._get(("dd", p, q), build)
-
-    def lhs(self, pqrs) -> TensorField:
-        """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
-        return contract((1, 3), *self._pieces(_lhs_refs(pqrs)))
-
-    # curvature and torsion blocks -------------------------------------------
-
-    def curvature(self) -> TensorField:
-        return self._get("R", lambda: curvature_R(self.L.symmetric_part()))
-
-    def _rcomm_terms(self) -> tuple:
-        R = self.curvature()
-        return (1, "Aj,iAmn->ijmn", self.a, R), (-1, "iA,Ajmn->ijmn", self.a, R)
+        """a p|m q|n by composition: the reference for the block form the
+        identity checks use."""
+        return self._tensor(("dd", p, q))
 
     def r_commutator(self) -> TensorField:
         """a^alpha_j R^i_{alpha mn} - a^i_alpha R^alpha_{jmn}."""
-        return self._get("rcomm", lambda: contract((1, 3), *self._rcomm_terms()))
-
-    def _block(self, key, entries: range) -> list:
-        """The ScalarFields of the tensor of a reference key at ``entries``,
-        formed for that range alone; the operands it reads are cached in
-        full."""
-        if key == "dd_sym":
-            d_sym = self._operand("d_sym")
-            return covariant_derivative(DerivKind.SYM, d_sym, self.L, entries=entries)
-        if key == "rcomm":
-            return contract((1, 3), *self._rcomm_terms(), entries=entries)
-        spec, *names = key
-        return contract((1, 3), (1, spec, *map(self._operand, names)), entries=entries)
-
-    # basis and right sides ----------------------------------------------------
+        return self._tensor("rcomm")
 
     def basis(self, k: int) -> TensorField:
         """Basis term k in 1..17 (the R-commutator is not part of the basis)."""
         if not 1 <= k <= 17:
             raise ValueError("basis index must lie in 1..17")
-        return self._get(
-            ("basis", k), lambda: contract((1, 3), *self._pieces([_basis_ref(k)]))
-        )
+        return self._tensor(("basis", k))
+
+    # identity sides -------------------------------------------------------------
+
+    def lhs(self, pqrs) -> TensorField:
+        """a p|m q|n - a r|n s|m (the second pair evaluated with m, n swapped)."""
+        return contract((1, 3), *self._pieces(_lhs_refs(pqrs)))
 
     def rhs(self, coeffs: IdentityCoefficients) -> TensorField:
         """Right side of the family identity for one coefficient vector."""
@@ -770,9 +744,3 @@ def solve_all_identities(
     """
     return _solve_combos(list(ALL_COMBINATIONS), seed, dims, degree, verify_dims)
 
-
-def solved_span_rank(solutions: SolvedIdentities) -> int:
-    """Dimension of the span of solved identities (17 for the full sweep):
-    the number of members :func:`span_basis` kept when they were verified,
-    so the rows are not eliminated a second time."""
-    return len(solutions.span)

@@ -1,12 +1,10 @@
 import json
-from fractions import Fraction
 
 from torsioncalc.report import (
     Check,
     Report,
     quadrature_check,
     rank_check,
-    render_exact,
     render_float,
     residual_check,
     value_check,
@@ -18,12 +16,6 @@ def test_render_float_keeps_17_significant_digits():
     assert render_float(1 / 3) == "0.33333333333333331"
     assert float(render_float(2 / 7)) == 2 / 7
     assert render_float(0.0) == "0"
-
-
-def test_render_exact_is_p_over_q():
-    assert render_exact(Fraction(-3, 6)) == "-1/2"
-    assert render_exact(2) == "2/1"
-    assert render_exact(Fraction(0)) == "0/1"
 
 
 def test_elapsed_ms_is_null_unless_timings_requested():

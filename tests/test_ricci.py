@@ -514,8 +514,10 @@ def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch
     label = f"solve:0:{dim}"
     formed, block = [], IdentityWorkspace._block
 
-    def recording(self, key, entries):
-        formed.append((key, entries.start, entries.stop))
+    def recording(self, key, entries=None):
+        # whole tensors are formed by the same builder; only ranges count here
+        if entries is not None:
+            formed.append((key, entries.start, entries.stop))
         return block(self, key, entries)
 
     monkeypatch.setattr(IdentityWorkspace, "_block", recording)
@@ -544,6 +546,25 @@ def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch
         assert system.rank == 17 and blocks == 1
 
 
+@pytest.mark.parametrize("dim, starts", [(2, range(4)), (3, range(9)), (4, (0, 15))])
+def test_a_range_of_a_key_is_the_slice_of_its_cached_whole_tensor(dim, starts):
+    # the keys the solve feed reads, and three operands the blocks read across
+    keys = [
+        *dict.fromkeys(tuple(key) for _, _, *key in ricci._BASIS),
+        "dd_sym", "rcomm", "q2", "q3", "dtor",
+    ]
+    ws = _instance_workspace(20260809, f"one-builder:{dim}", dim, 1)
+    size = dim * dim
+    for start in starts:
+        block = range(start * size, (start + 1) * size)
+        for key in keys:
+            # formed before the whole tensor is cached, at the first start
+            formed = ws._block(key, block)
+            whole = ws._tensor(key)
+            assert formed == whole.entries[block.start : block.stop], (key, start)
+            assert ws._tensor(key) is whole
+
+
 def test_dim_two_instances_alone_cannot_reach_full_rank():
     # the 17 basis tensors have rank 15 in dim 2, so the solvers feed dim 3 first
     with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
@@ -565,7 +586,7 @@ def test_mix_weights_validation():
         MixWeights(((1, 1, 0),) * 5)
     assert MixWeights.pure(2).rows[0] == (0, 1, 0)
     third = Fraction(1, 3)
-    assert MixWeights.uniform().rows[4] == (third, third, third)
+    assert MixWeights(((1, 1, 1),) * 5, 3).rows[4] == (third, third, third)
 
 
 def test_mix_weights_hold_int_numerators_over_one_denominator():
@@ -671,7 +692,7 @@ def _rows_over_5_and_7(pairs):
 weightings = st.one_of(
     st.integers(0, 2**32).map(lambda s: MixWeights.random(derive_rng(s, "mixed-oracle"))),
     st.sampled_from([1, 2, 3]).map(MixWeights.pure),
-    st.just(MixWeights.uniform()),
+    st.just(MixWeights(((1, 1, 1),) * 5, 3)),
     # denominators 5, 7 and 35, which the random draw never makes
     st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=5, max_size=5)
     .map(_rows_over_5_and_7).map(MixWeights),
@@ -727,7 +748,7 @@ def test_mixed_family_uniform_and_random_weights():
     ws = IdentityWorkspace(a, L)
     rng = derive_rng(33, "mixw")
     for pqrs in ((1, 2, 1, 1), (2, 2, 2, 2)):
-        assert _mixed_check(ws, pqrs, MixWeights.uniform()) == {}
+        assert _mixed_check(ws, pqrs, MixWeights(((1, 1, 1),) * 5, 3)) == {}
         for _ in range(2):
             w = MixWeights.random(rng)
             assert _mixed_check(ws, pqrs, w) == {}, pqrs
@@ -927,9 +948,9 @@ def test_mixed_task_weights_stay_integers(monkeypatch):
     contract_weights, piece_weights = [], []
     real_contract, real_pieces = ricci.contract, IdentityWorkspace.mixed_residual_pieces
 
-    def contract_spy(valence, *terms):
+    def contract_spy(valence, *terms, **kwargs):
         contract_weights.append([w for w, *_ in terms])
-        return real_contract(valence, *terms)
+        return real_contract(valence, *terms, **kwargs)
 
     def pieces_spy(self, *args):
         pieces = real_pieces(self, *args)
