@@ -8,9 +8,9 @@ five-parameter curvature family, and a four-dimensional cosmology example
 with torsion sourced by one off-diagonal metric function.
 
 The API lives in the submodules (``torsioncalc.algebra``, ``.connection``,
-``.curvature``, ``.ricci``, ``.metrics``, ``.ratfunc``, ``.cosmology``);
-import names from there.  The package itself imports none of them, so a CLI
-run compiles only the modules its subcommand calls.
+``.curvature``, ``.ricci``, ``.ratfunc``, ``.cosmology``); import names
+from there.  The package itself imports none of them, so a CLI run compiles
+only the modules its subcommand calls.
 """
 
 __version__ = "0.1.0"

@@ -142,20 +142,10 @@ class ScalarField:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "ScalarField":
-        return cls(dim)
-
-    @classmethod
     def constant(cls, value, dim: int) -> "ScalarField":
         if value == 0:
             return cls(dim)
         return cls(dim, {0: value})
-
-    @classmethod
-    def variable(cls, k: int, dim: int) -> "ScalarField":
-        if not 0 <= k < dim:
-            raise IndexError(f"coordinate index {k} out of range for dimension {dim}")
-        return cls(dim, {1 << (_SHIFT * k): 1})
 
     @classmethod
     def from_terms(cls, terms: dict, dim: int) -> "ScalarField":
@@ -193,14 +183,6 @@ class ScalarField:
             if total > best:
                 best = total
         return best
-
-    def constant_value(self):
-        """The value of a degree-<=0 field; raises for non-constant fields."""
-        if not self._terms:
-            return 0
-        if set(self._terms) == {0}:
-            return self._terms[0]
-        raise ValueError("field is not constant")
 
     # -- arithmetic ---------------------------------------------------------
 

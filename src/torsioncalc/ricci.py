@@ -496,10 +496,6 @@ class IdentityWorkspace:
 
     # cached reads the tests and the layer tracer call --------------------------
 
-    def first_derivative(self, which) -> TensorField:
-        """Covariant derivative of ``a``: rule 1..4 or any DerivKind."""
-        return self._tensor(f"d_{KIND_BY_NUMBER.get(which, which).tag}")
-
     def dd(self, p: int, q: int) -> TensorField:
         """a p|m q|n by composition: the reference for the block form the
         identity checks use."""
@@ -708,28 +704,9 @@ def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
     return SolvedIdentities(solutions, verify_solutions(solutions, seed, verify_dims, degree))
 
 
-# Both solvers feed instances of dim 3 first, then dim 4.  In dim 2 the 17
+# The solver feeds instances of dim 3 first, then dim 4.  In dim 2 the 17
 # basis tensors have rank 15, so a feed of dim-2 instances alone stops short
 # of full column rank and raises IdentityAmbiguityError.
-def solve_identity_coefficients(
-    pqrs, seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3,)
-) -> IdentityCoefficients:
-    """Recover the coefficient vector of one (p, q, r, s) combination.
-
-    Sets up the exact linear system whose unknowns are the seventeen basis
-    weights and whose equations equate polynomial coefficients of the rest
-    of the left side (SSa - SSa^(m<->n) - R-commutator, once the basis
-    columns of ``_DD_BLOCKS`` are taken out as exact offsets) with the basis
-    combination, instance by instance, adds the offsets, then confirms the
-    solution on fresh instances.  A single member is its own span basis, so
-    it is checked directly.
-    """
-    pqrs = tuple(pqrs)
-    if any(x not in (1, 2, 3) for x in pqrs) or len(pqrs) != 4:
-        raise ValueError("combination must be a 4-tuple over {1, 2, 3}")
-    return _solve_combos([pqrs], seed, dims, degree, verify_dims)[pqrs]
-
-
 def solve_all_identities(
     seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3, 4)
 ) -> SolvedIdentities:

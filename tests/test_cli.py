@@ -71,6 +71,25 @@ def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
+    [("window", ["0", "1e400"]), ("n", ["0", "1e200"]), ("vprime_minus_w", "1e400")],
+    ids=["window", "n", "vprime_minus_w"],
+)
+def test_a_float_overflow_in_eq60_fails_that_check(tmp_path, capsys, field, value):
+    # the node list, the integrand or v' - w leaves the float range: eq:60
+    # fails with the error, and the exact checks still report
+    config = _config(tmp_path, cosmology={**SMALL_COSMOLOGY, field: value})
+    code = main(["cosmology", "--config", config, "--json"])
+    captured = capsys.readouterr()
+    checks = {c["id"]: c for c in json.loads(captured.out)["checks"]}
+    assert code == 1 and captured.err == ""
+    assert sorted(checks) == ["eq:51", "eq:56", "eq:58-59", "eq:60", "eq:66"]
+    assert not checks["eq:60"]["pass"]
+    assert checks["eq:60"]["actual"].startswith("error: ")
+    assert all(checks[k]["pass"] for k in checks if k != "eq:60")
+
+
+@pytest.mark.parametrize(
+    "field, value",
     [
         ("window", ["0", "abc"]), ("panels", True), ("panels", 10**6 + 1),
         ("s4", ["abc"]), ("s3", ["1", True]), ("s2", ["0", "0"]), ("n", ["1/0"]),
@@ -507,10 +526,10 @@ SMALL_COSMOLOGY = {
         (
             ["cosmology"],
             ("cosmology", "ratfunc"),
-            ("ricci", "curvature", "sampling", "connection", "metrics"),
+            ("ricci", "curvature", "sampling", "connection"),
         ),
-        (["verify-ricci", "--scope", "catalogue"], ("ricci",), ("cosmology", "ratfunc", "metrics")),
-        (["rank-rho"], ("curvature",), ("cosmology", "ratfunc", "metrics", "ricci")),
+        (["verify-ricci", "--scope", "catalogue"], ("ricci",), ("cosmology", "ratfunc")),
+        (["rank-rho"], ("curvature",), ("cosmology", "ratfunc", "ricci")),
     ],
     ids=["cosmology", "catalogue", "rank-rho"],
 )
@@ -521,6 +540,27 @@ def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path, argv, used, unus
     loaded = _loaded_by_importing_the_cli([*argv, "--config", config])
     assert {f"torsioncalc.{m}" for m in used} <= loaded
     assert not {f"torsioncalc.{m}" for m in unused} & loaded
+
+
+def test_every_package_module_is_loaded_by_some_subcommand(tmp_path):
+    # a module that no subcommand loads is code that no check reads
+    package = os.path.dirname(cli.__file__)
+    modules = {
+        f"torsioncalc.{name[:-3]}"
+        for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    loaded = set()
+    for argv in (
+        ["verify-derivatives"],
+        ["verify-ricci", "--scope", "catalogue"],
+        ["rank-rho"],
+        ["cosmology"],
+    ):
+        fields = {"cosmology": SMALL_COSMOLOGY} if argv == ["cosmology"] else {}
+        config = _config(tmp_path, dimension=2, degree=1, instances=2, **fields)
+        loaded |= _loaded_by_importing_the_cli([*argv, "--config", config])
+    assert {name for name in loaded if name.startswith("torsioncalc.")} == modules
 
 
 def test_every_name_the_cli_binds_is_an_attribute_of_its_module():

@@ -9,6 +9,7 @@ from torsioncalc.cosmology import (
     DegenerateMetricError,
     antisym_christoffel_generic,
     antisym_christoffel_table,
+    christoffel_first_kind_antisym,
     clear_metric_memo,
     energy_momentum,
     inverse_diagonal,
@@ -22,7 +23,7 @@ from torsioncalc.cosmology import (
 )
 from torsioncalc.sampling import derive_rng
 
-from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf
+from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf, random_metric_field
 
 
 def _metric(s_lists, n_list, vw="1"):
@@ -145,6 +146,12 @@ def test_antisym_table_matches_generic_formula():
 def test_symmetric_metric_gives_zero_table():
     m = _metric([["1", "2"], ["3"], ["1", "0", "1"], ["2"]], ["0"])
     assert antisym_christoffel_table(m).is_zero()
+
+
+def test_first_kind_antisym_vanishes_for_symmetric_metric():
+    rng = derive_rng(6, "fk")
+    g = random_metric_field(rng, 3, antisym_degree=None)
+    assert christoffel_first_kind_antisym(g).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from torsioncalc.ricci import (
     identity_catalogue,
     identity_row,
     solve_all_identities,
-    solve_identity_coefficients,
     span_basis,
     verify_solutions,
 )
@@ -143,7 +142,7 @@ def test_square_quadruple_lhs_sums_to_four_commutators():
 
 def test_completion_to_rank_seventeen():
     rows = [identity_row(ic) for ic in identity_catalogue()]
-    extra = solve_identity_coefficients((3, 2, 3, 2), dims=(3,), verify_dims=(3,))
+    extra = _solve_combos([(3, 2, 3, 2)], 20260809, (3,), 2, (3,))[(3, 2, 3, 2)]
     rows.append(identity_row(extra))
     assert matrix_rank(rows) == 17
 
@@ -369,12 +368,12 @@ def test_residual_piece_weights_are_integers():
 
 def test_solver_reproduces_catalogue_entries():
     for pqrs in ((1, 1, 1, 1), (1, 3, 1, 2), (2, 3, 2, 3)):
-        sol = solve_identity_coefficients(pqrs, dims=(3,), verify_dims=(3,))
+        sol = _solve_combos([pqrs], 20260809, (3,), 2, (3,))[pqrs]
         assert sol.c == CATALOGUE_BY_PQRS[pqrs].c, pqrs
 
 
 def test_solver_handles_uncatalogued_combination():
-    sol = solve_identity_coefficients((2, 3, 3, 2), dims=(3,), verify_dims=(3,))
+    sol = _solve_combos([(2, 3, 3, 2)], 20260809, (3,), 2, (3,))[(2, 3, 3, 2)]
     assert all(v in (-1, 0, 1) for v in sol.c)
     # verify on an independent instance
     L, a = make_instance(30, "fresh", 3)
@@ -384,8 +383,8 @@ def test_solver_handles_uncatalogued_combination():
 
 def test_solver_swap_pairing():
     # solving the reversed combination negates the identity under an m,n swap
-    a_sol = solve_identity_coefficients((1, 2, 3, 3), dims=(3,), verify_dims=(3,))
-    b_sol = solve_identity_coefficients((3, 3, 1, 2), dims=(3,), verify_dims=(3,))
+    a_sol = _solve_combos([(1, 2, 3, 3)], 20260809, (3,), 2, (3,))[(1, 2, 3, 3)]
+    b_sol = _solve_combos([(3, 3, 1, 2)], 20260809, (3,), 2, (3,))[(3, 3, 1, 2)]
     L, a = make_instance(31, "pair", 3)
     ws = IdentityWorkspace(a, L)
     left = ws.rhs(a_sol).swap_last_lower()
@@ -566,14 +565,9 @@ def test_a_range_of_a_key_is_the_slice_of_its_cached_whole_tensor(dim, starts):
 
 
 def test_dim_two_instances_alone_cannot_reach_full_rank():
-    # the 17 basis tensors have rank 15 in dim 2, so the solvers feed dim 3 first
+    # the 17 basis tensors have rank 15 in dim 2, so the solver feeds dim 3 first
     with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
-        solve_identity_coefficients((1, 1, 1, 1), dims=(2, 2, 2, 2), verify_dims=(3,))
-
-
-def test_solver_rejects_bad_combination():
-    with pytest.raises(ValueError):
-        solve_identity_coefficients((0, 1, 1, 1))
+        _solve_combos([(1, 1, 1, 1)], 20260809, (2, 2, 2, 2), 2, (3,))
 
 
 # ---------------------------------------------------------------------------
