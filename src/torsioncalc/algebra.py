@@ -12,7 +12,8 @@ has one routine, :class:`LinearSystem`: every rank, span basis and
 coefficient solve in the package goes through it, the solve's equations fed
 by :meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
 exact zero test, :func:`nonzero_sums`.  So no other module reads the packed
-term format.
+term format.  Polynomials of both stacks print through
+:func:`format_polynomial`, ``ratfunc.Poly`` included.
 
 Every value is immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads or processes.
@@ -123,6 +124,22 @@ def _strip_zeros(acc: dict) -> dict:
     return out
 
 
+def format_polynomial(terms) -> str:
+    """Display of a polynomial from its (coefficient, monomial text) pairs,
+    in order; the text is empty for the constant term."""
+    parts = []
+    for coeff, body in terms:
+        if not body:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{coeff}*{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 class ScalarField:
     """Exact multivariate polynomial over the rationals in ``dim`` coordinates.
 
@@ -169,20 +186,6 @@ class ScalarField:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        best = 0
-        for key in self._terms:
-            total = 0
-            while key:
-                total += key & _MASK
-                key >>= _SHIFT
-            if total > best:
-                best = total
-        return best
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -234,24 +237,6 @@ class ScalarField:
                 out[key - (1 << shift)] = coeff * e
         return ScalarField(self.dim, out)
 
-    def evaluate(self, point):
-        """Exact value at a point given as a sequence of rationals."""
-        if len(point) != self.dim:
-            raise ValueError("point length must equal dimension")
-        total = 0
-        for key, coeff in self._terms.items():
-            value = coeff
-            k = key
-            i = 0
-            while k:
-                e = k & _MASK
-                if e:
-                    value = value * point[i] ** e
-                k >>= _SHIFT
-                i += 1
-            total += value
-        return total
-
     # -- comparisons / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -260,26 +245,10 @@ class ScalarField:
         return self.dim == other.dim and self._terms == other._terms
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.terms().items():
-            factors = []
-            for k, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{k}")
-                elif e > 1:
-                    factors.append(f"x{k}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_polynomial(
+            (coeff, "*".join(f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in enumerate(exps) if e))
+            for exps, coeff in self.terms().items()
+        )
 
     def _check_same_dim(self, other: "ScalarField") -> None:
         if self.dim != other.dim:
@@ -321,14 +290,6 @@ class TensorField:
         for flat in range(dim**rank):
             entries.append(fn(*_flat_to_indices(flat, dim, rank)))
         return cls(dim, valence, entries)
-
-    @classmethod
-    def kronecker(cls, dim: int) -> "TensorField":
-        """The identity tensor of valence (1, 1)."""
-        one = ScalarField.constant(1, dim)
-        zero = ScalarField(dim)
-        entries = [one if i == j else zero for i in range(dim) for j in range(dim)]
-        return cls(dim, (1, 1), entries)
 
     # -- indexing -----------------------------------------------------------
 

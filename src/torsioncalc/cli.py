@@ -5,7 +5,11 @@ emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 (with ``--scope catalogue|all|mixed``), ``rank-rho`` and ``cosmology``.
 Exit status is 0 exactly when no check failed, 1 when one did, and 2 for an
 unusable config, config file or report path, named in the message.  Every
-residual check is ``algebra.nonzero_sums``, the one exact zero test.
+residual check is ``algebra.nonzero_sums``, the one exact zero test.  The
+three residual sweeps (derivative relations, the catalogue, the mixed
+family) run one instance task, ``_sweep_task``: it draws the instance with
+``sampling.sample_instance``, hands it to the sweep's members function in
+``_SWEEPS`` and turns each failing slot into the detail that reruns it.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
 per CPU the process may run on).  The instances are split into one
@@ -19,7 +23,7 @@ Modules are imported per subcommand, because each spawn compiles the source
 it imports (there may be no bytecode cache): a ``cosmology`` run never
 compiles ``ricci``.  ``algebra`` and ``report``, which every subcommand uses,
 are imported at the top; the names read from the other modules are listed in
-``_NAMES`` and bound by ``_need``, which each subcommand, each instance task
+``_NAMES`` and bound by ``_need``, which each subcommand, the instance task
 and the cosmology config parser call first.
 """
 
@@ -69,7 +73,7 @@ _NAMES = {
         "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
         "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
     ),
-    "sampling": ("derive_rng", "random_even_connection", "random_tensor_field"),
+    "sampling": ("sample_instance",),
 }
 
 
@@ -320,72 +324,58 @@ def _run_chunk(fn, chunk, fd):
 # ---------------------------------------------------------------------------
 
 
-def _relations_task(args):
-    _need("connection", "sampling")
-    seed, dim, degree, idx = args
-    label = f"deriv:{dim}:{idx}"
-    rng = derive_rng(seed, label)
-    L = random_even_connection(rng, dim, degree)
-    a = random_tensor_field(rng, dim, (1, 1), degree)
+MIXED_WEIGHTINGS = 5  # random weightings checked per catalogue member and instance
+
+
+def _relations_members(rng, a, L):
     relations = derivative_relations(L, a)
     failing = nonzero_sums((1, 2), [terms for _, terms in relations])
-    return [
-        (tag, k not in failing,
-         _failure_detail(seed, label, dim, failing[k]) if k in failing else None)
-        for k, (tag, _) in enumerate(relations)
-    ]
+    return [(tag, {}) for tag, _ in relations], failing
 
 
-def _failure_detail(seed, label, dim, witness, **member):
-    """Where a member's residual is nonzero: enough to rerun that instance."""
-    entry, monomial = witness
-    return {
-        "seed": seed, "label": label, "dim": dim, **member,
-        "entry": list(entry), "monomial": repr(monomial),
-    }
-
-
-def _catalogue_task(args):
-    _need("ricci", "sampling")
-    seed, dim, degree, idx = args
-    label = f"ricci:{dim}:{idx}"
-    rng = derive_rng(seed, label)
-    L = random_even_connection(rng, dim, degree)
-    a = random_tensor_field(rng, dim, (1, 1), degree)
-    ws = IdentityWorkspace(a, L)
+def _catalogue_members(rng, a, L):
     members = identity_catalogue()
-    failing = ws.nonzero_residuals(members)
-    return [
-        (ic.tag, k not in failing,
-         _failure_detail(seed, label, dim, failing[k]) if k in failing else None)
-        for k, ic in enumerate(members)
-    ]
+    return [(ic.tag, {}) for ic in members], IdentityWorkspace(a, L).nonzero_residuals(members)
 
 
-def _mixed_task(args):
-    _need("ricci", "sampling")
-    seed, dim, degree, idx, per_combo = args
-    label = f"mixed:{dim}:{idx}"
-    rng = derive_rng(seed, label)
-    L = random_even_connection(rng, dim, degree)
-    a = random_tensor_field(rng, dim, (1, 1), degree)
+def _mixed_members(rng, a, L):
     ws = IdentityWorkspace(a, L)
-    catalogue = identity_catalogue()
     # drawn member by member, in the order of the per-member checks
-    weightings = [MixWeights.random(rng) for _ in catalogue for _ in range(per_combo)]
+    slots = [
+        (ic, k, MixWeights.random(rng))
+        for ic in identity_catalogue() for k in range(MIXED_WEIGHTINGS)
+    ]
     failing = nonzero_sums(
-        (1, 3),
-        [ws.mixed_residual_pieces(catalogue[k // per_combo], w) for k, w in enumerate(weightings)],
-        [w.den for w in weightings],
+        (1, 3), [ws.mixed_residual_pieces(ic, w) for ic, _, w in slots], [w.den for *_, w in slots]
     )
-    first = {}  # catalogue position -> its first failing weighting
-    for k in failing:
-        first.setdefault(k // per_combo, k)
+    return [(ic.tag, {"weighting": k}) for ic, k, _ in slots], failing
+
+
+# sweep -> (the modules its members function reads, that function).  A
+# members function maps an instance (rng, a, L) to its slots, (tag, extra
+# failure detail) each, and the nonzero_sums failures {slot: (entry,
+# monomial)}.  The sweep name is the prefix of its instance labels.
+_SWEEPS = {
+    "deriv": (("connection",), _relations_members),
+    "ricci": (("ricci",), _catalogue_members),
+    "mixed": (("ricci",), _mixed_members),
+}
+
+
+def _sweep_task(args):
+    """(tag, ok, detail) per slot of one instance of a sweep; a failing
+    slot's detail names enough to rerun that instance."""
+    sweep, seed, dim, degree, idx = args
+    modules, members = _SWEEPS[sweep]
+    _need("sampling", *modules)
+    label = f"{sweep}:{dim}:{idx}"
+    slots, failing = members(*sample_instance(seed, label, dim, degree))
     return [
-        (ic.tag, n not in first,
-         _failure_detail(seed, label, dim, failing[first[n]], weighting=first[n] % per_combo)
-         if n in first else None)
-        for n, ic in enumerate(catalogue)
+        (tag, k not in failing, {
+            "seed": seed, "label": label, "dim": dim, **extra,
+            "entry": list(failing[k][0]), "monomial": repr(failing[k][1]),
+        } if k in failing else None)
+        for k, (tag, extra) in enumerate(slots)
     ]
 
 
@@ -393,13 +383,20 @@ def _and_reduce(results):
     """AND per-tag across instance task outputs, preserving tag order.
 
     Each task output lists (tag, ok, detail); a tag keeps the detail of its
-    first failing instance, in task order."""
+    first failing row, in task order (for mixed, the first failing
+    weighting of the first failing instance)."""
     agg = {}
     for task_result in results:
         for tag, ok, detail in task_result:
             if agg.get(tag, (True,))[0]:
                 agg[tag] = (ok, detail)
     return [(tag, ok, detail) for tag, (ok, detail) in agg.items()]
+
+
+def _sweep(config: RunConfig, sweep: str, count: int):
+    """The per-tag verdicts of a sweep over instances 0..count-1."""
+    tasks = [(sweep, config.seed, config.dimension, config.degree, i) for i in range(count)]
+    return _and_reduce(_parallel_map(_sweep_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +408,7 @@ def cmd_verify_derivatives(config: RunConfig) -> Report:
     _need("connection", "sampling")
     report = Report("verify-derivatives", config.echo())
     t0 = time.perf_counter()
-    tasks = [
-        (config.seed, config.dimension, config.degree, i)
-        for i in range(config.instances)
-    ]
-    merged = _and_reduce(_parallel_map(_relations_task, tasks))
+    merged = _sweep(config, "deriv", config.instances)
     elapsed = (time.perf_counter() - t0) * 1000 / max(1, len(merged))
     for tag, ok, detail in merged:
         report.add(residual_check(tag, ok, config.instances, elapsed_ms=elapsed, detail=detail))
@@ -433,12 +426,7 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         echo = {key: echo[key] for key in ("seed", "degree")}
     report = Report(f"verify-ricci:{scope}", echo)
     if scope == "catalogue":
-        tasks = [
-            (config.seed, config.dimension, config.degree, i)
-            for i in range(config.instances)
-        ]
-        merged = _and_reduce(_parallel_map(_catalogue_task, tasks))
-        for tag, ok, detail in merged:
+        for tag, ok, detail in _sweep(config, "ricci", config.instances):
             report.add(residual_check(f"eq:{tag}", ok, config.instances, detail=detail))
     elif scope == "all":
         try:
@@ -461,13 +449,9 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
             )
         report.add(rank_check("cor2:span-rank", 17, len(solutions.span)))
     elif scope == "mixed":
-        tasks = [
-            (config.seed, config.dimension, config.degree, i, 5)
-            for i in range(max(1, config.instances // 4))
-        ]
-        merged = _and_reduce(_parallel_map(_mixed_task, tasks))
-        for tag, ok, detail in merged:
-            report.add(residual_check(f"eq:29:{tag}", ok, len(tasks) * 5, detail=detail))
+        count = max(1, config.instances // 4)
+        for tag, ok, detail in _sweep(config, "mixed", count):
+            report.add(residual_check(f"eq:29:{tag}", ok, count * MIXED_WEIGHTINGS, detail=detail))
     else:
         raise ConfigError(f"unknown scope: {scope!r}")
     return report

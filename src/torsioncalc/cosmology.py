@@ -252,13 +252,6 @@ def matter_lagrangian_paths(m: CosmologyMetric):
     return via_contraction, closed
 
 
-def matter_lagrangian(m: CosmologyMetric) -> RationalFunction:
-    via_contraction, closed = matter_lagrangian_paths(m)
-    if via_contraction != closed:
-        raise AssertionError("matter-Lagrangian routes disagree")
-    return closed
-
-
 # ---------------------------------------------------------------------------
 # Energy-momentum family
 # ---------------------------------------------------------------------------
@@ -361,11 +354,12 @@ def recover_n(m: CosmologyMetric, t0, t1, steps: int):
                 f"s{i} = {p!r} vanishes on the window [{t0}, {t1}]: "
                 f"g^{i}{i} = 1/s{i} has a pole there"
             )
-    lm = matter_lagrangian(m)
+    # the closed form: eq:58-59 reports whether the contraction route agrees
+    lm = matter_lagrangian_paths(m)[1]
     s1, s2, s3 = (RationalFunction(p) for p in m.s[:3])
     radicand = lm * s1 * s2 * s3
     if not radicand.is_polynomial():
-        raise AssertionError("L * s1 s2 s3 is not a polynomial")
+        raise ValueError("L * s1 s2 s3 is not a polynomial")
     prefactor = 2 / (3 * float(vw))
     h = (t1 - t0) / steps
     q, d = _on_integer_grid(radicand.num, t0, h / 2)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .algebra import format_polynomial
+
 
 def _mul(a, b):
     """Schoolbook product of two coefficient sequences."""
@@ -198,23 +200,10 @@ class Poly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_polynomial(
+            (c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
+            for i, c in enumerate(self.coeffs) if c
+        )
 
 
 ONE = Poly((1,))

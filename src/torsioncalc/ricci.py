@@ -73,7 +73,8 @@ from .connection import (
     covariant_derivative,
 )
 from .curvature import curvature_R
-from .sampling import derive_rng, random_even_connection, random_tensor_field
+# unused here, but perfbench/layers.py Tracer.install wraps both generators by these names
+from .sampling import random_even_connection, random_tensor_field, sample_instance
 
 
 class IdentityAmbiguityError(RuntimeError):
@@ -571,9 +572,7 @@ class IdentityWorkspace:
 
 
 def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> IdentityWorkspace:
-    rng = derive_rng(seed, label)
-    L = random_even_connection(rng, dim, degree)
-    a = random_tensor_field(rng, dim, (1, 1), degree)
+    _, a, L = sample_instance(seed, label, dim, degree)
     return IdentityWorkspace(a, L)
 
 

@@ -83,3 +83,12 @@ def random_even_connection(
     L = random_connection(rng, dim, degree, bound)
     return ConnectionField(L.coeffs.scale(2))
 
+
+
+def sample_instance(seed: int, label: str, dim: int, degree: int):
+    """The instance a sweep checks under ``label``: (rng, a, L), the even
+    connection L drawn first, then the (1,1) field a; ``rng`` goes on to
+    draw any per-instance weights."""
+    rng = derive_rng(seed, label)
+    L = random_even_connection(rng, dim, degree)
+    return rng, random_tensor_field(rng, dim, (1, 1), degree), L

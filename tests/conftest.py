@@ -1,11 +1,6 @@
 import pytest
 
-from torsioncalc.sampling import (
-    derive_rng,
-    random_connection,
-    random_even_connection,
-    random_tensor_field,
-)
+from torsioncalc.sampling import derive_rng, random_connection, random_tensor_field, sample_instance
 
 
 @pytest.fixture
@@ -15,8 +10,9 @@ def rng():
 
 def make_instance(seed, label, dim, degree=2, even=True):
     """One seeded (connection, tensor) pair for identity checks."""
+    if even:
+        _, a, L = sample_instance(seed, label, dim, degree)
+        return L, a
     r = derive_rng(seed, label)
-    gen = random_even_connection if even else random_connection
-    L = gen(r, dim, degree)
-    a = random_tensor_field(r, dim, (1, 1), degree)
-    return L, a
+    L = random_connection(r, dim, degree)
+    return L, random_tensor_field(r, dim, (1, 1), degree)

@@ -34,8 +34,10 @@ reference forms and generators that only the tests use.
   all 256 entries of R^i_{jmn}, the full generalized connection and the
   metric-compatibility residual of a cosmology metric over rational
   functions, against the entries the ``cosmology`` command sums.
-- ``random_symmetric_connection`` and ``random_metric_field``: seeded
-  torsion-free connections and metrics with an exact polynomial inverse.
+- ``random_symmetric_connection`` and ``random_symmetric_field``: seeded
+  torsion-free connections and symmetric valence-(0, 2) fields.
+- ``kronecker_delta``: the identity tensor of valence (1, 1), a known input
+  for the derivative rules.
 """
 
 import itertools
@@ -57,7 +59,6 @@ from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref
 from torsioncalc.sampling import (
     DEFAULT_COEFF_BOUND,
     DEFAULT_DEGREE,
-    random_scalar_field,
     random_tensor_field,
 )
 
@@ -764,39 +765,17 @@ def random_symmetric_connection(
     return ConnectionField(sym)
 
 
-def random_metric_field(
+def random_symmetric_field(
     rng,
     dim: int,
     degree: int = 1,
     bound: int = 2,
-    antisym_degree: int | None = 1,
 ) -> TensorField:
-    """Random metric whose symmetric part has an exact polynomial inverse.
+    """Symmetric valence-(0, 2) field: a random one plus its transpose."""
+    raw = random_tensor_field(rng, dim, (0, 2), degree, bound)
+    return raw + raw.swap_last_lower()
 
-    Built as U^T D U with U unipotent upper-triangular (polynomial entries)
-    and D a constant nonsingular diagonal, so the determinant is constant.
-    ``antisym_degree=None`` gives a symmetric metric; otherwise a random
-    antisymmetric polynomial part is added on top.
-    """
-    zero = ScalarField(dim)
-    one = ScalarField.constant(1, dim)
-    u = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u[i][j] = random_scalar_field(rng, dim, degree, bound)
-    d = [rng.choice([x for x in range(-bound, bound + 1) if x]) for _ in range(dim)]
 
-    def sym_entry(i, j):
-        total = ScalarField(dim)
-        for k in range(dim):
-            total = total + u[k][i].scale(d[k]) * u[k][j]
-        return total
-
-    entries = [[sym_entry(i, j) for j in range(dim)] for i in range(dim)]
-    if antisym_degree is not None:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                h = random_scalar_field(rng, dim, antisym_degree, bound)
-                entries[i][j] = entries[i][j] + h
-                entries[j][i] = entries[j][i] - h
-    return TensorField(dim, (0, 2), [entries[i][j] for i in range(dim) for j in range(dim)])
+def kronecker_delta(dim: int) -> TensorField:
+    """The identity tensor of valence (1, 1)."""
+    return TensorField.build(dim, (1, 1), lambda i, j: ScalarField.constant(int(i == j), dim))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncalc import cli, connection, ricci
+from torsioncalc import cli, connection, cosmology, ricci
 from torsioncalc.algebra import LinearSystem, ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
 from torsioncalc.connection import DerivKind, covariant_derivative
@@ -86,6 +86,21 @@ def test_a_float_overflow_in_eq60_fails_that_check(tmp_path, capsys, field, valu
     assert not checks["eq:60"]["pass"]
     assert checks["eq:60"]["actual"].startswith("error: ")
     assert all(checks[k]["pass"] for k in checks if k != "eq:60")
+
+
+def test_a_wrong_contraction_route_fails_its_checks_not_the_run(tmp_path, capsys, monkeypatch):
+    # the torsion scalar doubled: the contraction routes of eq:58-59 and
+    # eq:56 leave the closed form, which eq:60 and eq:66 go on to use
+    real = cosmology.torsion_scalar
+    monkeypatch.setattr(cosmology, "torsion_scalar", lambda m: real(m) * 2)
+    config = _config(tmp_path, cosmology=SMALL_COSMOLOGY)
+    code = main(["cosmology", "--config", config, "--json"])
+    captured = capsys.readouterr()
+    checks = {c["id"]: c["pass"] for c in json.loads(captured.out)["checks"]}
+    assert code == 1 and captured.err == ""
+    assert checks == {
+        "eq:51": True, "eq:56": False, "eq:58-59": False, "eq:60": True, "eq:66": True,
+    }
 
 
 @pytest.mark.parametrize(
@@ -412,6 +427,25 @@ def test_failing_mixed_check_names_its_weighting(monkeypatch):
     assert all(c.passed and c.detail is None for c in checks.values())
 
 
+def test_a_mixed_check_names_its_first_failing_weighting(monkeypatch):
+    # the broken member's first weighting is made to pass: its second is named
+    broken = _broken_catalogue(16)
+    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
+    real = cli.nonzero_sums
+
+    def first_weighting_passes(*args):
+        failing = real(*args)
+        failing.pop(16 * cli.MIXED_WEIGHTINGS, None)
+        return failing
+
+    monkeypatch.setattr(cli, "nonzero_sums", first_weighting_passes)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    config = cli.RunConfig(dimension=2, degree=1, instances=4, seed=6)
+    checks = {c.id: c for c in cli.cmd_verify_ricci(config, "mixed").checks}
+    detail = checks[f"eq:29:{broken[16].tag}"].detail
+    assert (detail["label"], detail["weighting"]) == ("mixed:2:0", 1)
+
+
 def test_failing_derivative_relation_names_instance_entry_and_monomial(monkeypatch):
     # eq:8 with its first weight doubled: D_sym - D_1 - D_2 / 2 is not zero
     relations = list(connection.DERIVATIVE_RELATIONS)
@@ -584,17 +618,10 @@ def test_a_wrapper_set_on_the_cli_is_the_function_that_runs(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "task, args",
-    [
-        ("_relations_task", (7, 2, 1, 0)),
-        ("_catalogue_task", (7, 2, 1, 0)),
-        ("_mixed_task", (7, 2, 1, 0, 1)),
-    ],
-)
-def test_an_instance_task_runs_with_no_subcommand_before_it(task, args):
+@pytest.mark.parametrize("sweep", ["deriv", "ricci", "mixed"])
+def test_an_instance_task_runs_with_no_subcommand_before_it(sweep):
     # tests and profilers call a task directly, with no cmd_* before it
-    code = f"print(all(ok for _, ok, _ in cli.{task}({args!r})))"
+    code = f"print(all(ok for _, ok, _ in cli._sweep_task({(sweep, 7, 2, 1, 0)!r})))"
     assert _in_a_fresh_interpreter(code) == "True"
 
 

@@ -22,6 +22,7 @@ from conftest import make_instance
 from oracles import (
     covariant_derivative_entrywise,
     double_covariant_derivative_explicit,
+    kronecker_delta,
     random_symmetric_connection,
 )
 
@@ -130,13 +131,13 @@ def test_zero_connection_reduces_to_partials():
 
 def test_kronecker_rule1_vanishes():
     L = random_connection(derive_rng(4, "delta"), 3)
-    delta = TensorField.kronecker(3)
+    delta = kronecker_delta(3)
     assert covariant_derivative(DerivKind.K1, delta, L).is_zero()
 
 
 def test_kronecker_rule3_gives_torsion():
     L = random_connection(derive_rng(5, "delta3"), 3)
-    delta = TensorField.kronecker(3)
+    delta = kronecker_delta(3)
     assert covariant_derivative(DerivKind.K3, delta, L) == L.torsion_half().scale(2)
 
 

@@ -14,7 +14,6 @@ from torsioncalc.cosmology import (
     energy_momentum,
     inverse_diagonal,
     levi_civita_connection,
-    matter_lagrangian,
     matter_lagrangian_paths,
     recover_n,
     scalar_curvature,
@@ -23,7 +22,7 @@ from torsioncalc.cosmology import (
 )
 from torsioncalc.sampling import derive_rng
 
-from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf, random_metric_field
+from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf, random_symmetric_field
 
 
 def _metric(s_lists, n_list, vw="1"):
@@ -150,7 +149,7 @@ def test_symmetric_metric_gives_zero_table():
 
 def test_first_kind_antisym_vanishes_for_symmetric_metric():
     rng = derive_rng(6, "fk")
-    g = random_metric_field(rng, 3, antisym_degree=None)
+    g = random_symmetric_field(rng, 3)
     assert christoffel_first_kind_antisym(g).is_zero()
 
 
@@ -199,13 +198,13 @@ def test_matter_lagrangian_routes_agree():
 
 def test_matter_lagrangian_constant_n_vanishes():
     m = _metric([["1", "1"], ["2"], ["3"], ["1"]], ["5"])
-    assert matter_lagrangian(m).is_zero()
+    assert matter_lagrangian_paths(m)[1].is_zero()
 
 
 def test_matter_lagrangian_quadratic_example():
     # unit spatial product, n = t^2, v'-w = 1: L = 6 t^2
     m = _metric([["1"]] * 4, ["0", "0", "1"], "1")
-    assert matter_lagrangian(m) == RationalFunction.from_value(Poly((0, 0, 6)))
+    assert matter_lagrangian_paths(m)[1] == RationalFunction.from_value(Poly((0, 0, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def test_energy_momentum_diagonal_pattern():
     for _ in range(5):
         m = _random_metric(rng)
         T = energy_momentum(m)
-        lm = matter_lagrangian(m)
+        lm = matter_lagrangian_paths(m)[1]
         s = [RationalFunction.from_value(p) for p in m.s]
         for i in range(4):
             for j in range(4):
@@ -334,7 +333,7 @@ def test_recover_accepts_negative_nonvanishing_s():
 def _reference_recover_n(m, t0, t1, steps):
     """recover_n's quadrature with the radicand kept as a rational function
     and evaluated in Fractions at every node of every panel."""
-    radicand = matter_lagrangian(m)
+    radicand = matter_lagrangian_paths(m)[1]
     for p in m.s[:3]:
         radicand = radicand * RationalFunction(p)
     prefactor = 2 / (3 * float(m.vprime_minus_w))

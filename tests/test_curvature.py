@@ -25,7 +25,12 @@ from torsioncalc.sampling import (
     random_tensor_field,
 )
 
-from oracles import bracket_objects, bracket_objects_raw, random_symmetric_connection
+from oracles import (
+    bracket_objects,
+    bracket_objects_raw,
+    kronecker_delta,
+    random_symmetric_connection,
+)
 
 # ---------------------------------------------------------------------------
 # the curvature tensor of the torsion-free part
@@ -193,5 +198,5 @@ def test_brackets_raw_equals_decomposed():
 def test_first_bracket_of_kronecker_vanishes():
     # both summands differentiate the identity tensor
     L = random_connection(derive_rng(10, "bd"), 3)
-    delta = TensorField.kronecker(3)
+    delta = kronecker_delta(3)
     assert bracket_objects(delta, L)[0].is_zero()

@@ -955,7 +955,7 @@ def test_mixed_task_weights_stay_integers(monkeypatch):
     monkeypatch.setattr(algebra, "contract", contract_spy)
     monkeypatch.setattr(IdentityWorkspace, "mixed_residual_pieces", pieces_spy)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    results = cli._mixed_task((7, 2, 1, 0, 5))
+    results = cli._sweep_task(("mixed", 7, 2, 1, 0))
     assert all(ok for _, ok, _ in results)
     assert len(piece_weights) > 17 * 5
     assert not any(isinstance(w, Fraction) for w in piece_weights)
