@@ -159,12 +159,6 @@ class ScalarField:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, dim: int) -> "ScalarField":
-        if value == 0:
-            return cls(dim)
-        return cls(dim, {0: value})
-
-    @classmethod
     def from_terms(cls, terms: dict, dim: int) -> "ScalarField":
         """Build from a map {exponent tuple: coefficient}."""
         packed = {}
@@ -275,12 +269,6 @@ class TensorField:
         self.entries = entries
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, valence: tuple) -> "TensorField":
-        count = dim ** (valence[0] + valence[1])
-        z = ScalarField(dim)
-        return cls(dim, valence, [z] * count)
 
     @classmethod
     def build(cls, dim: int, valence: tuple, fn) -> "TensorField":

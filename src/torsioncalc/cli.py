@@ -68,7 +68,7 @@ _NAMES = {
         "CURVATURE_R_MEMBER", "INDEPENDENT_SIX_SETS", "rho_catalogue", "rho_family_rank",
         "six_set_members",
     ),
-    "ratfunc": ("RationalFunction",),
+    "ratfunc": ("Poly", "RationalFunction"),
     "ricci": (
         "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
         "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
@@ -178,7 +178,7 @@ def _expect_int(name, value, lo, hi) -> int:
 
 
 def _parse_cosmology(raw: dict):
-    _need("cosmology")
+    _need("cosmology", "ratfunc")
     if not isinstance(raw, dict):
         raise ConfigError("cosmology: expected an object")
     extra = set(raw) - {"s1", "s2", "s3", "s4", "n", "vprime_minus_w", "window", "panels"}
@@ -197,8 +197,10 @@ def _parse_cosmology(raw: dict):
             raise ConfigError(f"cosmology.{key}: {exc}") from exc
         if key[0] == "s" and not any(values[key]):
             raise ConfigError(f"cosmology.{key}: identically zero")
-    metric = CosmologyMetric.from_coefficients(
-        [values[k] for k in ("s1", "s2", "s3", "s4")], values["n"], values["vprime_minus_w"]
+    metric = CosmologyMetric(
+        tuple(Poly(values[k]) for k in ("s1", "s2", "s3", "s4")),
+        Poly(values["n"]),
+        values["vprime_minus_w"],
     )
     window = raw.get("window", ["0", "1"])
     if not (isinstance(window, list) and len(window) == 2):

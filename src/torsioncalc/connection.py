@@ -59,10 +59,6 @@ class ConnectionField:
         self._sym = None
         self._tor = None
 
-    @classmethod
-    def zero(cls, dim: int) -> "ConnectionField":
-        return cls(TensorField.zero(dim, (1, 2)))
-
     def is_symmetric(self) -> bool:
         return self.coeffs == self.coeffs.swap_last_lower()
 

@@ -38,10 +38,6 @@ def parse_number(value) -> Fraction:
     return Fraction(str(value))
 
 
-def _parse_poly(coeffs) -> Poly:
-    return Poly(tuple(parse_number(c) for c in coeffs))
-
-
 class CosmologyMetric:
     """The five defining polynomials and the family parameter v' - w."""
 
@@ -61,17 +57,6 @@ class CosmologyMetric:
 
     def __hash__(self):
         return hash((self.s, self.n, self.vprime_minus_w))
-
-    @classmethod
-    def from_coefficients(cls, s_lists, n_list, vprime_minus_w) -> "CosmologyMetric":
-        """Coefficient lists are ascending in t, read by :func:`parse_number`."""
-        if len(s_lists) != 4:
-            raise ValueError("need exactly four diagonal coefficient lists")
-        return cls(
-            tuple(_parse_poly(c) for c in s_lists),
-            _parse_poly(n_list),
-            parse_number(vprime_minus_w),
-        )
 
     def metric_rows(self):
         """The 4x4 matrix of polynomials."""

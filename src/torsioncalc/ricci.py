@@ -38,7 +38,8 @@ as the reference tests compare against.
 The same split makes the coefficient solve one right side.  A combination's
 target, lhs minus the R-commutator, is basis-column pieces, which are exact
 offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
-column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for.
+column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for, and
+a combination whose rest differs is refused.
 
 The workspace forms every tensor through one builder,
 :meth:`IdentityWorkspace._block`: a key whole, or over a range of its flat
@@ -140,18 +141,6 @@ class MixWeights:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    @property
-    def rows(self) -> tuple:
-        """The rational weights d^l_k, row k - 1 of five."""
-        return tuple(tuple(Fraction(n, self.den) for n in r) for r in self.num)
-
-    @classmethod
-    def pure(cls, l: int) -> "MixWeights":
-        if l not in (1, 2, 3):
-            raise ValueError("rule index must be 1, 2 or 3")
-        row = tuple(1 if i == l - 1 else 0 for i in range(3))
-        return cls((row,) * 5)
 
     @classmethod
     def random(cls, rng) -> "MixWeights":
@@ -571,22 +560,29 @@ class IdentityWorkspace:
 # ---------------------------------------------------------------------------
 
 
+# The solver feeds instances of dim 3 first, then dim 4, and verifies its
+# solutions on one fresh instance of each.  In dim 2 the 17 basis tensors
+# have rank 15, so a feed of dim-2 instances alone stops short of full
+# column rank and raises IdentityAmbiguityError.
+INSTANCE_DIMS = (3, 4)
+
+
 def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> IdentityWorkspace:
     _, a, L = sample_instance(seed, label, dim, degree)
     return IdentityWorkspace(a, L)
 
 
-def _feed_entries(ws: IdentityWorkspace, rests):
+def _feed_entries(ws: IdentityWorkspace, rest):
     """The solve's equations on one instance for
     :meth:`LinearSystem.add_coefficient_rows`, entry by entry in row-major
-    order: the 17 basis terms, then each rest (see :func:`_split_target`),
+    order: the 17 basis terms, then the shared rest (see :func:`_split_target`),
     as (weight, ScalarField) terms.
 
     The tensors are formed one (i, j) block of dim**2 entries at a time, when
     the block's first entry is drawn, so no block after the one that reaches
     full rank is formed.  A read with m and n swapped stays inside its block,
     so it reads the block formed for the plain read."""
-    sums = [_merge([_basis_ref(k)]) for k in range(1, 18)] + [_merge(rest) for rest in rests]
+    sums = [_merge([_basis_ref(k)]) for k in range(1, 18)] + [_merge(rest)]
     keys = dict.fromkeys(key for merged in sums for _, key in merged)
     dim = ws.a.dim
     size = dim * dim
@@ -611,8 +607,9 @@ def span_basis(members) -> list:
     return [ic for ic in members if system.add_row(identity_row(ic))]
 
 
-def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
-    """Check solved members on fresh instances through their span basis.
+def verify_solutions(solutions, seed: int, degree: int) -> list:
+    """Check solved members on fresh instances, one of each dim in
+    ``INSTANCE_DIMS``, through their span basis.
 
     :meth:`IdentityWorkspace.residual` is linear in :func:`identity_row`,
     and every solved row is an exact rational combination of the rows
@@ -630,7 +627,7 @@ def verify_solutions(solutions, seed: int, verify_dims, degree: int) -> list:
     nonzero residual entry and monomial.
     """
     kept = span_basis(solutions.values())
-    for t, dim in enumerate(verify_dims):
+    for t, dim in enumerate(INSTANCE_DIMS):
         label = f"check:{t}:{dim}"
         ws = _instance_workspace(seed, label, dim, degree)
         failing = ws.nonzero_residuals(kept)
@@ -653,44 +650,51 @@ class SolvedIdentities(dict):
         self.span = span
 
 
-def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
-    """Solve the combinations together, then verify them on fresh instances.
+def solve_all_identities(seed: int = 20260809, degree: int = 2) -> SolvedIdentities:
+    """Solve every one of the 81 combinations, then verify them on fresh
+    instances; returns {pqrs: coefficients} as a :class:`SolvedIdentities`.
 
     :func:`_split_target` splits each target into exact basis offsets and
-    a rest; the system carries one right side per distinct rest (one for
-    the 81 combinations).  A target and its rest differ by a basis
-    combination, so the rows fed and their consistency are those of the
-    targets.  The system is solved fraction-free (see
-    :class:`LinearSystem`), once per distinct rest, and each combination's
-    coefficients are that solution plus its offsets.  :func:`verify_solutions`
-    then checks their span basis, one packed contraction per instance.
+    a rest.  All 81 share one rest, SSa - SSa^(m<->n) - R-commutator, taken
+    from (1, 1, 1, 1); a combination whose rest differs is refused.  A
+    target and its rest differ by a basis combination, so the rows fed and
+    their consistency are those of the targets.  The system has that one
+    right side and is solved once, fraction-free (see
+    :class:`LinearSystem`); each combination's coefficients are that
+    solution plus its offsets.  :func:`verify_solutions` then checks their
+    span basis, one packed contraction per instance.
     """
-    splits = [_split_target(combo) for combo in combos]
-    rests = list(dict.fromkeys(rest for rest, _ in splits))
-    system = LinearSystem(17, nrhs=len(rests))
-    for t, dim in enumerate(dims):
+    splits = {combo: _split_target(combo) for combo in ALL_COMBINATIONS}
+    shared = (1, 1, 1, 1)
+    rest = splits[shared][0]
+    for combo, (other, _) in splits.items():
+        if other != rest:
+            raise IdentityUnsolvableError(
+                f"{combo}: its rest differs from the shared rest of {shared}"
+            )
+
+    system = LinearSystem(17)
+    for t, dim in enumerate(INSTANCE_DIMS):
         # no reference kept: the workspace is freed before verification
         label = f"solve:{t}:{dim}"
         system.add_coefficient_rows(
-            _feed_entries(_instance_workspace(seed, label, dim, degree), rests)
+            _feed_entries(_instance_workspace(seed, label, dim, degree), rest)
         )
         if system.rank == 17:
             break
     if system.rank < 17:
         raise IdentityAmbiguityError(
-            f"design matrix rank {system.rank} < 17 after {len(dims)} instances"
+            f"design matrix rank {system.rank} < 17 after {len(INSTANCE_DIMS)} instances"
         )
+    try:
+        base = system.solve()
+    except ValueError as exc:
+        raise IdentityUnsolvableError(f"{shared}: {exc}") from exc
 
-    solved = {}  # rest -> its solution
     solutions = {}
-    for combo, (rest, offsets) in zip(combos, splits):
-        if rest not in solved:
-            try:
-                solved[rest] = system.solve(rests.index(rest))
-            except ValueError as exc:
-                raise IdentityUnsolvableError(f"{combo}: {exc}") from exc
+    for combo, (_, offsets) in splits.items():
         ints = []
-        for v in map(sum, zip(solved[rest], offsets)):
+        for v in map(sum, zip(base, offsets)):
             if v.denominator != 1 or v not in (-1, 0, 1):
                 raise IdentityUnsolvableError(
                     f"{combo}: solved coefficient {v} falls outside {{-1, 0, 1}}"
@@ -700,23 +704,4 @@ def _solve_combos(combos, seed, dims, degree, verify_dims) -> SolvedIdentities:
             tuple(ints), combo, _tag(combo) if combo in CATALOGUE_BY_PQRS else None
         )
 
-    return SolvedIdentities(solutions, verify_solutions(solutions, seed, verify_dims, degree))
-
-
-# The solver feeds instances of dim 3 first, then dim 4.  In dim 2 the 17
-# basis tensors have rank 15, so a feed of dim-2 instances alone stops short
-# of full column rank and raises IdentityAmbiguityError.
-def solve_all_identities(
-    seed: int = 20260809, dims=(3, 4), degree: int = 2, verify_dims=(3, 4)
-) -> SolvedIdentities:
-    """Solve every one of the 81 combinations; returns {pqrs: coefficients}
-    as a :class:`SolvedIdentities`.
-
-    All 81 targets share one rest, SSa - SSa^(m<->n) - R-commutator, so the
-    system has one right side and is solved once; each combination adds its
-    own basis offsets from ``_DD_BLOCKS``.  The solutions are confirmed on
-    fresh instances through the 17 members of their span basis
-    (:func:`verify_solutions`).
-    """
-    return _solve_combos(list(ALL_COMBINATIONS), seed, dims, degree, verify_dims)
-
+    return SolvedIdentities(solutions, verify_solutions(solutions, seed, degree))

@@ -483,14 +483,13 @@ def rhs_expanded(ws, coeffs):
 # ---------------------------------------------------------------------------
 
 
-def feed_rows_full(system, ws, rests) -> int:
+def feed_rows_full(system, ws, rest) -> int:
     """The solve's equations of ``ricci._feed_entries`` from whole tensors:
-    the 17 basis terms and each rest as full (1,3) tensors of the
+    the 17 basis terms and the rest as full (1,3) tensors of the
     workspace's cached columns, then per entry in row-major order one row per
     monomial in packed-key order (the last exponent first), whole entries
     until the rank is 17.  Returns the number of entries fed."""
-    sums = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)]
-    sums += [ws._pieces(rest) for rest in rests]
+    sums = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)] + [ws._pieces(rest)]
     tensors = [contract((1, 3), *pieces) for pieces in sums]
     fed = 0
     for fields in zip(*(t.entries for t in tensors)):
@@ -509,11 +508,16 @@ def feed_rows_full(system, ws, rests) -> int:
 # ---------------------------------------------------------------------------
 
 
+def weight_rows(weights) -> tuple:
+    """The rational weights d^l_k of a ``MixWeights``, row k - 1 of five."""
+    return tuple(tuple(Fraction(n, weights.den) for n in r) for r in weights.num)
+
+
 def mixed_refs_rational(coeffs, weights):
     """rhs_mixed as weighted references (weight, read, key), every weight a
-    rational number of the rows d^l_k = ``weights.rows``."""
+    rational number of the rows d^l_k (:func:`weight_rows`)."""
     c = (None,) + coeffs.c
-    rows = weights.rows
+    rows = weight_rows(weights)
     # (d1 - d2 + d3, d1 - d2 - d3) of row k weight the upper- and the
     # lower-index leftovers of the substitution
     xu, xl = zip((None, None), *((d1 - d2 + d3, d1 - d2 - d3) for d1, d2, d3 in rows))
@@ -776,6 +780,11 @@ def random_symmetric_field(
     return raw + raw.swap_last_lower()
 
 
+def zero_connection(dim: int) -> ConnectionField:
+    """The connection whose coefficients all vanish."""
+    return ConnectionField(TensorField(dim, (1, 2), [ScalarField(dim)] * dim**3))
+
+
 def kronecker_delta(dim: int) -> TensorField:
     """The identity tensor of valence (1, 1)."""
-    return TensorField.build(dim, (1, 1), lambda i, j: ScalarField.constant(int(i == j), dim))
+    return TensorField.build(dim, (1, 1), lambda i, j: ScalarField(dim, {0: 1} if i == j else None))

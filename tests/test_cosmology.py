@@ -26,7 +26,12 @@ from oracles import christoffel_full_rf, curvature_tensor_rf, emc_residual_rf, r
 
 
 def _metric(s_lists, n_list, vw="1"):
-    return CosmologyMetric.from_coefficients(s_lists, n_list, vw)
+    """The metric of coefficient lists ascending in t, each number read as a
+    Fraction."""
+    def poly(coeffs):
+        return Poly(tuple(map(Fraction, coeffs)))
+
+    return CosmologyMetric(tuple(map(poly, s_lists)), poly(n_list), Fraction(vw))
 
 
 def _random_metric(rng, max_degree=2):
@@ -36,7 +41,7 @@ def _random_metric(rng, max_degree=2):
         return coeffs
 
     vw = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-    return CosmologyMetric.from_coefficients(
+    return _metric(
         [poly(), poly(), poly(), poly()],
         [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))],
         vw,
@@ -457,10 +462,10 @@ def test_emc_residual_reported():
 
 
 def test_metric_construction_validation():
-    with pytest.raises(ValueError, match="^need exactly four diagonal coefficient lists$"):
-        CosmologyMetric.from_coefficients([["1"], ["1"], ["1"]], ["0"], "1")
+    with pytest.raises(ValueError, match="^need exactly four diagonal polynomials$"):
+        _metric([["1"], ["1"], ["1"]], ["0"])
     with pytest.raises(ValueError, match="^diagonal entries must not be identically zero$"):
-        CosmologyMetric.from_coefficients([["0"], ["1"], ["1"], ["1"]], ["0"], "1")
+        _metric([["0"], ["1"], ["1"], ["1"]], ["0"])
     with pytest.raises(ValueError, match="^need exactly four diagonal polynomials$"):
         CosmologyMetric((Poly((1,)),) * 3, Poly(), Fraction(1))
 

@@ -4,7 +4,6 @@ import pytest
 
 from torsioncalc.algebra import ScalarField, TensorField
 from torsioncalc.connection import (
-    ConnectionField,
     DerivKind,
     covariant_derivative,
 )
@@ -30,6 +29,7 @@ from oracles import (
     bracket_objects_raw,
     kronecker_delta,
     random_symmetric_connection,
+    zero_connection,
 )
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ from oracles import (
 
 
 def test_curvature_of_flat_connection_vanishes():
-    assert curvature_R(ConnectionField.zero(3)).is_zero()
+    assert curvature_R(zero_connection(3)).is_zero()
 
 
 def test_curvature_of_constant_connection_is_commutator():

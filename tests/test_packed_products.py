@@ -63,7 +63,7 @@ def tensors(dim, valence, coefficients):
     drawn = st.lists(polynomials(dim, coefficients), min_size=count, max_size=count)
     return st.one_of(
         drawn.map(lambda entries: TensorField(dim, valence, entries)),
-        st.just(TensorField.zero(dim, valence)),
+        st.just(TensorField(dim, valence, [ScalarField(dim)] * count)),
     )
 
 
@@ -150,7 +150,7 @@ def test_coefficients_at_the_slot_bound_decode_exactly(k):
     c = 2**k
     def constant(valence, value):
         count = 2 ** sum(valence)
-        return TensorField(2, valence, [ScalarField.constant(value, 2)] * count)
+        return TensorField(2, valence, [ScalarField(2, {0: value})] * count)
 
     for sign in (1, -1):
         x, y = constant((1, 1), sign * c), constant((1, 1), c)

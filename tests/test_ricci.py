@@ -32,7 +32,6 @@ from torsioncalc.ricci import (
     _column,
     _dd_refs,
     _instance_workspace,
-    _solve_combos,
     _split_target,
     catalogue_independence_rank,
     identity_catalogue,
@@ -44,7 +43,7 @@ from torsioncalc.ricci import (
 from torsioncalc.sampling import derive_rng, random_tensor_field
 
 from conftest import make_instance
-from oracles import mixed_refs_rational, random_symmetric_connection, rhs_expanded
+from oracles import mixed_refs_rational, random_symmetric_connection, rhs_expanded, weight_rows
 
 # v -> a different value in {-1, 0, 1}
 FLIP = {1: 0, 0: -1, -1: 1}
@@ -54,6 +53,19 @@ def flipped(ic: IdentityCoefficients, k: int) -> IdentityCoefficients:
     c = list(ic.c)
     c[k] = FLIP[c[k]]
     return IdentityCoefficients(tuple(c), ic.pqrs)
+
+
+def pure_weights(l: int) -> MixWeights:
+    """Every derivative term by rule l alone."""
+    return MixWeights((tuple(int(i == l - 1) for i in range(3)),) * 5)
+
+
+@pytest.fixture(scope="module")
+def solved_in_dim_three():
+    # one dim-3 instance feeds the solve and one verifies it, at degree 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ricci, "INSTANCE_DIMS", (3,))
+        return solve_all_identities(degree=2)
 
 # ---------------------------------------------------------------------------
 # catalogue data
@@ -140,9 +152,9 @@ def test_square_quadruple_lhs_sums_to_four_commutators():
     assert total == ws.r_commutator().scale(4)
 
 
-def test_completion_to_rank_seventeen():
+def test_completion_to_rank_seventeen(solved_in_dim_three):
     rows = [identity_row(ic) for ic in identity_catalogue()]
-    extra = _solve_combos([(3, 2, 3, 2)], 20260809, (3,), 2, (3,))[(3, 2, 3, 2)]
+    extra = solved_in_dim_three[3, 2, 3, 2]
     rows.append(identity_row(extra))
     assert matrix_rank(rows) == 17
 
@@ -366,14 +378,14 @@ def test_residual_piece_weights_are_integers():
 # ---------------------------------------------------------------------------
 
 
-def test_solver_reproduces_catalogue_entries():
+def test_solver_reproduces_catalogue_entries(solved_in_dim_three):
     for pqrs in ((1, 1, 1, 1), (1, 3, 1, 2), (2, 3, 2, 3)):
-        sol = _solve_combos([pqrs], 20260809, (3,), 2, (3,))[pqrs]
+        sol = solved_in_dim_three[pqrs]
         assert sol.c == CATALOGUE_BY_PQRS[pqrs].c, pqrs
 
 
-def test_solver_handles_uncatalogued_combination():
-    sol = _solve_combos([(2, 3, 3, 2)], 20260809, (3,), 2, (3,))[(2, 3, 3, 2)]
+def test_solver_handles_uncatalogued_combination(solved_in_dim_three):
+    sol = solved_in_dim_three[2, 3, 3, 2]
     assert all(v in (-1, 0, 1) for v in sol.c)
     # verify on an independent instance
     L, a = make_instance(30, "fresh", 3)
@@ -381,10 +393,10 @@ def test_solver_handles_uncatalogued_combination():
     assert ws.lhs((2, 3, 3, 2)) == ws.rhs(sol)
 
 
-def test_solver_swap_pairing():
+def test_solver_swap_pairing(solved_in_dim_three):
     # solving the reversed combination negates the identity under an m,n swap
-    a_sol = _solve_combos([(1, 2, 3, 3)], 20260809, (3,), 2, (3,))[(1, 2, 3, 3)]
-    b_sol = _solve_combos([(3, 3, 1, 2)], 20260809, (3,), 2, (3,))[(3, 3, 1, 2)]
+    a_sol = solved_in_dim_three[1, 2, 3, 3]
+    b_sol = solved_in_dim_three[3, 3, 1, 2]
     L, a = make_instance(31, "pair", 3)
     ws = IdentityWorkspace(a, L)
     left = ws.rhs(a_sol).swap_last_lower()
@@ -396,7 +408,8 @@ def solved_degree_one():
     return solve_all_identities(degree=1)
 
 
-def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
+def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one, monkeypatch):
+    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     solutions = solved_degree_one
     assert len(solutions) == 81
     for pqrs, ic in CATALOGUE_BY_PQRS.items():
@@ -404,7 +417,13 @@ def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
     kept = span_basis(solutions.values())
     assert len(kept) == 17
     assert matrix_rank(identity_row(ic) for ic in kept) == 17
-    assert verify_solutions(solutions, 20260809, (3,), 1) == kept
+    assert verify_solutions(solutions, 20260809, 1) == kept
+
+
+def test_every_solved_vector_is_its_split_offsets(solved_degree_one):
+    # the solved base, the solution for the shared rest, is zero
+    for pqrs, ic in solved_degree_one.items():
+        assert list(ic.c) == _split_target(pqrs)[1], pqrs
 
 
 def test_span_basis_keeps_rank_increasing_members_in_input_order():
@@ -425,7 +444,8 @@ def test_span_basis_keeps_rank_increasing_members_in_input_order():
     assert span_basis([first, repeat]) == [first]
 
 
-def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one):
+def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one, monkeypatch):
+    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
     corrupted = dict(solved_degree_one)
@@ -433,7 +453,7 @@ def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree
     # the wrong row leaves the span of the true identities, so it is kept
     assert len(span_basis(corrupted.values())) == 18
     with pytest.raises(IdentityUnsolvableError, match="fail on a fresh instance"):
-        verify_solutions(corrupted, 20260809, (3,), 1)
+        verify_solutions(corrupted, 20260809, 1)
 
 
 @pytest.mark.parametrize("even", [True, False])
@@ -489,8 +509,18 @@ def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
         return [(1, ID, "dd_sym"), (1, ID, "rcomm")] if pqrs == bad else lhs_refs(pqrs)
 
     monkeypatch.setattr(ricci, "_lhs_refs", ssa_alone)
-    with pytest.raises(IdentityUnsolvableError, match=r"^\(2, 3, 1, 2\): .*inconsistent"):
-        _solve_combos([(1, 1, 1, 1), bad], 20260809, (3, 4), 1, (3,))
+    message = r"^\(2, 3, 1, 2\): its rest differs from the shared rest of \(1, 1, 1, 1\)$"
+    with pytest.raises(IdentityUnsolvableError, match=message):
+        solve_all_identities(degree=1)
+
+
+def test_a_wrong_shared_rest_is_inconsistent(monkeypatch):
+    # with R negated the shared rest is no longer zero, so no coefficients
+    # reproduce any target
+    monkeypatch.setattr(ricci, "curvature_R", lambda Lsym: -curvature_R(Lsym))
+    message = r"^\(1, 1, 1, 1\): system is inconsistent for this right side$"
+    with pytest.raises(IdentityUnsolvableError, match=message):
+        solve_all_identities(degree=1)
 
 
 class _RecordingSystem(algebra.LinearSystem):
@@ -509,7 +539,7 @@ class _RecordingSystem(algebra.LinearSystem):
 def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch, dim, degree):
     from oracles import feed_rows_full
 
-    rests = list(dict.fromkeys(_split_target(c)[0] for c in ALL_COMBINATIONS))
+    rest = _split_target((1, 1, 1, 1))[0]
     label = f"solve:0:{dim}"
     formed, block = [], IdentityWorkspace._block
 
@@ -520,11 +550,11 @@ def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch
         return block(self, key, entries)
 
     monkeypatch.setattr(IdentityWorkspace, "_block", recording)
-    system = _RecordingSystem(17, len(rests))
+    system = _RecordingSystem(17, 1)
     ws = _instance_workspace(20260809, label, dim, degree)
-    system.add_coefficient_rows(ricci._feed_entries(ws, rests))
-    reference = _RecordingSystem(17, len(rests))
-    entries = feed_rows_full(reference, _instance_workspace(20260809, label, dim, degree), rests)
+    system.add_coefficient_rows(ricci._feed_entries(ws, rest))
+    reference = _RecordingSystem(17, 1)
+    entries = feed_rows_full(reference, _instance_workspace(20260809, label, dim, degree), rest)
 
     assert system.fed == reference.fed
     assert system._pivot_rows == reference._pivot_rows
@@ -564,10 +594,11 @@ def test_a_range_of_a_key_is_the_slice_of_its_cached_whole_tensor(dim, starts):
             assert ws._tensor(key) is whole
 
 
-def test_dim_two_instances_alone_cannot_reach_full_rank():
+def test_dim_two_instances_alone_cannot_reach_full_rank(monkeypatch):
     # the 17 basis tensors have rank 15 in dim 2, so the solver feeds dim 3 first
+    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (2, 2, 2, 2))
     with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
-        _solve_combos([(1, 1, 1, 1)], 20260809, (2, 2, 2, 2), 2, (3,))
+        solve_all_identities(degree=2)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +609,9 @@ def test_dim_two_instances_alone_cannot_reach_full_rank():
 def test_mix_weights_validation():
     with pytest.raises(ValueError):
         MixWeights(((1, 1, 0),) * 5)
-    assert MixWeights.pure(2).rows[0] == (0, 1, 0)
+    assert weight_rows(pure_weights(2))[0] == (0, 1, 0)
     third = Fraction(1, 3)
-    assert MixWeights(((1, 1, 1),) * 5, 3).rows[4] == (third, third, third)
+    assert weight_rows(MixWeights(((1, 1, 1),) * 5, 3))[4] == (third, third, third)
 
 
 def test_mix_weights_hold_int_numerators_over_one_denominator():
@@ -588,11 +619,11 @@ def test_mix_weights_hold_int_numerators_over_one_denominator():
     w = MixWeights(((half, half, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0)))
     assert (w.num, w.den) == (((1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (4, -2, 0)), 2)
     assert w == MixWeights(((1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (4, -2, 0)), 2)
-    assert w.rows[0] == (half, half, 0)
+    assert weight_rows(w)[0] == (half, half, 0)
     # a Fraction entry over a given denominator: den * d = 1/3, so d = 1/9
     third = Fraction(1, 3)
     assert MixWeights(((third,) * 3,) * 5).den == 3
-    assert MixWeights(((third, third, 7 * third),) * 5, 3).rows[0][0] == Fraction(1, 9)
+    assert weight_rows(MixWeights(((third, third, 7 * third),) * 5, 3))[0][0] == Fraction(1, 9)
     # the random draw keeps its numerators over 12
     w = MixWeights.random(derive_rng(1, "mix-den"))
     assert w.den == 12 and all(sum(r) == 12 for r in w.num)
@@ -614,7 +645,7 @@ def test_mix_weights_scale_fraction_rows_by_the_lcm_of_their_denominators():
         assert w.den == den * scale
         assert w.num == tuple(tuple(int(x * scale) for x in r) for r in given)
         assert all(type(n) is int for r in w.num for n in r)
-        assert w.rows == tuple(rows)
+        assert weight_rows(w) == tuple(rows)
 
 
 def test_mix_weights_compare_and_hash_by_num_and_den():
@@ -624,7 +655,7 @@ def test_mix_weights_compare_and_hash_by_num_and_den():
     assert w == same and hash(w) == hash(same) and len({w, same}) == 1
     # the same rational weights over another denominator are other numerators
     assert w != MixWeights(((2, 2, 0),) * 5, 4)
-    assert MixWeights.pure(1) != MixWeights.pure(2)
+    assert pure_weights(1) != pure_weights(2)
     assert w != (w.num, w.den)
 
 
@@ -639,7 +670,7 @@ def test_random_weights_are_the_rational_draw():
             d1 = Fraction(reference.randint(-6, 6), reference.randint(1, 4))
             d2 = Fraction(reference.randint(-6, 6), reference.randint(1, 4))
             rows.append((d1, d2, 1 - d1 - d2))
-        assert weights.rows == tuple(rows)
+        assert weight_rows(weights) == tuple(rows)
         assert drawn.getstate() == reference.getstate()
 
 
@@ -685,7 +716,7 @@ def _rows_over_5_and_7(pairs):
 
 weightings = st.one_of(
     st.integers(0, 2**32).map(lambda s: MixWeights.random(derive_rng(s, "mixed-oracle"))),
-    st.sampled_from([1, 2, 3]).map(MixWeights.pure),
+    st.sampled_from([1, 2, 3]).map(pure_weights),
     st.just(MixWeights(((1, 1, 1),) * 5, 3)),
     # denominators 5, 7 and 35, which the random draw never makes
     st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=5, max_size=5)
@@ -732,7 +763,7 @@ def test_mixed_family_pure_rows_reduce_to_single_rule():
     L, a = make_instance(32, "mix1", 3)
     ws = IdentityWorkspace(a, L)
     for l in (1, 2, 3):
-        weights = MixWeights.pure(l)
+        weights = pure_weights(l)
         for pqrs in ((1, 1, 1, 1), (3, 1, 3, 1)):
             assert _mixed_check(ws, pqrs, weights) == {}, (l, pqrs)
 
@@ -1007,11 +1038,12 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     solved_degree_one, monkeypatch
 ):
+    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = [p for p in ALL_COMBINATIONS if p not in kept][-1]
     corrupted = dict(solved_degree_one)
     corrupted[pqrs] = flipped(corrupted[pqrs], 9)
-    terms, exc = _packed_terms(monkeypatch, verify_solutions, corrupted, 20260809, (3,), 1)
+    terms, exc = _packed_terms(monkeypatch, verify_solutions, corrupted, 20260809, 1)
     assert str(exc).startswith(f"{pqrs}: solved coefficients fail on a fresh instance")
     # 18 kept members, two distinct residuals: the true one and the corrupted
     ws = _instance_workspace(20260809, "check:0:3", 3, 1)
@@ -1022,13 +1054,16 @@ def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     assert list(found) == [1]
 
 
-def test_verification_failure_names_instance_member_entry_and_monomial(solved_degree_one):
+def test_verification_failure_names_instance_member_entry_and_monomial(
+    solved_degree_one, monkeypatch
+):
+    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
     corrupted = dict(solved_degree_one)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     with pytest.raises(IdentityUnsolvableError) as exc:
-        verify_solutions(corrupted, 20260809, (3,), 1)
+        verify_solutions(corrupted, 20260809, 1)
     ws = _instance_workspace(20260809, "check:0:3", 3, 1)
     entry, terms = _first_term(ws.residual(corrupted[pqrs]))
     message = str(exc.value)
