@@ -6,13 +6,15 @@ emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 Exit status is 0 exactly when no check failed, 1 when one did, and 2 for an
 unusable config, config file or report path, named in the message.  Every
 residual check is ``algebra.nonzero_sums``, the one exact zero test.  The
-three residual sweeps (derivative relations, the catalogue, the mixed
-family) run one instance task, ``_sweep_task``: it draws the instance with
-``sampling.sample_instance``, hands it to the sweep's members function in
-``_SWEEPS`` and turns each failing slot into the detail that reruns it.
+four residual sweeps (derivative relations, the catalogue, the mixed family
+and the check instances of ``--scope all``) run one instance task,
+``_sweep_task``: it draws the instance with ``sampling.sample_instance``,
+hands it to the sweep's members function in ``_SWEEPS`` and turns each
+failing slot into the detail that reruns it.
 
-Set TORSIONCALC_WORKERS to parallelise instance sweeps (at most one worker
-per CPU the process may run on).  The instances are split into one
+Set TORSIONCALC_WORKERS to parallelise instance sweeps, ``--scope all``'s
+check instances included (at most one worker per CPU the process may run
+on).  The instances are split into one
 contiguous chunk per worker: the process forks a child for every chunk but
 the first, runs the first itself, then collects and reaps the children in
 chunk order.  Results are thus
@@ -70,8 +72,9 @@ _NAMES = {
     ),
     "ratfunc": ("Poly", "RationalFunction"),
     "ricci": (
-        "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
-        "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
+        "CATALOGUE_BY_PQRS", "INSTANCE_DIMS", "IdentityAmbiguityError",
+        "IdentityUnsolvableError", "IdentityWorkspace", "MixWeights", "identity_catalogue",
+        "solve_all_identities", "span_basis",
     ),
     "sampling": ("sample_instance",),
 }
@@ -353,25 +356,31 @@ def _mixed_members(rng, a, L):
     return [(ic.tag, {"weighting": k}) for ic, k, _ in slots], failing
 
 
+def _solved_members(rng, a, L, kept):
+    return [(str(ic.pqrs), {}) for ic in kept], IdentityWorkspace(a, L).nonzero_residuals(kept)
+
+
 # sweep -> (the modules its members function reads, that function).  A
-# members function maps an instance (rng, a, L) to its slots, (tag, extra
-# failure detail) each, and the nonzero_sums failures {slot: (entry,
-# monomial)}.  The sweep name is the prefix of its instance labels.
+# members function maps an instance (rng, a, L), followed by the task's items
+# after the instance index, to its slots, (tag, extra failure detail) each,
+# and the nonzero_sums failures {slot: (entry, monomial)}.  The sweep name is
+# the prefix of its instance labels.
 _SWEEPS = {
     "deriv": (("connection",), _relations_members),
     "ricci": (("ricci",), _catalogue_members),
     "mixed": (("ricci",), _mixed_members),
+    "check": (("ricci",), _solved_members),
 }
 
 
 def _sweep_task(args):
     """(tag, ok, detail) per slot of one instance of a sweep; a failing
     slot's detail names enough to rerun that instance."""
-    sweep, seed, dim, degree, idx = args
+    sweep, seed, dim, degree, idx, *given = args
     modules, members = _SWEEPS[sweep]
     _need("sampling", *modules)
     label = f"{sweep}:{dim}:{idx}"
-    slots, failing = members(*sample_instance(seed, label, dim, degree))
+    slots, failing = members(*sample_instance(seed, label, dim, degree), *given)
     return [
         (tag, k not in failing, {
             "seed": seed, "label": label, "dim": dim, **extra,
@@ -434,10 +443,20 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         try:
             solutions = solve_all_identities(seed=config.seed, degree=config.degree)
         except (IdentityAmbiguityError, IdentityUnsolvableError) as exc:
-            report.add(
-                value_check("thm2:solve", "solved", f"error: {exc}")
-            )
+            report.add(value_check("thm2:solve", "solved", f"error: {exc}"))
             return report
+        # the kept members' residuals vanish exactly when all 81 do
+        kept = span_basis(solutions.values())
+        checks = [
+            ("check", config.seed, dim, config.degree, t, kept)
+            for t, dim in enumerate(INSTANCE_DIMS)
+        ]
+        for rows in _parallel_map(_sweep_task, checks):
+            for pqrs, ok, detail in rows:
+                if not ok:
+                    actual = f"error: {pqrs}: nonzero residual on a fresh instance"
+                    report.add(value_check("thm2:solve", "solved", actual, detail=detail))
+                    return report
         for pqrs, ic in sorted(solutions.items()):
             ok = pqrs not in CATALOGUE_BY_PQRS or ic.c == CATALOGUE_BY_PQRS[pqrs].c
             report.add(
@@ -449,7 +468,7 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
                     status="solved",
                 )
             )
-        report.add(rank_check("cor2:span-rank", 17, len(solutions.span)))
+        report.add(rank_check("cor2:span-rank", 17, len(kept)))
     elif scope == "mixed":
         count = max(1, config.instances // 4)
         for tag, ok, detail in _sweep(config, "mixed", count):

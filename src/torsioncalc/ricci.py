@@ -9,8 +9,8 @@ where the seventeen basis terms B_k collect torsion against first
 derivatives, torsion derivatives, and torsion-quadratic contractions, and
 every coefficient c_k lies in {-1, 0, 1}.  This module carries the catalogue
 of seventeen independent members, evaluates the right side for arbitrary
-coefficients, recovers coefficients for any of the 81 (p,q,r,s) combinations
-by exact linear solving, and checks the equivalent mixed-rule form of the
+coefficients, reads the coefficients of any of the 81 (p,q,r,s) combinations
+off the derivative tables, and checks the equivalent mixed-rule form of the
 family.  The partial-derivative (pseudotensor-revealing) form is a reference
 the tests evaluate, ``rhs_expanded`` in ``tests/oracles.py``.
 
@@ -35,25 +35,27 @@ exactly lhs - rhs on the instance, so checking it is still the exact
 per-instance predicate; the composition :meth:`IdentityWorkspace.dd` stays
 as the reference tests compare against.
 
-The same split makes the coefficient solve one right side.  A combination's
-target, lhs minus the R-commutator, is basis-column pieces, which are exact
-offsets c_k += w / w_k, plus a rest that for all 81 combinations is the one
-column SSa - SSa^(m<->n) - R-commutator.  Only that rest is solved for, and
-a combination whose rest differs is refused.
+The same split gives every combination's coefficients with no linear
+solve.  A combination's target, lhs minus the R-commutator, is basis-column
+pieces, which are exact offsets c_k += w / w_k, plus a rest that for all 81
+combinations is the one column SSa - SSa^(m<->n) - R-commutator.  The
+offsets are the coefficients when that rest vanishes and the 17 basis
+tensors are independent: the CLI checks the first on fresh instances, and
+``solve_all_identities`` feeds the basis rank; a combination whose rest
+differs is refused.
 
 The workspace forms every tensor through one builder,
 :meth:`IdentityWorkspace._block`: a key whole, or over a range of its flat
 entries, by the same ``contract`` or ``covariant_derivative`` call given
 that range; a whole tensor is the range that covers every entry.  Whole
-tensors are cached.  The solve's equations, one per (entry, monomial), are
-formed one (i, j) block of dim**2 entries at a time, and a block only while
-the rank is short of 17.  The first block has reached it on every seed tried,
-so of the twelve (1,3) tensors the equations read (ten column contractions,
-SSa and the R-commutator) only the first dim**2 entries are formed; the
-operands the blocks read across (a, tor, d_sym, dtor, q2, q3 and R) are
-built in full.
+tensors are cached.  The rank feed's equations, one per (entry, monomial),
+are formed one (i, j) block of dim**2 entries at a time, and a block only
+while the rank is short of 17.  The first block has reached it on every seed
+tried, so of the ten (1,3) column contractions the equations read only the
+first dim**2 entries are formed; the operands the blocks read across (a,
+tor, d_sym, dtor, q2 and q3) are built in full.
 
-The residual checks go through ``algebra.nonzero_sums`` and the solve's
+The residual checks go through ``algebra.nonzero_sums`` and the rank feed's
 equations through ``LinearSystem.add_coefficient_rows``, so this module
 never reads the packed polynomial format.
 """
@@ -79,11 +81,12 @@ from .sampling import random_even_connection, random_tensor_field, sample_instan
 
 
 class IdentityAmbiguityError(RuntimeError):
-    """The solver's design matrix never reached full column rank."""
+    """The 17 basis tensors never reached rank 17 on the feed instances."""
 
 
 class IdentityUnsolvableError(RuntimeError):
-    """No coefficient vector in the family reproduces the left side."""
+    """A combination's target is not its basis offsets plus the shared rest,
+    or its offsets leave {-1, 0, 1}."""
 
 
 class IdentityCoefficients:
@@ -556,34 +559,28 @@ class IdentityWorkspace:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient solving
+# The 81 combinations: table offsets and the basis rank
 # ---------------------------------------------------------------------------
 
 
-# The solver feeds instances of dim 3 first, then dim 4, and verifies its
-# solutions on one fresh instance of each.  In dim 2 the 17 basis tensors
-# have rank 15, so a feed of dim-2 instances alone stops short of full
-# column rank and raises IdentityAmbiguityError.
+# The rank feed reads an instance of dim 3 first, then one of dim 4, and the
+# CLI checks the coefficients on one fresh instance of each.  In dim 2 the 17
+# basis tensors have rank 15, so a feed of dim-2 instances alone stops short
+# of rank 17 and raises IdentityAmbiguityError.
 INSTANCE_DIMS = (3, 4)
 
 
-def _instance_workspace(seed: int, label: str, dim: int, degree: int) -> IdentityWorkspace:
-    _, a, L = sample_instance(seed, label, dim, degree)
-    return IdentityWorkspace(a, L)
-
-
-def _feed_entries(ws: IdentityWorkspace, rest):
-    """The solve's equations on one instance for
+def _feed_entries(ws: IdentityWorkspace):
+    """The rank feed's equations on one instance for
     :meth:`LinearSystem.add_coefficient_rows`, entry by entry in row-major
-    order: the 17 basis terms, then the shared rest (see :func:`_split_target`),
-    as (weight, ScalarField) terms.
+    order: the 17 basis terms, each as one (weight, ScalarField) term.
 
     The tensors are formed one (i, j) block of dim**2 entries at a time, when
     the block's first entry is drawn, so no block after the one that reaches
-    full rank is formed.  A read with m and n swapped stays inside its block,
+    rank 17 is formed.  A read with m and n swapped stays inside its block,
     so it reads the block formed for the plain read."""
-    sums = [_merge([_basis_ref(k)]) for k in range(1, 18)] + [_merge(rest)]
-    keys = dict.fromkeys(key for merged in sums for _, key in merged)
+    columns = [_basis_ref(k) for k in range(1, 18)]
+    keys = dict.fromkeys(key for _, _, key in columns)
     dim = ws.a.dim
     size = dim * dim
     # the block position of entry (m, n) read as (n, m)
@@ -591,10 +588,7 @@ def _feed_entries(ws: IdentityWorkspace, rest):
     for start in range(0, size * size, size):
         blocks = {key: ws._block(key, range(start, start + size)) for key in keys}
         for e, s in enumerate(swapped):
-            yield [
-                [(w, blocks[key][e if read == ID else s]) for (read, key), w in merged.items()]
-                for merged in sums
-            ]
+            yield [[(w, blocks[key][e if read == ID else s])] for w, read, key in columns]
 
 
 def span_basis(members) -> list:
@@ -602,106 +596,56 @@ def span_basis(members) -> list:
     before them, in the order given: those whose row adds a pivot to one
     :class:`LinearSystem`.  Every member is an exact rational combination
     of the kept ones; the full 81-member sweep keeps 17.
+
+    A residual is linear in the member's :func:`identity_row`, so on a given
+    instance every member's residual vanishes exactly when the kept ones'
+    do: checking the kept members is the same predicate as checking all.  A
+    wrong coefficient moves its row out of the span of the true identities,
+    so that member is kept and its nonzero residual fails.
     """
     system = LinearSystem(36, nrhs=0)  # the width of identity_row
     return [ic for ic in members if system.add_row(identity_row(ic))]
 
 
-def verify_solutions(solutions, seed: int, degree: int) -> list:
-    """Check solved members on fresh instances, one of each dim in
-    ``INSTANCE_DIMS``, through their span basis.
+def solve_all_identities(seed: int = 20260809, degree: int = 2) -> dict:
+    """The coefficients of all 81 combinations as {pqrs:
+    IdentityCoefficients}: the basis offsets of each target
+    (:func:`_split_target`), with no linear solve.
 
-    :meth:`IdentityWorkspace.residual` is linear in :func:`identity_row`,
-    and every solved row is an exact rational combination of the rows
-    :func:`span_basis` keeps, so on a given instance all residuals vanish
-    exactly when the kept ones do.  Checking only the kept members is the
-    same predicate as checking every member.  A wrong coefficient moves its
-    row out of the span of the true identities, so that member is kept and
-    its nonzero residual fails.
-
-    On each instance the kept members are checked together, each distinct
-    residual in one slot of one packed contraction
-    (:meth:`IdentityWorkspace.nonzero_residuals`), which is the exact
-    per-member predicate too.  Returns the kept members; raises
-    IdentityUnsolvableError naming the instance, the member and its first
-    nonzero residual entry and monomial.
+    A target is its offsets times the basis plus the rest SSa - SSa^(m<->n)
+    - R-commutator, so the offsets are the coefficients when that rest
+    vanishes and the 17 basis tensors are independent.  A combination whose
+    rest differs from that of (1, 1, 1, 1), or whose offsets leave
+    {-1, 0, 1}, is refused (IdentityUnsolvableError).  The basis rank is fed
+    from one seeded instance of each dim in ``INSTANCE_DIMS`` in turn, into
+    a :class:`LinearSystem` with no right side, until it reaches 17; short of
+    17 the coefficients are not unique (IdentityAmbiguityError).  That the
+    rest vanishes is the CLI's check, on fresh instances, of the members
+    :func:`span_basis` keeps.
     """
-    kept = span_basis(solutions.values())
-    for t, dim in enumerate(INSTANCE_DIMS):
-        label = f"check:{t}:{dim}"
-        ws = _instance_workspace(seed, label, dim, degree)
-        failing = ws.nonzero_residuals(kept)
-        if failing:
-            k, (entry, monomial) = next(iter(failing.items()))
-            raise IdentityUnsolvableError(
-                f"{kept[k].pqrs}: solved coefficients fail on a fresh instance"
-                f" (seed {seed}, label {label!r}, dim {dim}, degree {degree}):"
-                f" entry {entry} has residual term {monomial!r}"
-            )
-    return kept
-
-
-class SolvedIdentities(dict):
-    """{pqrs: IdentityCoefficients} from a solve, with ``span``: the members
-    :func:`span_basis` kept when the solutions were verified."""
-
-    def __init__(self, members, span):
-        super().__init__(members)
-        self.span = span
-
-
-def solve_all_identities(seed: int = 20260809, degree: int = 2) -> SolvedIdentities:
-    """Solve every one of the 81 combinations, then verify them on fresh
-    instances; returns {pqrs: coefficients} as a :class:`SolvedIdentities`.
-
-    :func:`_split_target` splits each target into exact basis offsets and
-    a rest.  All 81 share one rest, SSa - SSa^(m<->n) - R-commutator, taken
-    from (1, 1, 1, 1); a combination whose rest differs is refused.  A
-    target and its rest differ by a basis combination, so the rows fed and
-    their consistency are those of the targets.  The system has that one
-    right side and is solved once, fraction-free (see
-    :class:`LinearSystem`); each combination's coefficients are that
-    solution plus its offsets.  :func:`verify_solutions` then checks their
-    span basis, one packed contraction per instance.
-    """
-    splits = {combo: _split_target(combo) for combo in ALL_COMBINATIONS}
     shared = (1, 1, 1, 1)
-    rest = splits[shared][0]
-    for combo, (other, _) in splits.items():
+    rest = _split_target(shared)[0]
+    solutions = {}
+    for combo in ALL_COMBINATIONS:
+        other, offsets = _split_target(combo)
         if other != rest:
             raise IdentityUnsolvableError(
                 f"{combo}: its rest differs from the shared rest of {shared}"
             )
-
-    system = LinearSystem(17)
-    for t, dim in enumerate(INSTANCE_DIMS):
-        # no reference kept: the workspace is freed before verification
-        label = f"solve:{t}:{dim}"
-        system.add_coefficient_rows(
-            _feed_entries(_instance_workspace(seed, label, dim, degree), rest)
-        )
-        if system.rank == 17:
-            break
-    if system.rank < 17:
-        raise IdentityAmbiguityError(
-            f"design matrix rank {system.rank} < 17 after {len(INSTANCE_DIMS)} instances"
-        )
-    try:
-        base = system.solve()
-    except ValueError as exc:
-        raise IdentityUnsolvableError(f"{shared}: {exc}") from exc
-
-    solutions = {}
-    for combo, (_, offsets) in splits.items():
-        ints = []
-        for v in map(sum, zip(base, offsets)):
-            if v.denominator != 1 or v not in (-1, 0, 1):
+        for v in offsets:
+            if v not in (-1, 0, 1):
                 raise IdentityUnsolvableError(
-                    f"{combo}: solved coefficient {v} falls outside {{-1, 0, 1}}"
+                    f"{combo}: coefficient {v} falls outside {{-1, 0, 1}}"
                 )
-            ints.append(int(v))
-        solutions[combo] = IdentityCoefficients(
-            tuple(ints), combo, _tag(combo) if combo in CATALOGUE_BY_PQRS else None
-        )
+        tag = _tag(combo) if combo in CATALOGUE_BY_PQRS else None
+        solutions[combo] = IdentityCoefficients(tuple(map(int, offsets)), combo, tag)
 
-    return SolvedIdentities(solutions, verify_solutions(solutions, seed, degree))
+    system = LinearSystem(17, nrhs=0)
+    for t, dim in enumerate(INSTANCE_DIMS):
+        _, a, L = sample_instance(seed, f"solve:{t}:{dim}", dim, degree)
+        system.add_coefficient_rows(_feed_entries(IdentityWorkspace(a, L)))
+        if system.rank == 17:
+            return solutions
+    raise IdentityAmbiguityError(
+        f"design matrix rank {system.rank} < 17 after {len(INSTANCE_DIMS)} instances"
+    )

@@ -17,9 +17,9 @@ reference forms and generators that only the tests use.
   from the raw connection forms, against each other.
 - ``rhs_expanded``: the partial-derivative (pseudotensor-revealing) form of
   the identity family's right side, against ``IdentityWorkspace.rhs``.
-- ``feed_rows_full``: the coefficient solve's equations from the 17 basis
-  terms and the rests built as whole tensors, against
-  ``ricci._feed_entries``, which forms them one (i, j) block at a time.
+- ``feed_rows_full``: the rank feed's equations from the 17 basis terms
+  built as whole tensors, against ``ricci._feed_entries``, which forms them
+  one (i, j) block at a time.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
@@ -479,18 +479,17 @@ def rhs_expanded(ws, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# The coefficient solve's feed with every tensor built in full
+# The rank feed with every tensor built in full
 # ---------------------------------------------------------------------------
 
 
-def feed_rows_full(system, ws, rest) -> int:
-    """The solve's equations of ``ricci._feed_entries`` from whole tensors:
-    the 17 basis terms and the rest as full (1,3) tensors of the
-    workspace's cached columns, then per entry in row-major order one row per
-    monomial in packed-key order (the last exponent first), whole entries
-    until the rank is 17.  Returns the number of entries fed."""
-    sums = [ws._pieces([_basis_ref(k)]) for k in range(1, 18)] + [ws._pieces(rest)]
-    tensors = [contract((1, 3), *pieces) for pieces in sums]
+def feed_rows_full(system, ws) -> int:
+    """The rank feed's equations of ``ricci._feed_entries`` from whole
+    tensors: the 17 basis terms as full (1,3) tensors of the workspace's
+    cached columns, then per entry in row-major order one row per monomial in
+    packed-key order (the last exponent first), whole entries until the rank
+    is 17.  Returns the number of entries fed."""
+    tensors = [contract((1, 3), *ws._pieces([_basis_ref(k)])) for k in range(1, 18)]
     fed = 0
     for fields in zip(*(t.entries for t in tensors)):
         if system.rank == 17:
@@ -498,7 +497,7 @@ def feed_rows_full(system, ws, rest) -> int:
         terms = [f.terms() for f in fields]
         for monomial in sorted(set().union(*terms), key=lambda exps: exps[::-1]):
             row = [t.get(monomial, 0) for t in terms]
-            system.add_row(row[:17], row[17:])
+            system.add_row(row)
         fed += 1
     return fed
 

@@ -14,15 +14,14 @@ from torsioncalc import cli, connection, cosmology, ricci
 from torsioncalc.algebra import LinearSystem, ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
 from torsioncalc.connection import DerivKind, covariant_derivative
+from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
     IdentityAmbiguityError,
     IdentityCoefficients,
     IdentityUnsolvableError,
     IdentityWorkspace,
     MixWeights,
-    SolvedIdentities,
     identity_catalogue,
-    span_basis,
 )
 from torsioncalc.sampling import derive_rng, random_even_connection, random_tensor_field
 
@@ -313,10 +312,10 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
 
     def catalogue_only(**kwargs):
         calls.append(kwargs)
-        catalogue = identity_catalogue()
-        return SolvedIdentities({ic.pqrs: ic for ic in catalogue}, span_basis(catalogue))
+        return {ic.pqrs: ic for ic in identity_catalogue()}
 
     monkeypatch.setattr(cli, "solve_all_identities", catalogue_only)
+    monkeypatch.setattr(cli, "INSTANCE_DIMS", ())  # no check instance: the echo is the point
     config = _config(tmp_path, dimension=2, instances=5)
     main(["verify-ricci", "--scope", "all", "--config", config, "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -324,24 +323,74 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
     assert report["config"] == {"seed": 20260809, "degree": 2}
 
 
-def test_scope_all_solves_once_and_takes_the_span_rank_from_the_check(
+def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_span_basis(
     tmp_path, monkeypatch, capsys
 ):
-    solves = []
-    solve = LinearSystem.solve
+    solves, systems = [], []
+    solve, init = LinearSystem.solve, LinearSystem.__init__
 
     def counted(self, which=0):
         solves.append(which)
         return solve(self, which)
 
+    def recorded(self, ncols, nrhs=1):
+        systems.append((ncols, nrhs))
+        init(self, ncols, nrhs)
+
     def second_elimination(rows):
-        raise AssertionError("the span rank must come from the verified span basis")
+        raise AssertionError("the span rank must come from the checked span basis")
 
     monkeypatch.setattr(LinearSystem, "solve", counted)
+    monkeypatch.setattr(LinearSystem, "__init__", recorded)
     monkeypatch.setattr(ricci, "matrix_rank", second_elimination)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert main(["verify-ricci", "--scope", "all", "--config", _config(tmp_path, degree=1)]) == 0
-    assert solves == [0]
+    # the rank feed, then the span basis; neither has a right side
+    assert solves == []
+    assert systems == [(17, 0), (36, 0)]
     assert "PASS cor2:span-rank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, workers):
+    # one task per dim of INSTANCE_DIMS, each carrying the 17 kept members
+    tasks, real = [], cli._sweep_task
+    monkeypatch.setattr(cli, "_sweep_task", lambda args: tasks.append(args) or real(args))
+    _see_cpus(monkeypatch, 2)
+    monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+    config = cli.RunConfig(seed=7, degree=1)
+    assert cli.cmd_verify_ricci(config, "all").exit_code() == 0
+    expected = [("check", 7, 3, 1, 0), ("check", 7, 4, 1, 1)]
+    if workers == 2:
+        expected = expected[:1]  # the dim-4 task runs in a forked child, unseen here
+    assert [task[:5] for task in tasks] == expected
+    assert all(len(task[5]) == 17 for task in tasks)
+
+
+def test_a_negated_curvature_fails_thm2_solve_naming_the_check_instance(
+    tmp_path, monkeypatch, capsys
+):
+    # a sign slip in R leaves the basis rank and the table offsets as they
+    # are; only the shared rest, SSa - SSa^(m<->n) - rcomm, stops vanishing
+    monkeypatch.setattr(ricci, "curvature_R", lambda Lsym: -curvature_R(Lsym))
+    _see_cpus(monkeypatch, 2)
+    config = _config(tmp_path, degree=1)
+    rendered = {}
+    for workers in (1, 2):
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+        argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
+        assert main(argv) == 1
+        rendered[workers] = capsys.readouterr().out
+    assert rendered[1] == rendered[2]
+    (check,) = json.loads(rendered[1])["checks"]
+    assert check["id"] == "thm2:solve" and not check["pass"]
+    # the first kept member is (1, 1, 1, 1); the dim-3 instance fails first
+    assert check["actual"] == "error: (1, 1, 1, 1): nonzero residual on a fresh instance"
+    _, ws = _sampled(7, "check:3:0", 3, 1)
+    entry, monomial = _first_term(ws.residual(ricci.CATALOGUE_BY_PQRS[1, 1, 1, 1]))
+    assert check["detail"] == {
+        "seed": 7, "label": "check:3:0", "dim": 3, "entry": entry, "monomial": monomial,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +824,7 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
     [
         *((stem, 7, 1) for stem in GOLDEN),
         # 2 instances or tasks each: the second runs in a forked child
-        *((stem, 7, 2) for stem in ("mixed", "catalogue-d2", "derivatives")),
+        *((stem, 7, 2) for stem in ("mixed", "catalogue-d2", "derivatives", "all")),
         # the seed is only echoed by cosmology and rank-rho, so one seed covers
         # them; catalogue-d4 and mixed-d3 pin one size each at one seed
         *((stem, 99, 1) for stem in GOLDEN

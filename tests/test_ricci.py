@@ -31,14 +31,12 @@ from torsioncalc.ricci import (
     MixWeights,
     _column,
     _dd_refs,
-    _instance_workspace,
     _split_target,
     catalogue_independence_rank,
     identity_catalogue,
     identity_row,
     solve_all_identities,
     span_basis,
-    verify_solutions,
 )
 from torsioncalc.sampling import derive_rng, random_tensor_field
 
@@ -60,9 +58,21 @@ def pure_weights(l: int) -> MixWeights:
     return MixWeights((tuple(int(i == l - 1) for i in range(3)),) * 5)
 
 
+def _workspace(seed, label, dim, degree) -> IdentityWorkspace:
+    """The workspace of a seeded instance, drawn as the CLI draws it."""
+    L, a = make_instance(seed, label, dim, degree)
+    return IdentityWorkspace(a, L)
+
+
+def _check(members):
+    """The CLI's check task on its first instance at degree 1: (tag, ok,
+    detail) per member."""
+    return cli._sweep_task(("check", 20260809, 3, 1, 0, members))
+
+
 @pytest.fixture(scope="module")
 def solved_in_dim_three():
-    # one dim-3 instance feeds the solve and one verifies it, at degree 2
+    # one dim-3 instance feeds the basis rank, at degree 2
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ricci, "INSTANCE_DIMS", (3,))
         return solve_all_identities(degree=2)
@@ -408,8 +418,7 @@ def solved_degree_one():
     return solve_all_identities(degree=1)
 
 
-def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one, monkeypatch):
-    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
+def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
     solutions = solved_degree_one
     assert len(solutions) == 81
     for pqrs, ic in CATALOGUE_BY_PQRS.items():
@@ -417,11 +426,13 @@ def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one, monke
     kept = span_basis(solutions.values())
     assert len(kept) == 17
     assert matrix_rank(identity_row(ic) for ic in kept) == 17
-    assert verify_solutions(solutions, 20260809, 1) == kept
+    rows = _check(kept)
+    assert [tag for tag, _, _ in rows] == [str(ic.pqrs) for ic in kept]
+    assert all(ok for _, ok, _ in rows)
 
 
 def test_every_solved_vector_is_its_split_offsets(solved_degree_one):
-    # the solved base, the solution for the shared rest, is zero
+    # the coefficients are the table offsets, with no solve
     for pqrs, ic in solved_degree_one.items():
         assert list(ic.c) == _split_target(pqrs)[1], pqrs
 
@@ -445,15 +456,18 @@ def test_span_basis_keeps_rank_increasing_members_in_input_order():
 
 
 def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one, monkeypatch):
-    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
     corrupted = dict(solved_degree_one)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     # the wrong row leaves the span of the true identities, so it is kept
     assert len(span_basis(corrupted.values())) == 18
-    with pytest.raises(IdentityUnsolvableError, match="fail on a fresh instance"):
-        verify_solutions(corrupted, 20260809, 1)
+    monkeypatch.setattr(cli, "solve_all_identities", lambda **kwargs: corrupted)
+    monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
+    assert check.id == "thm2:solve" and not check.passed
+    assert check.actual == f"error: {pqrs}: nonzero residual on a fresh instance"
 
 
 @pytest.mark.parametrize("even", [True, False])
@@ -514,11 +528,16 @@ def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
         solve_all_identities(degree=1)
 
 
-def test_a_wrong_shared_rest_is_inconsistent(monkeypatch):
-    # with R negated the shared rest is no longer zero, so no coefficients
-    # reproduce any target
-    monkeypatch.setattr(ricci, "curvature_R", lambda Lsym: -curvature_R(Lsym))
-    message = r"^\(1, 1, 1, 1\): system is inconsistent for this right side$"
+def test_an_offset_outside_minus_one_to_one_is_refused(monkeypatch):
+    lhs_refs = ricci._lhs_refs
+    bad = (3, 1, 2, 2)
+
+    def half_a_column_more(pqrs):
+        # column 1 at weight 1 is half of basis term 1, whose weight is 2
+        return (*lhs_refs(pqrs), _column(1, 1)) if pqrs == bad else lhs_refs(pqrs)
+
+    monkeypatch.setattr(ricci, "_lhs_refs", half_a_column_more)
+    message = r"^\(3, 1, 2, 2\): coefficient -?\d+/2 falls outside \{-1, 0, 1\}$"
     with pytest.raises(IdentityUnsolvableError, match=message):
         solve_all_identities(degree=1)
 
@@ -539,7 +558,6 @@ class _RecordingSystem(algebra.LinearSystem):
 def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch, dim, degree):
     from oracles import feed_rows_full
 
-    rest = _split_target((1, 1, 1, 1))[0]
     label = f"solve:0:{dim}"
     formed, block = [], IdentityWorkspace._block
 
@@ -550,24 +568,22 @@ def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch
         return block(self, key, entries)
 
     monkeypatch.setattr(IdentityWorkspace, "_block", recording)
-    system = _RecordingSystem(17, 1)
-    ws = _instance_workspace(20260809, label, dim, degree)
-    system.add_coefficient_rows(ricci._feed_entries(ws, rest))
-    reference = _RecordingSystem(17, 1)
-    entries = feed_rows_full(reference, _instance_workspace(20260809, label, dim, degree), rest)
+    system = _RecordingSystem(17, 0)
+    system.add_coefficient_rows(ricci._feed_entries(_workspace(20260809, label, dim, degree)))
+    reference = _RecordingSystem(17, 0)
+    entries = feed_rows_full(reference, _workspace(20260809, label, dim, degree))
 
     assert system.fed == reference.fed
+    assert all(rhs == [] for _, rhs in system.fed)
     assert system._pivot_rows == reference._pivot_rows
-    assert system.inconsistent == reference.inconsistent == [False]
     # the blocks up to the one holding the last entry fed, each formed once
-    # for each of the 12 tensors read: ten column contractions, SSa and the
-    # R-commutator
+    # for each of the 10 column contractions read
     size = dim * dim
     blocks = -(-entries // size)
     assert sorted({(start, stop) for _, start, stop in formed}) == [
         (start, start + size) for start in range(0, blocks * size, size)
     ]
-    assert len(formed) == len(set(formed)) == 12 * blocks
+    assert len(formed) == len(set(formed)) == 10 * blocks
     if dim == 2:
         # rank 15 in dim 2: every block is walked
         assert system.rank == 15 and blocks == dim**2
@@ -582,7 +598,7 @@ def test_a_range_of_a_key_is_the_slice_of_its_cached_whole_tensor(dim, starts):
         *dict.fromkeys(tuple(key) for _, _, *key in ricci._BASIS),
         "dd_sym", "rcomm", "q2", "q3", "dtor",
     ]
-    ws = _instance_workspace(20260809, f"one-builder:{dim}", dim, 1)
+    ws = _workspace(20260809, f"one-builder:{dim}", dim, 1)
     size = dim * dim
     for start in starts:
         block = range(start * size, (start + 1) * size)
@@ -954,14 +970,11 @@ def test_batched_mixed_check_matches_rational_residuals():
 def _packed_terms(monkeypatch, check, *args):
     """The terms of the packed contraction that ``check(*args)`` makes
     (its last algebra.contract call, made by nonzero_sums), and what
-    ``check`` returned or raised."""
+    ``check`` returned."""
     calls = []
     real = algebra.contract
     monkeypatch.setattr(algebra, "contract", lambda *a: calls.append(a) or real(*a))
-    try:
-        result = check(*args)
-    except IdentityUnsolvableError as exc:
-        result = exc
+    result = check(*args)
     monkeypatch.setattr(algebra, "contract", real)
     return calls[-1], result
 
@@ -1038,15 +1051,15 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     solved_degree_one, monkeypatch
 ):
-    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = [p for p in ALL_COMBINATIONS if p not in kept][-1]
     corrupted = dict(solved_degree_one)
     corrupted[pqrs] = flipped(corrupted[pqrs], 9)
-    terms, exc = _packed_terms(monkeypatch, verify_solutions, corrupted, 20260809, 1)
-    assert str(exc).startswith(f"{pqrs}: solved coefficients fail on a fresh instance")
+    members = span_basis(corrupted.values())
+    terms, rows = _packed_terms(monkeypatch, _check, members)
+    assert [tag for tag, ok, _ in rows if not ok] == [str(pqrs)]
     # 18 kept members, two distinct residuals: the true one and the corrupted
-    ws = _instance_workspace(20260809, "check:0:3", 3, 1)
+    ws = _workspace(20260809, "check:3:0", 3, 1)
     true = ws.residual_pieces(next(iter(solved_degree_one.values())))
     bad = ws.residual_pieces(corrupted[pqrs])
     expected, found = _packed_terms(monkeypatch, nonzero_sums, (1, 3), [true, bad])
@@ -1057,16 +1070,19 @@ def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
 def test_verification_failure_names_instance_member_entry_and_monomial(
     solved_degree_one, monkeypatch
 ):
-    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (3,))
     kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
     corrupted = dict(solved_degree_one)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
-    with pytest.raises(IdentityUnsolvableError) as exc:
-        verify_solutions(corrupted, 20260809, 1)
-    ws = _instance_workspace(20260809, "check:0:3", 3, 1)
+    monkeypatch.setattr(cli, "solve_all_identities", lambda **kwargs: corrupted)
+    monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
+    ws = _workspace(20260809, "check:3:0", 3, 1)
     entry, terms = _first_term(ws.residual(corrupted[pqrs]))
-    message = str(exc.value)
-    assert message.startswith(f"{pqrs}: solved coefficients fail on a fresh instance")
-    assert "seed 20260809, label 'check:0:3', dim 3, degree 1" in message
-    assert f"entry {entry} has residual term {ScalarField.from_terms(terms, 3)!r}" in message
+    assert not check.passed
+    assert check.actual == f"error: {pqrs}: nonzero residual on a fresh instance"
+    assert check.detail == {
+        "seed": 20260809, "label": "check:3:0", "dim": 3,
+        "entry": list(entry), "monomial": repr(ScalarField.from_terms(terms, 3)),
+    }
