@@ -8,9 +8,9 @@ forms its polynomial products through one helper, :func:`_product_sums`:
 operands large enough to pay for it are encoded as integers (Kronecker
 substitution, :class:`_Kronecker`), so that a product is one big-int
 multiply, and the rest multiply term by term.  Exact elimination likewise
-has one routine, :class:`LinearSystem`: every rank, span basis and
-coefficient solve in the package goes through it, the solve's equations fed
-by :meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
+has one routine, :class:`LinearSystem`: every rank and span basis in the
+package goes through it, the polynomial equations of the identity basis rank
+fed by :meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
 exact zero test, :func:`nonzero_sums`.  So no other module reads the packed
 term format.  Polynomials of both stacks print through
 :func:`format_polynomial`, ``ratfunc.Poly`` included.
@@ -844,8 +844,10 @@ def _clear_denominators(row):
 
 class LinearSystem:
     """Incremental exact Gaussian elimination with any number of right sides:
-    the one elimination in the package.  Ranks (:func:`matrix_rank`), span
-    bases (``ricci.span_basis``) and coefficient solves all run through it.
+    the one elimination in the package.  Ranks (:func:`matrix_rank`,
+    ``ricci.IdentityWorkspace.basis_rank``) and span bases
+    (``ricci.span_basis``) run through it with no right side; :meth:`solve`
+    back-substitutes for one.
 
     Rows are reduced against the stored pivots as they arrive, so feeding a
     large redundant stream of equations is cheap once the rank saturates.
@@ -890,31 +892,23 @@ class LinearSystem:
         return False
 
     def add_coefficient_rows(self, entries) -> None:
-        """Equate polynomial coefficients of sum_j x_j columns[j] and each
-        right side, one row per (entry, monomial), until full column rank.
+        """Equate polynomial coefficients of sum_j x_j columns[j] to zero,
+        one row per (entry, monomial), until full column rank.
 
-        ``entries`` yields, entry by entry, one sum per column and then one
-        per right side, each a list of (weight, ScalarField) terms.  An
-        entry's rows go in the packed-key order of the monomials that some
-        column or right side carries there.  No entry is drawn once the rank
-        is ``ncols``, so a generator forms nothing after the entry that
-        reaches it; that entry is fed to its end, and those rows still test
-        the right sides' consistency.
+        The system has no right side (``nrhs=0``).  ``entries`` yields,
+        entry by entry, one ScalarField per column.  An entry's rows go in
+        the packed-key order of the monomials that some column carries
+        there.  No entry is drawn once the rank is ``ncols``, so a generator
+        forms nothing after the entry that reaches it.
         """
         entries = iter(entries)
         while self.rank < self.ncols:
-            sums = next(entries, None)
-            if sums is None:
+            fields = next(entries, None)
+            if fields is None:
                 return
-            polys = []
-            for terms in sums:
-                acc = {}
-                for w, field in terms:
-                    _add_terms(acc, field._terms, w)
-                polys.append(_strip_zeros(acc))
-            for key in sorted(set().union(*polys)):
-                row = [p.get(key, 0) for p in polys]
-                self.add_row(row[: self.ncols], row[self.ncols :])
+            terms = [f._terms for f in fields]
+            for key in sorted(set().union(*terms)):
+                self.add_row([t.get(key, 0) for t in terms])
 
     def solve(self, which: int = 0):
         """The unique solution for right side ``which``.

@@ -10,7 +10,9 @@ four residual sweeps (derivative relations, the catalogue, the mixed family
 and the check instances of ``--scope all``) run one instance task,
 ``_sweep_task``: it draws the instance with ``sampling.sample_instance``,
 hands it to the sweep's members function in ``_SWEEPS`` and turns each
-failing slot into the detail that reruns it.
+failing slot into the detail that reruns it.  ``--scope all`` reads the 81
+coefficient vectors off the tables (``ricci.solve_all_identities``); its
+first check instance also certifies the basis rank they rest on.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps, ``--scope all``'s
 check instances included (at most one worker per CPU the process may run
@@ -72,9 +74,9 @@ _NAMES = {
     ),
     "ratfunc": ("Poly", "RationalFunction"),
     "ricci": (
-        "CATALOGUE_BY_PQRS", "INSTANCE_DIMS", "IdentityAmbiguityError",
-        "IdentityUnsolvableError", "IdentityWorkspace", "MixWeights", "identity_catalogue",
-        "solve_all_identities", "span_basis",
+        "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
+        "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
+        "span_basis",
     ),
     "sampling": ("sample_instance",),
 }
@@ -331,6 +333,10 @@ def _run_chunk(fn, chunk, fd):
 
 MIXED_WEIGHTINGS = 5  # random weightings checked per catalogue member and instance
 
+# The check instances of ``--scope all``, one per dim: the first certifies the
+# basis rank.  In dim 2 the 17 basis tensors have rank 15.
+INSTANCE_DIMS = (3, 4)
+
 
 def _relations_members(rng, a, L):
     relations = derivative_relations(L, a)
@@ -356,8 +362,15 @@ def _mixed_members(rng, a, L):
     return [(ic.tag, {"weighting": k}) for ic, k, _ in slots], failing
 
 
-def _solved_members(rng, a, L, kept):
-    return [(str(ic.pqrs), {}) for ic in kept], IdentityWorkspace(a, L).nonzero_residuals(kept)
+def _solved_members(rng, a, L, kept, certify):
+    """The kept members' residuals; with ``certify``, first the basis rank,
+    whose shortfall is an IdentityAmbiguityError."""
+    ws = IdentityWorkspace(a, L)
+    if certify:
+        rank = ws.basis_rank()
+        if rank < 17:
+            raise IdentityAmbiguityError(f"basis rank {rank} < 17")
+    return [(str(ic.pqrs), {}) for ic in kept], ws.nonzero_residuals(kept)
 
 
 # sweep -> (the modules its members function reads, that function).  A
@@ -441,17 +454,24 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
             report.add(residual_check(f"eq:{tag}", ok, config.instances, detail=detail))
     elif scope == "all":
         try:
-            solutions = solve_all_identities(seed=config.seed, degree=config.degree)
-        except (IdentityAmbiguityError, IdentityUnsolvableError) as exc:
+            solutions = solve_all_identities()
+        except IdentityUnsolvableError as exc:
             report.add(value_check("thm2:solve", "solved", f"error: {exc}"))
             return report
         # the kept members' residuals vanish exactly when all 81 do
         kept = span_basis(solutions.values())
         checks = [
-            ("check", config.seed, dim, config.degree, t, kept)
+            ("check", config.seed, dim, config.degree, t, kept, t == 0)
             for t, dim in enumerate(INSTANCE_DIMS)
         ]
-        for rows in _parallel_map(_sweep_task, checks):
+        try:
+            results = _parallel_map(_sweep_task, checks)
+        except IdentityAmbiguityError as exc:
+            dim = INSTANCE_DIMS[0]
+            detail = {"seed": config.seed, "label": f"check:{dim}:0", "dim": dim}
+            report.add(value_check("thm2:solve", "solved", f"error: {exc}", detail=detail))
+            return report
+        for rows in results:
             for pqrs, ok, detail in rows:
                 if not ok:
                     actual = f"error: {pqrs}: nonzero residual on a fresh instance"

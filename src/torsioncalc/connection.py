@@ -94,7 +94,7 @@ def _letters(n: int) -> str:
     return "".join(chr(ord("a") + p) for p in range(n))
 
 
-def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, entries=None):
+def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField) -> TensorField:
     """Covariant derivative of ``a`` for one of the five rules.
 
     The result appends the differentiation index k as a final lower index.
@@ -102,11 +102,6 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, en
     L^c_{kA} a^{..A..} (sigma_up = -1), and each lower index c subtracts
     L^A_{kc} a_{..A..} (sigma_lo = +1) or L^A_{ck} a_{..A..} (sigma_lo = -1);
     sigma = 0, the symmetric rule's signature, reads the symmetric part.
-
-    Returns a TensorField.  With ``entries``, a range of flat (row-major)
-    entries of the result, only those are formed and come back as a list of
-    ScalarFields, as from :func:`~torsioncalc.algebra.contract`; the range
-    still reads the full partial gradient of ``a``.
     """
     if a.dim != L.dim:
         raise ValueError(f"dimension mismatch: tensor {a.dim} vs connection {L.dim}")
@@ -123,7 +118,7 @@ def covariant_derivative(kind: DerivKind, a: TensorField, L: ConnectionField, en
         spec = f"{swapped if sigma < 0 else raw},{idx[:p]}A{idx[p + 1:]}->{out}"
         terms.append((sign, spec, coeffs, a))
     gradient = (1, f"{out}->{out}", a.partial_gradient())
-    return contract((r, s + 1), gradient, *terms, entries=entries)
+    return contract((r, s + 1), gradient, *terms)
 
 
 # ---------------------------------------------------------------------------

@@ -40,22 +40,18 @@ solve.  A combination's target, lhs minus the R-commutator, is basis-column
 pieces, which are exact offsets c_k += w / w_k, plus a rest that for all 81
 combinations is the one column SSa - SSa^(m<->n) - R-commutator.  The
 offsets are the coefficients when that rest vanishes and the 17 basis
-tensors are independent: the CLI checks the first on fresh instances, and
-``solve_all_identities`` feeds the basis rank; a combination whose rest
-differs is refused.
+tensors are independent.  ``solve_all_identities`` reads the offsets off the
+tables and refuses a combination whose rest differs.  The CLI checks both
+tensor facts on fresh instances: the rank on the first, through
+:meth:`IdentityWorkspace.basis_rank`, and the rest on every one.
 
-The workspace forms every tensor through one builder,
-:meth:`IdentityWorkspace._block`: a key whole, or over a range of its flat
-entries, by the same ``contract`` or ``covariant_derivative`` call given
-that range; a whole tensor is the range that covers every entry.  Whole
-tensors are cached.  The rank feed's equations, one per (entry, monomial),
-are formed one (i, j) block of dim**2 entries at a time, and a block only
-while the rank is short of 17.  The first block has reached it on every seed
-tried, so of the ten (1,3) column contractions the equations read only the
-first dim**2 entries are formed; the operands the blocks read across (a,
-tor, d_sym, dtor, q2 and q3) are built in full.
+The workspace forms and caches every tensor through one builder,
+:meth:`IdentityWorkspace._tensor`.  The basis rank alone forms its ten (1,3)
+column contractions one (i, j) block of dim**2 entries at a time, from the
+cached operands (a, tor, d_sym, dtor, q2 and q3), and a block only while the
+rank is short of 17; the first block has reached it on every seed tried.
 
-The residual checks go through ``algebra.nonzero_sums`` and the rank feed's
+The residual checks go through ``algebra.nonzero_sums`` and the rank's
 equations through ``LinearSystem.add_coefficient_rows``, so this module
 never reads the packed polynomial format.
 """
@@ -77,11 +73,12 @@ from .connection import (
 )
 from .curvature import curvature_R
 # unused here, but perfbench/layers.py Tracer.install wraps both generators by these names
-from .sampling import random_even_connection, random_tensor_field, sample_instance
+from .sampling import random_even_connection, random_tensor_field
 
 
 class IdentityAmbiguityError(RuntimeError):
-    """The 17 basis tensors never reached rank 17 on the feed instances."""
+    """The 17 basis tensors fall short of rank 17 on the instance that
+    certifies them, so the coefficients are not shown to be unique."""
 
 
 class IdentityUnsolvableError(RuntimeError):
@@ -257,7 +254,7 @@ _DTERM_SPECS = (
     "iAm,Ajn->ijmn",
 )
 
-# Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._block.
+# Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._tensor.
 _BLOCKS = {
     "q2": ("ijA,Amn->ijmn", "tor", "tor"),
     "q3": ("iAn,Ajm->ijmn", "tor", "tor"),
@@ -425,8 +422,7 @@ class IdentityWorkspace:
     Every identity side is a weighted sum of cached weight-1 tensors (SSa,
     the R-commutator and the basis columns; see the module docstring), and
     only tensors left with a nonzero merged weight are built.  Each tensor
-    has a reference key; :meth:`_block` forms any key, whole or over a
-    range of entries, and :meth:`_tensor` caches the whole ones.
+    has a reference key, and :meth:`_tensor` forms and caches it.
     """
 
     def __init__(self, a: TensorField, L: ConnectionField):
@@ -438,48 +434,39 @@ class IdentityWorkspace:
         self.L = L
         self._cache = {}
 
-    def _block(self, key, entries=None):
-        """The tensor of a reference key, formed whole as a TensorField or,
-        with ``entries``, over that range of flat entries alone as a list of
-        ScalarFields (as from ``contract``); the tensors it reads are cached
-        whole.
+    def _tensor(self, key) -> TensorField:
+        """The tensor of a reference key, formed on its first read and
+        cached, so a hit is one lookup.
 
         A key is an operand name (``a``, ``tor``, ``R``, a key of
         ``_DERIVATIVES``, a name of ``_BLOCKS``, or ``rcomm``), a (spec,
         operand names) contraction, or ``("basis", k)``."""
-        L, read = self.L, self._tensor
-        if key in _DERIVATIVES:
-            kind, x = _DERIVATIVES[key]
-            return covariant_derivative(kind, read(x), L, entries=entries)
-        if key in _BLOCKS:
-            return self._block(_BLOCKS[key], entries)
-        if key == "rcomm":
-            a, R = self.a, read("R")
-            terms = (1, "Aj,iAmn->ijmn", a, R), (-1, "iA,Ajmn->ijmn", a, R)
-            return contract((1, 3), *terms, entries=entries)
-        if isinstance(key, tuple):
-            head, *rest = key
-            if head == "basis":
-                return contract((1, 3), *self._pieces([_basis_ref(*rest)]), entries=entries)
-            return contract((1, 3), (1, head, *map(read, rest)), entries=entries)
-        if entries is not None:
-            return read(key).entries[entries.start : entries.stop]
-        if key == "a":
-            return self.a
-        if key == "tor":
-            return L.torsion_half()
-        if key == "R":
-            return curvature_R(L.symmetric_part())
-        raise KeyError(f"no tensor is named {key!r}")
-
-    def _tensor(self, key) -> TensorField:
-        """The whole tensor of a reference key (see :meth:`_block`), formed on
-        its first read and cached, so a hit is one lookup."""
         try:
             return self._cache[key]
         except KeyError:
-            tensor = self._cache[key] = self._block(key)
-            return tensor
+            pass
+        read = self._tensor
+        if key in _DERIVATIVES:
+            kind, x = _DERIVATIVES[key]
+            tensor = covariant_derivative(kind, read(x), self.L)
+        elif key == "rcomm":
+            a, R = self.a, read("R")
+            tensor = contract((1, 3), (1, "Aj,iAmn->ijmn", a, R), (-1, "iA,Ajmn->ijmn", a, R))
+        elif isinstance(key, tuple) and key[0] == "basis":
+            tensor = contract((1, 3), *self._pieces([_basis_ref(key[1])]))
+        elif isinstance(key, tuple) or key in _BLOCKS:
+            spec, *names = _BLOCKS.get(key, key)
+            tensor = contract((1, 3), (1, spec, *map(read, names)))
+        elif key == "a":
+            tensor = self.a
+        elif key == "tor":
+            tensor = self.L.torsion_half()
+        elif key == "R":
+            tensor = curvature_R(self.L.symmetric_part())
+        else:
+            raise KeyError(f"no tensor is named {key!r}")
+        self._cache[key] = tensor
+        return tensor
 
     def _pieces(self, refs) -> list:
         """``contract`` terms of weighted references (weight, read, key),
@@ -557,38 +544,45 @@ class IdentityWorkspace:
         found = nonzero_sums((1, 3), distinct)
         return {k: found[slot] for k, slot in enumerate(slots) if slot in found}
 
+    def basis_rank(self) -> int:
+        """The rank of the 17 basis tensors on this instance, fed until it
+        reaches 17; the coefficients of every combination are unique
+        exactly when it does.
+
+        Basis term k is w_k times column k, so the weight-1 columns have the
+        same rank; their equations, one per (entry, monomial), go to a
+        :class:`LinearSystem` through
+        :meth:`~torsioncalc.algebra.LinearSystem.add_coefficient_rows`.  The
+        ten column contractions are formed one (i, j) block of dim**2
+        entries at a time, from the cached operands, when the block's first
+        entry is drawn, so no block after the one that reaches rank 17 is
+        formed.  A read with m and n swapped stays inside its block."""
+        dim = self.a.dim
+        size = dim * dim
+        # the block position of entry (m, n) read as (n, m)
+        swapped = [n * dim + m for m in range(dim) for n in range(dim)]
+        keys = dict.fromkeys(key for _, key in _COLUMN_BY_READ)
+
+        def entries():
+            for start in range(0, size * size, size):
+                block = {
+                    key: contract(
+                        (1, 3), (1, key[0], *map(self._tensor, key[1:])),
+                        entries=range(start, start + size),
+                    )
+                    for key in keys
+                }
+                for e, s in enumerate(swapped):
+                    yield [block[key][e if read == ID else s] for read, key in _COLUMN_BY_READ]
+
+        system = LinearSystem(17, nrhs=0)
+        system.add_coefficient_rows(entries())
+        return system.rank
+
 
 # ---------------------------------------------------------------------------
-# The 81 combinations: table offsets and the basis rank
+# The 81 combinations: table offsets and the span basis
 # ---------------------------------------------------------------------------
-
-
-# The rank feed reads an instance of dim 3 first, then one of dim 4, and the
-# CLI checks the coefficients on one fresh instance of each.  In dim 2 the 17
-# basis tensors have rank 15, so a feed of dim-2 instances alone stops short
-# of rank 17 and raises IdentityAmbiguityError.
-INSTANCE_DIMS = (3, 4)
-
-
-def _feed_entries(ws: IdentityWorkspace):
-    """The rank feed's equations on one instance for
-    :meth:`LinearSystem.add_coefficient_rows`, entry by entry in row-major
-    order: the 17 basis terms, each as one (weight, ScalarField) term.
-
-    The tensors are formed one (i, j) block of dim**2 entries at a time, when
-    the block's first entry is drawn, so no block after the one that reaches
-    rank 17 is formed.  A read with m and n swapped stays inside its block,
-    so it reads the block formed for the plain read."""
-    columns = [_basis_ref(k) for k in range(1, 18)]
-    keys = dict.fromkeys(key for _, _, key in columns)
-    dim = ws.a.dim
-    size = dim * dim
-    # the block position of entry (m, n) read as (n, m)
-    swapped = [n * dim + m for m in range(dim) for n in range(dim)]
-    for start in range(0, size * size, size):
-        blocks = {key: ws._block(key, range(start, start + size)) for key in keys}
-        for e, s in enumerate(swapped):
-            yield [[(w, blocks[key][e if read == ID else s])] for w, read, key in columns]
 
 
 def span_basis(members) -> list:
@@ -607,21 +601,19 @@ def span_basis(members) -> list:
     return [ic for ic in members if system.add_row(identity_row(ic))]
 
 
-def solve_all_identities(seed: int = 20260809, degree: int = 2) -> dict:
+def solve_all_identities() -> dict:
     """The coefficients of all 81 combinations as {pqrs:
     IdentityCoefficients}: the basis offsets of each target
-    (:func:`_split_target`), with no linear solve.
+    (:func:`_split_target`), read off the tables with no instance and no
+    linear solve.
 
     A target is its offsets times the basis plus the rest SSa - SSa^(m<->n)
     - R-commutator, so the offsets are the coefficients when that rest
-    vanishes and the 17 basis tensors are independent.  A combination whose
-    rest differs from that of (1, 1, 1, 1), or whose offsets leave
-    {-1, 0, 1}, is refused (IdentityUnsolvableError).  The basis rank is fed
-    from one seeded instance of each dim in ``INSTANCE_DIMS`` in turn, into
-    a :class:`LinearSystem` with no right side, until it reaches 17; short of
-    17 the coefficients are not unique (IdentityAmbiguityError).  That the
-    rest vanishes is the CLI's check, on fresh instances, of the members
-    :func:`span_basis` keeps.
+    vanishes and the 17 basis tensors are independent; the CLI checks both
+    on fresh instances (:meth:`IdentityWorkspace.basis_rank` and the members
+    :func:`span_basis` keeps).  A combination whose rest differs from that
+    of (1, 1, 1, 1), or whose offsets leave {-1, 0, 1}, is refused
+    (IdentityUnsolvableError).
     """
     shared = (1, 1, 1, 1)
     rest = _split_target(shared)[0]
@@ -639,13 +631,4 @@ def solve_all_identities(seed: int = 20260809, degree: int = 2) -> dict:
                 )
         tag = _tag(combo) if combo in CATALOGUE_BY_PQRS else None
         solutions[combo] = IdentityCoefficients(tuple(map(int, offsets)), combo, tag)
-
-    system = LinearSystem(17, nrhs=0)
-    for t, dim in enumerate(INSTANCE_DIMS):
-        _, a, L = sample_instance(seed, f"solve:{t}:{dim}", dim, degree)
-        system.add_coefficient_rows(_feed_entries(IdentityWorkspace(a, L)))
-        if system.rank == 17:
-            return solutions
-    raise IdentityAmbiguityError(
-        f"design matrix rank {system.rank} < 17 after {len(INSTANCE_DIMS)} instances"
-    )
+    return solutions

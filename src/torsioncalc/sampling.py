@@ -36,53 +36,40 @@ def _monomials(dim: int, degree: int):
 
 
 def random_scalar_field(
-    rng: random.Random,
-    dim: int,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
+    rng: random.Random, dim: int, degree: int = DEFAULT_DEGREE
 ) -> ScalarField:
-    """Random polynomial with integer coefficients in [-bound, bound]."""
+    """Random polynomial with integer coefficients in [-DEFAULT_COEFF_BOUND,
+    DEFAULT_COEFF_BOUND]."""
     terms = {}
     for exps in _monomials(dim, degree):
-        c = rng.randint(-bound, bound)
+        c = rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND)
         if c:
             terms[exps] = c
     return ScalarField.from_terms(terms, dim)
 
 
 def random_tensor_field(
-    rng: random.Random,
-    dim: int,
-    valence: tuple,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
+    rng: random.Random, dim: int, valence: tuple, degree: int = DEFAULT_DEGREE
 ) -> TensorField:
     count = dim ** (valence[0] + valence[1])
-    entries = [random_scalar_field(rng, dim, degree, bound) for _ in range(count)]
+    entries = [random_scalar_field(rng, dim, degree) for _ in range(count)]
     return TensorField(dim, valence, entries)
 
 
 def random_connection(
-    rng: random.Random,
-    dim: int,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
+    rng: random.Random, dim: int, degree: int = DEFAULT_DEGREE
 ) -> ConnectionField:
-    return ConnectionField(random_tensor_field(rng, dim, (1, 2), degree, bound))
+    return ConnectionField(random_tensor_field(rng, dim, (1, 2), degree))
 
 
 def random_even_connection(
-    rng: random.Random,
-    dim: int,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
+    rng: random.Random, dim: int, degree: int = DEFAULT_DEGREE
 ) -> ConnectionField:
     """Connection with even integer coefficients (doubled draws), so its
     symmetric and antisymmetric parts are integral; the verification sweeps
     prefer this purely for arithmetic speed."""
-    L = random_connection(rng, dim, degree, bound)
+    L = random_connection(rng, dim, degree)
     return ConnectionField(L.coeffs.scale(2))
-
 
 
 def sample_instance(seed: int, label: str, dim: int, degree: int):

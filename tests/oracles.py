@@ -17,9 +17,9 @@ reference forms and generators that only the tests use.
   from the raw connection forms, against each other.
 - ``rhs_expanded``: the partial-derivative (pseudotensor-revealing) form of
   the identity family's right side, against ``IdentityWorkspace.rhs``.
-- ``feed_rows_full``: the rank feed's equations from the 17 basis terms
-  built as whole tensors, against ``ricci._feed_entries``, which forms them
-  one (i, j) block at a time.
+- ``feed_rows_full``: the basis rank's equations from the 17 basis columns
+  built as whole tensors, against ``IdentityWorkspace.basis_rank``, which
+  forms them one (i, j) block at a time.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
@@ -55,12 +55,8 @@ from torsioncalc.cosmology import (
     levi_civita_connection,
 )
 from torsioncalc.ratfunc import ONE, RF_ZERO, Poly, RationalFunction
-from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref
-from torsioncalc.sampling import (
-    DEFAULT_COEFF_BOUND,
-    DEFAULT_DEGREE,
-    random_tensor_field,
-)
+from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref, _column
+from torsioncalc.sampling import DEFAULT_DEGREE, random_tensor_field
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +475,17 @@ def rhs_expanded(ws, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# The rank feed with every tensor built in full
+# The basis rank's equations with every tensor built in full
 # ---------------------------------------------------------------------------
 
 
 def feed_rows_full(system, ws) -> int:
-    """The rank feed's equations of ``ricci._feed_entries`` from whole
-    tensors: the 17 basis terms as full (1,3) tensors of the workspace's
-    cached columns, then per entry in row-major order one row per monomial in
-    packed-key order (the last exponent first), whole entries until the rank
-    is 17.  Returns the number of entries fed."""
-    tensors = [contract((1, 3), *ws._pieces([_basis_ref(k)])) for k in range(1, 18)]
+    """The equations of ``IdentityWorkspace.basis_rank`` from whole tensors:
+    the 17 weight-1 basis columns as full (1,3) tensors of the workspace's
+    cached contractions, then per entry in row-major order one row per
+    monomial in packed-key order (the last exponent first), whole entries
+    until the rank is 17.  Returns the number of entries fed."""
+    tensors = [contract((1, 3), *ws._pieces([_column(k, 1)])) for k in range(1, 18)]
     fed = 0
     for fields in zip(*(t.entries for t in tensors)):
         if system.rank == 17:
@@ -756,26 +752,16 @@ def emc_residual_rf(m: CosmologyMetric):
 # ---------------------------------------------------------------------------
 
 
-def random_symmetric_connection(
-    rng,
-    dim: int,
-    degree: int = DEFAULT_DEGREE,
-    bound: int = DEFAULT_COEFF_BOUND,
-) -> ConnectionField:
+def random_symmetric_connection(rng, dim: int, degree: int = DEFAULT_DEGREE) -> ConnectionField:
     """Torsion-free connection: random coefficients symmetrised in (j, k)."""
-    raw = random_tensor_field(rng, dim, (1, 2), degree, bound)
+    raw = random_tensor_field(rng, dim, (1, 2), degree)
     sym = (raw + raw.swap_last_lower())  # even coefficients, stays integral
     return ConnectionField(sym)
 
 
-def random_symmetric_field(
-    rng,
-    dim: int,
-    degree: int = 1,
-    bound: int = 2,
-) -> TensorField:
+def random_symmetric_field(rng, dim: int, degree: int = 1) -> TensorField:
     """Symmetric valence-(0, 2) field: a random one plus its transpose."""
-    raw = random_tensor_field(rng, dim, (0, 2), degree, bound)
+    raw = random_tensor_field(rng, dim, (0, 2), degree)
     return raw + raw.swap_last_lower()
 
 

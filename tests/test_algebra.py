@@ -579,40 +579,35 @@ def _explicit_rows(valence, sums):
 @pytest.mark.parametrize("full_rank", [True, False])
 def test_add_coefficient_rows_flattens_entries_and_stops_at_full_rank(full_rank):
     rng = derive_rng(60, f"coefficient-rows:{full_rank}")
-    A, B, C, T = (random_tensor_field(rng, 2, (1, 1), degree=2) for _ in range(4))
+    A, B, C = (random_tensor_field(rng, 2, (1, 1), degree=2) for _ in range(3))
     third = C if full_rank else A  # else columns[2] = columns[0] + columns[1]
     columns = [
         [(Fraction(1, 2), "ij->ij", A)],
         [(2, "ji->ij", B), (-1, "ij->ij", B)],
         [(Fraction(1, 2), "ij->ij", third), (2, "ji->ij", B), (-1, "ij->ij", B)],
     ]
-    targets = [[(1, "ij->ij", T)], [(1, "ij->ij", A), (-3, "ji->ij", B)]]
-    # each term's tensor as it is read, so an entry's terms are fields
-    reads = [
-        [(w, contract((1, 1), (1, spec, t))) for w, spec, t in terms]
-        for terms in (*columns, *targets)
-    ]
+    fields = [contract((1, 1), *terms) for terms in columns]
     drawn = []
 
     def entries():
         for e in range(4):
             drawn.append(e)
-            yield [[(w, t.entries[e]) for w, t in terms] for terms in reads]
+            yield [t.entries[e] for t in fields]
 
-    system = _RecordingSystem(3, 2)
+    system = _RecordingSystem(3, 0)
     system.add_coefficient_rows(entries())
 
-    per_entry = _explicit_rows((1, 1), [*columns, *targets])
-    reference, expected = LinearSystem(3, 2), []
+    per_entry = _explicit_rows((1, 1), columns)
+    reference, expected = LinearSystem(3, 0), []
     for rows in per_entry:  # fed whole entries until the rank is 3
         if reference.rank == 3:
             break
         for row in rows:
-            reference.add_row(row[:3], row[3:])
-            expected.append((row[:3], row[3:]))
-    assert [(coeffs, rhs) for _, coeffs, rhs in system.fed] == expected
+            reference.add_row(row)
+            expected.append(row)
+    assert [coeffs for _, coeffs, _ in system.fed] == expected
+    assert all(rhs == [] for _, _, rhs in system.fed)
     assert system._pivot_rows == reference._pivot_rows
-    assert system.inconsistent == reference.inconsistent
     if full_rank:
         # the rank reaches 3 inside the first entry: that entry is fed to its
         # end, and the other three are never drawn

@@ -10,13 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncalc import cli, connection, cosmology, ricci
+from torsioncalc import cli, connection, cosmology, ricci, sampling
 from torsioncalc.algebra import LinearSystem, ScalarField
 from torsioncalc.cli import ConfigError, main, worker_count
 from torsioncalc.connection import DerivKind, covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
-    IdentityAmbiguityError,
     IdentityCoefficients,
     IdentityUnsolvableError,
     IdentityWorkspace,
@@ -288,9 +287,9 @@ def test_invalid_workers_exit_two(monkeypatch, capsys):
     assert err.startswith("config error: TORSIONCALC_WORKERS")
 
 
-@pytest.mark.parametrize("error", [IdentityAmbiguityError, IdentityUnsolvableError])
+@pytest.mark.parametrize("error", [IdentityUnsolvableError])
 def test_scope_all_reports_a_solver_error_as_failed_check(monkeypatch, capsys, error):
-    def fail(**kwargs):
+    def fail():
         raise error("no unique solution")
 
     monkeypatch.setattr(cli, "solve_all_identities", fail)
@@ -299,7 +298,7 @@ def test_scope_all_reports_a_solver_error_as_failed_check(monkeypatch, capsys, e
 
 
 def test_scope_all_lets_other_errors_through(monkeypatch):
-    def broken(**kwargs):
+    def broken():
         raise TypeError("a bug, not a solver verdict")
 
     monkeypatch.setattr(cli, "solve_all_identities", broken)
@@ -310,8 +309,8 @@ def test_scope_all_lets_other_errors_through(monkeypatch):
 def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def catalogue_only(**kwargs):
-        calls.append(kwargs)
+    def catalogue_only(*args, **kwargs):
+        calls.append((args, kwargs))
         return {ic.pqrs: ic for ic in identity_catalogue()}
 
     monkeypatch.setattr(cli, "solve_all_identities", catalogue_only)
@@ -319,7 +318,7 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
     config = _config(tmp_path, dimension=2, instances=5)
     main(["verify-ricci", "--scope", "all", "--config", config, "--json"])
     report = json.loads(capsys.readouterr().out)
-    assert calls == [{"seed": 20260809, "degree": 2}]
+    assert calls == [((), {})]  # the tables alone, no instance
     assert report["config"] == {"seed": 20260809, "degree": 2}
 
 
@@ -345,15 +344,17 @@ def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_span_basis(
     monkeypatch.setattr(ricci, "matrix_rank", second_elimination)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert main(["verify-ricci", "--scope", "all", "--config", _config(tmp_path, degree=1)]) == 0
-    # the rank feed, then the span basis; neither has a right side
+    # the span basis, then the basis rank on the first check instance;
+    # neither has a right side
     assert solves == []
-    assert systems == [(17, 0), (36, 0)]
+    assert systems == [(36, 0), (17, 0)]
     assert "PASS cor2:span-rank" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, workers):
-    # one task per dim of INSTANCE_DIMS, each carrying the 17 kept members
+    # one task per dim of INSTANCE_DIMS, each carrying the 17 kept members;
+    # the first also asks for the basis rank certificate
     tasks, real = [], cli._sweep_task
     monkeypatch.setattr(cli, "_sweep_task", lambda args: tasks.append(args) or real(args))
     _see_cpus(monkeypatch, 2)
@@ -365,6 +366,54 @@ def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, work
         expected = expected[:1]  # the dim-4 task runs in a forked child, unseen here
     assert [task[:5] for task in tasks] == expected
     assert all(len(task[5]) == 17 for task in tasks)
+    assert [task[6] for task in tasks] == [True, False][: len(tasks)]
+
+
+def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch):
+    # the coefficients come from the tables; only the check tasks draw, and
+    # each builds one workspace
+    labels, workspaces = [], []
+    derive, init = sampling.derive_rng, IdentityWorkspace.__init__
+
+    def drawn(seed, label):
+        labels.append(label)
+        return derive(seed, label)
+
+    def built(self, a, L):
+        workspaces.append(a.dim)
+        init(self, a, L)
+
+    monkeypatch.setattr(sampling, "derive_rng", drawn)
+    monkeypatch.setattr(IdentityWorkspace, "__init__", built)
+    ricci.solve_all_identities()
+    assert labels == workspaces == []
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    assert cli.cmd_verify_ricci(cli.RunConfig(seed=7, degree=1), "all").exit_code() == 0
+    assert labels == ["check:3:0", "check:4:1"]
+    assert workspaces == [3, 4]
+
+
+def test_a_basis_rank_short_of_seventeen_fails_thm2_solve_on_the_first_instance(
+    tmp_path, monkeypatch, capsys
+):
+    # in dim 2 the 17 basis tensors have rank 15, so a dim-2 first instance
+    # cannot certify the coefficients
+    monkeypatch.setattr(cli, "INSTANCE_DIMS", (2, 3))
+    _see_cpus(monkeypatch, 2)
+    config = _config(tmp_path, degree=1)
+    rendered = {}
+    for workers in (1, 2):
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+        argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        rendered[workers] = captured.out
+        assert captured.err == ""
+    assert rendered[1] == rendered[2]
+    (check,) = json.loads(rendered[1])["checks"]
+    assert check["id"] == "thm2:solve" and not check["pass"]
+    assert check["actual"] == "error: basis rank 15 < 17"
+    assert check["detail"] == {"seed": 7, "label": "check:2:0", "dim": 2}
 
 
 def test_a_negated_curvature_fails_thm2_solve_naming_the_check_instance(

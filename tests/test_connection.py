@@ -95,20 +95,6 @@ def test_covariant_derivative_matches_entrywise_oracle(kind, valence, dim, fract
     assert covariant_derivative(kind, a, L) == covariant_derivative_entrywise(kind, a, L)
 
 
-@pytest.mark.parametrize("valence", ORACLE_VALENCES)
-def test_covariant_derivative_entries_are_the_oracles_entries(valence):
-    rng = derive_rng(15, f"entries:{valence}")
-    dim = 3
-    L = random_connection(rng, dim, 1)
-    a = random_tensor_field(rng, dim, valence, 1)
-    for kind in ALL_KINDS:
-        full = covariant_derivative_entrywise(kind, a, L).entries
-        count = len(full)
-        for start, stop in ((0, count), (0, dim), (count - dim, count), (1, count - 1)):
-            part = covariant_derivative(kind, a, L, entries=range(start, stop))
-            assert part == full[start:stop], (kind, start, stop)
-
-
 def test_valence_past_the_alphabet_is_accepted():
     # rank 30 needs more index letters than a-z; dimension 1 keeps it to one entry
     rng = derive_rng(14, "long-valence")

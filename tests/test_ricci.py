@@ -24,7 +24,6 @@ from torsioncalc.ricci import (
     ID,
     SWAP,
     CATALOGUE_BY_PQRS,
-    IdentityAmbiguityError,
     IdentityCoefficients,
     IdentityUnsolvableError,
     IdentityWorkspace,
@@ -65,17 +64,14 @@ def _workspace(seed, label, dim, degree) -> IdentityWorkspace:
 
 
 def _check(members):
-    """The CLI's check task on its first instance at degree 1: (tag, ok,
-    detail) per member."""
-    return cli._sweep_task(("check", 20260809, 3, 1, 0, members))
+    """The CLI's check task on its first instance at degree 1, the basis rank
+    certified: (tag, ok, detail) per member."""
+    return cli._sweep_task(("check", 20260809, 3, 1, 0, members, True))
 
 
 @pytest.fixture(scope="module")
-def solved_in_dim_three():
-    # one dim-3 instance feeds the basis rank, at degree 2
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ricci, "INSTANCE_DIMS", (3,))
-        return solve_all_identities(degree=2)
+def solved():
+    return solve_all_identities()
 
 # ---------------------------------------------------------------------------
 # catalogue data
@@ -162,9 +158,9 @@ def test_square_quadruple_lhs_sums_to_four_commutators():
     assert total == ws.r_commutator().scale(4)
 
 
-def test_completion_to_rank_seventeen(solved_in_dim_three):
+def test_completion_to_rank_seventeen(solved):
     rows = [identity_row(ic) for ic in identity_catalogue()]
-    extra = solved_in_dim_three[3, 2, 3, 2]
+    extra = solved[3, 2, 3, 2]
     rows.append(identity_row(extra))
     assert matrix_rank(rows) == 17
 
@@ -388,14 +384,14 @@ def test_residual_piece_weights_are_integers():
 # ---------------------------------------------------------------------------
 
 
-def test_solver_reproduces_catalogue_entries(solved_in_dim_three):
+def test_solver_reproduces_catalogue_entries(solved):
     for pqrs in ((1, 1, 1, 1), (1, 3, 1, 2), (2, 3, 2, 3)):
-        sol = solved_in_dim_three[pqrs]
+        sol = solved[pqrs]
         assert sol.c == CATALOGUE_BY_PQRS[pqrs].c, pqrs
 
 
-def test_solver_handles_uncatalogued_combination(solved_in_dim_three):
-    sol = solved_in_dim_three[2, 3, 3, 2]
+def test_solver_handles_uncatalogued_combination(solved):
+    sol = solved[2, 3, 3, 2]
     assert all(v in (-1, 0, 1) for v in sol.c)
     # verify on an independent instance
     L, a = make_instance(30, "fresh", 3)
@@ -403,23 +399,18 @@ def test_solver_handles_uncatalogued_combination(solved_in_dim_three):
     assert ws.lhs((2, 3, 3, 2)) == ws.rhs(sol)
 
 
-def test_solver_swap_pairing(solved_in_dim_three):
+def test_solver_swap_pairing(solved):
     # solving the reversed combination negates the identity under an m,n swap
-    a_sol = solved_in_dim_three[1, 2, 3, 3]
-    b_sol = solved_in_dim_three[3, 3, 1, 2]
+    a_sol = solved[1, 2, 3, 3]
+    b_sol = solved[3, 3, 1, 2]
     L, a = make_instance(31, "pair", 3)
     ws = IdentityWorkspace(a, L)
     left = ws.rhs(a_sol).swap_last_lower()
     assert left == -ws.rhs(b_sol)
 
 
-@pytest.fixture(scope="module")
-def solved_degree_one():
-    return solve_all_identities(degree=1)
-
-
-def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
-    solutions = solved_degree_one
+def test_solve_all_checks_a_seventeen_member_span_basis(solved):
+    solutions = solved
     assert len(solutions) == 81
     for pqrs, ic in CATALOGUE_BY_PQRS.items():
         assert solutions[pqrs].c == ic.c, pqrs
@@ -431,9 +422,9 @@ def test_solve_all_checks_a_seventeen_member_span_basis(solved_degree_one):
     assert all(ok for _, ok, _ in rows)
 
 
-def test_every_solved_vector_is_its_split_offsets(solved_degree_one):
+def test_every_solved_vector_is_its_split_offsets(solved):
     # the coefficients are the table offsets, with no solve
-    for pqrs, ic in solved_degree_one.items():
+    for pqrs, ic in solved.items():
         assert list(ic.c) == _split_target(pqrs)[1], pqrs
 
 
@@ -455,14 +446,14 @@ def test_span_basis_keeps_rank_increasing_members_in_input_order():
     assert span_basis([first, repeat]) == [first]
 
 
-def test_verification_rejects_a_corrupted_member_outside_the_basis(solved_degree_one, monkeypatch):
-    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+def test_verification_rejects_a_corrupted_member_outside_the_basis(solved, monkeypatch):
+    kept = {ic.pqrs for ic in span_basis(solved.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
-    corrupted = dict(solved_degree_one)
+    corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     # the wrong row leaves the span of the true identities, so it is kept
     assert len(span_basis(corrupted.values())) == 18
-    monkeypatch.setattr(cli, "solve_all_identities", lambda **kwargs: corrupted)
+    monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
     monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
@@ -525,7 +516,7 @@ def test_a_rest_outside_the_basis_span_is_unsolvable(monkeypatch):
     monkeypatch.setattr(ricci, "_lhs_refs", ssa_alone)
     message = r"^\(2, 3, 1, 2\): its rest differs from the shared rest of \(1, 1, 1, 1\)$"
     with pytest.raises(IdentityUnsolvableError, match=message):
-        solve_all_identities(degree=1)
+        solve_all_identities()
 
 
 def test_an_offset_outside_minus_one_to_one_is_refused(monkeypatch):
@@ -539,7 +530,7 @@ def test_an_offset_outside_minus_one_to_one_is_refused(monkeypatch):
     monkeypatch.setattr(ricci, "_lhs_refs", half_a_column_more)
     message = r"^\(3, 1, 2, 2\): coefficient -?\d+/2 falls outside \{-1, 0, 1\}$"
     with pytest.raises(IdentityUnsolvableError, match=message):
-        solve_all_identities(degree=1)
+        solve_all_identities()
 
 
 class _RecordingSystem(algebra.LinearSystem):
@@ -550,7 +541,7 @@ class _RecordingSystem(algebra.LinearSystem):
         self.fed = []
 
     def add_row(self, coeffs, rhs=()):
-        self.fed.append((list(coeffs), list(rhs)))
+        self.fed.append(list(coeffs))
         return super().add_row(coeffs, rhs)
 
 
@@ -558,63 +549,44 @@ class _RecordingSystem(algebra.LinearSystem):
 def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch, dim, degree):
     from oracles import feed_rows_full
 
-    label = f"solve:0:{dim}"
-    formed, block = [], IdentityWorkspace._block
+    label = f"check:{dim}:0"
+    systems, formed, real = [], [], ricci.contract
 
-    def recording(self, key, entries=None):
-        # whole tensors are formed by the same builder; only ranges count here
+    def recording_contract(valence, *terms, entries=None):
+        # whole tensors go through contract too; only ranges count here
         if entries is not None:
-            formed.append((key, entries.start, entries.stop))
-        return block(self, key, entries)
+            (_, spec, *operands), = terms
+            formed.append((spec, *map(id, operands), entries.start, entries.stop))
+        return real(valence, *terms, entries=entries)
 
-    monkeypatch.setattr(IdentityWorkspace, "_block", recording)
-    system = _RecordingSystem(17, 0)
-    system.add_coefficient_rows(ricci._feed_entries(_workspace(20260809, label, dim, degree)))
+    def recording_system(ncols, nrhs):
+        systems.append(_RecordingSystem(ncols, nrhs))
+        return systems[-1]
+
+    monkeypatch.setattr(ricci, "contract", recording_contract)
+    monkeypatch.setattr(ricci, "LinearSystem", recording_system)
+    rank = _workspace(20260809, label, dim, degree).basis_rank()
+    monkeypatch.undo()
+    (system,) = systems
     reference = _RecordingSystem(17, 0)
     entries = feed_rows_full(reference, _workspace(20260809, label, dim, degree))
 
+    assert rank == system.rank
     assert system.fed == reference.fed
-    assert all(rhs == [] for _, rhs in system.fed)
     assert system._pivot_rows == reference._pivot_rows
     # the blocks up to the one holding the last entry fed, each formed once
     # for each of the 10 column contractions read
     size = dim * dim
     blocks = -(-entries // size)
-    assert sorted({(start, stop) for _, start, stop in formed}) == [
+    assert sorted({(start, stop) for *_, start, stop in formed}) == [
         (start, start + size) for start in range(0, blocks * size, size)
     ]
     assert len(formed) == len(set(formed)) == 10 * blocks
     if dim == 2:
         # rank 15 in dim 2: every block is walked
-        assert system.rank == 15 and blocks == dim**2
+        assert rank == 15 and blocks == dim**2
     else:
-        assert system.rank == 17 and blocks == 1
-
-
-@pytest.mark.parametrize("dim, starts", [(2, range(4)), (3, range(9)), (4, (0, 15))])
-def test_a_range_of_a_key_is_the_slice_of_its_cached_whole_tensor(dim, starts):
-    # the keys the solve feed reads, and three operands the blocks read across
-    keys = [
-        *dict.fromkeys(tuple(key) for _, _, *key in ricci._BASIS),
-        "dd_sym", "rcomm", "q2", "q3", "dtor",
-    ]
-    ws = _workspace(20260809, f"one-builder:{dim}", dim, 1)
-    size = dim * dim
-    for start in starts:
-        block = range(start * size, (start + 1) * size)
-        for key in keys:
-            # formed before the whole tensor is cached, at the first start
-            formed = ws._block(key, block)
-            whole = ws._tensor(key)
-            assert formed == whole.entries[block.start : block.stop], (key, start)
-            assert ws._tensor(key) is whole
-
-
-def test_dim_two_instances_alone_cannot_reach_full_rank(monkeypatch):
-    # the 17 basis tensors have rank 15 in dim 2, so the solver feeds dim 3 first
-    monkeypatch.setattr(ricci, "INSTANCE_DIMS", (2, 2, 2, 2))
-    with pytest.raises(IdentityAmbiguityError, match=r"^design matrix rank 15 < 17 after 4 instances$"):
-        solve_all_identities(degree=2)
+        assert rank == 17 and blocks == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1049,18 +1021,18 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
 
 
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
-    solved_degree_one, monkeypatch
+    solved, monkeypatch
 ):
-    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+    kept = {ic.pqrs for ic in span_basis(solved.values())}
     pqrs = [p for p in ALL_COMBINATIONS if p not in kept][-1]
-    corrupted = dict(solved_degree_one)
+    corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 9)
     members = span_basis(corrupted.values())
     terms, rows = _packed_terms(monkeypatch, _check, members)
     assert [tag for tag, ok, _ in rows if not ok] == [str(pqrs)]
     # 18 kept members, two distinct residuals: the true one and the corrupted
     ws = _workspace(20260809, "check:3:0", 3, 1)
-    true = ws.residual_pieces(next(iter(solved_degree_one.values())))
+    true = ws.residual_pieces(next(iter(solved.values())))
     bad = ws.residual_pieces(corrupted[pqrs])
     expected, found = _packed_terms(monkeypatch, nonzero_sums, (1, 3), [true, bad])
     assert terms == expected
@@ -1068,13 +1040,13 @@ def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
 
 
 def test_verification_failure_names_instance_member_entry_and_monomial(
-    solved_degree_one, monkeypatch
+    solved, monkeypatch
 ):
-    kept = {ic.pqrs for ic in span_basis(solved_degree_one.values())}
+    kept = {ic.pqrs for ic in span_basis(solved.values())}
     pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
-    corrupted = dict(solved_degree_one)
+    corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
-    monkeypatch.setattr(cli, "solve_all_identities", lambda **kwargs: corrupted)
+    monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
     monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
