@@ -8,9 +8,9 @@ forms its polynomial products through one helper, :func:`_product_sums`:
 operands large enough to pay for it are encoded as integers (Kronecker
 substitution, :class:`_Kronecker`), so that a product is one big-int
 multiply, and the rest multiply term by term.  Exact elimination likewise
-has one routine, :class:`LinearSystem`: every rank and span basis in the
-package goes through it, the polynomial equations of the identity basis rank
-fed by :meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
+has one routine, :class:`LinearSystem`: every rank in the package goes
+through it, the polynomial equations of the identity basis rank fed by
+:meth:`LinearSystem.add_coefficient_rows`.  Every residual check is one
 exact zero test, :func:`nonzero_sums`.  So no other module reads the packed
 term format.  Polynomials of both stacks print through
 :func:`format_polynomial`, ``ratfunc.Poly`` included.
@@ -829,25 +829,17 @@ def matrix_rank(rows) -> int:
 
 def _clear_denominators(row):
     """Scale a row of rationals to coprime integers (rank-preserving)."""
-    denom = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
     ints = [int(v * denom) if isinstance(v, Fraction) else v * denom for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 class LinearSystem:
-    """Incremental exact Gaussian elimination with any number of right sides:
+    """Incremental exact Gaussian elimination with at most one right side:
     the one elimination in the package.  Ranks (:func:`matrix_rank`,
-    ``ricci.IdentityWorkspace.basis_rank``) and span bases
-    (``ricci.span_basis``) run through it with no right side; :meth:`solve`
-    back-substitutes for one.
+    ``ricci.IdentityWorkspace.basis_rank``) run through it with no right
+    side (``nrhs=0``); with one (``nrhs=1``), :meth:`solve` back-substitutes.
 
     Rows are reduced against the stored pivots as they arrive, so feeding a
     large redundant stream of equations is cheap once the rank saturates.
@@ -859,18 +851,20 @@ class LinearSystem:
     """
 
     def __init__(self, ncols: int, nrhs: int = 1):
-        self.ncols = ncols
-        self.nrhs = nrhs
+        if nrhs not in (0, 1):
+            raise ValueError(f"a system has 0 or 1 right sides, not {nrhs!r}")
+        self.ncols, self.nrhs = ncols, nrhs
         self._pivot_rows = {}  # pivot column -> integer row, coefficients then rhs
-        self.inconsistent = [False] * nrhs
+        self.inconsistent = False  # a row reduced to 0 = nonzero right side
 
     @property
     def rank(self) -> int:
         return len(self._pivot_rows)
 
     def add_row(self, coeffs, rhs=()) -> bool:
-        """Reduce one row against the pivots; True when it adds a pivot,
-        that is, exactly when the rank grows."""
+        """Reduce one row, ``rhs`` holding its ``nrhs`` right-side values,
+        against the pivots; True when it adds a pivot, that is, exactly when
+        the rank grows."""
         if len(coeffs) != self.ncols or len(rhs) != self.nrhs:
             raise ValueError("row shape mismatch")
         row = _clear_denominators([*coeffs, *rhs])
@@ -886,9 +880,8 @@ class LinearSystem:
             if row[col]:
                 self._pivot_rows[col] = row
                 return True
-        for j, v in enumerate(row[self.ncols :]):
-            if v:
-                self.inconsistent[j] = True
+        if any(row[self.ncols :]):
+            self.inconsistent = True
         return False
 
     def add_coefficient_rows(self, entries) -> None:
@@ -910,22 +903,25 @@ class LinearSystem:
             for key in sorted(set().union(*terms)):
                 self.add_row([t.get(key, 0) for t in terms])
 
-    def solve(self, which: int = 0):
-        """The unique solution for right side ``which``.
+    def solve(self):
+        """The unique solution for the right side.
 
-        Requires full column rank; raises ValueError otherwise.  Back
-        substitution over the integer pivot rows, in Fractions.
+        Requires a right side, full column rank and consistency; raises
+        ValueError otherwise.  Back substitution over the integer pivot rows,
+        in Fractions.
         """
+        if not self.nrhs:
+            raise ValueError("system has no right side")
         if self.rank < self.ncols:
             raise ValueError(
                 f"system is underdetermined: rank {self.rank} < {self.ncols} unknowns"
             )
-        if self.inconsistent[which]:
-            raise ValueError("system is inconsistent for this right side")
+        if self.inconsistent:
+            raise ValueError("system is inconsistent")
         solution = [Fraction(0)] * self.ncols
         for col in sorted(self._pivot_rows, reverse=True):
             prow = self._pivot_rows[col]
-            value = prow[self.ncols + which]
+            value = prow[self.ncols]
             for j in range(col + 1, self.ncols):
                 if prow[j]:
                     value -= prow[j] * solution[j]

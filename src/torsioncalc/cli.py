@@ -11,8 +11,10 @@ and the check instances of ``--scope all``) run one instance task,
 ``_sweep_task``: it draws the instance with ``sampling.sample_instance``,
 hands it to the sweep's members function in ``_SWEEPS`` and turns each
 failing slot into the detail that reruns it.  ``--scope all`` reads the 81
-coefficient vectors off the tables (``ricci.solve_all_identities``); its
-first check instance also certifies the basis rank they rest on.
+coefficient vectors off the tables (``ricci.solve_all_identities``) and
+checks the residual of every one of them on each check instance; its first
+check instance also certifies the basis rank they rest on.  The span rank
+``cor2`` is the rank of the 81 members' ``ricci.identity_row``s.
 
 Set TORSIONCALC_WORKERS to parallelise instance sweeps, ``--scope all``'s
 check instances included (at most one worker per CPU the process may run
@@ -36,7 +38,7 @@ from __future__ import annotations
 # Imported first: compiling algebra's source (there may be no bytecode cache)
 # takes a transient of about 2.5 MiB in the parser, which sets the process's
 # peak RSS unless it lands on the smallest heap, before any other import.
-from .algebra import nonzero_sums
+from .algebra import matrix_rank, nonzero_sums
 from .report import (
     Check,
     Report,
@@ -75,8 +77,8 @@ _NAMES = {
     "ratfunc": ("Poly", "RationalFunction"),
     "ricci": (
         "CATALOGUE_BY_PQRS", "IdentityAmbiguityError", "IdentityUnsolvableError",
-        "IdentityWorkspace", "MixWeights", "identity_catalogue", "solve_all_identities",
-        "span_basis",
+        "IdentityWorkspace", "MixWeights", "identity_catalogue", "identity_row",
+        "solve_all_identities",
     ),
     "sampling": ("sample_instance",),
 }
@@ -362,15 +364,15 @@ def _mixed_members(rng, a, L):
     return [(ic.tag, {"weighting": k}) for ic, k, _ in slots], failing
 
 
-def _solved_members(rng, a, L, kept, certify):
-    """The kept members' residuals; with ``certify``, first the basis rank,
-    whose shortfall is an IdentityAmbiguityError."""
+def _solved_members(rng, a, L, members, certify):
+    """The solved members' residuals; with ``certify``, first the basis
+    rank, whose shortfall is an IdentityAmbiguityError."""
     ws = IdentityWorkspace(a, L)
     if certify:
         rank = ws.basis_rank()
         if rank < 17:
             raise IdentityAmbiguityError(f"basis rank {rank} < 17")
-    return [(str(ic.pqrs), {}) for ic in kept], ws.nonzero_residuals(kept)
+    return [(str(ic.pqrs), {}) for ic in members], ws.nonzero_residuals(members)
 
 
 # sweep -> (the modules its members function reads, that function).  A
@@ -458,10 +460,9 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         except IdentityUnsolvableError as exc:
             report.add(value_check("thm2:solve", "solved", f"error: {exc}"))
             return report
-        # the kept members' residuals vanish exactly when all 81 do
-        kept = span_basis(solutions.values())
+        members = list(solutions.values())
         checks = [
-            ("check", config.seed, dim, config.degree, t, kept, t == 0)
+            ("check", config.seed, dim, config.degree, t, members, t == 0)
             for t, dim in enumerate(INSTANCE_DIMS)
         ]
         try:
@@ -488,7 +489,7 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
                     status="solved",
                 )
             )
-        report.add(rank_check("cor2:span-rank", 17, len(kept)))
+        report.add(rank_check("cor2:span-rank", 17, matrix_rank(map(identity_row, members))))
     elif scope == "mixed":
         count = max(1, config.instances // 4)
         for tag, ok, detail in _sweep(config, "mixed", count):

@@ -43,7 +43,8 @@ offsets are the coefficients when that rest vanishes and the 17 basis
 tensors are independent.  ``solve_all_identities`` reads the offsets off the
 tables and refuses a combination whose rest differs.  The CLI checks both
 tensor facts on fresh instances: the rank on the first, through
-:meth:`IdentityWorkspace.basis_rank`, and the rest on every one.
+:meth:`IdentityWorkspace.basis_rank`, and on every one the residuals of all
+81 members, which merge to that one rest and so form one tensor.
 
 The workspace forms and caches every tensor through one builder,
 :meth:`IdentityWorkspace._tensor`.  The basis rank alone forms its ten (1,3)
@@ -394,6 +395,13 @@ def _merge(refs) -> dict:
     return {rk: w for rk, w in merged.items() if w}
 
 
+@cache
+def _residual_refs(coeffs: IdentityCoefficients) -> tuple:
+    """lhs - rhs of one member as merged ((read, key), weight) pairs; cached,
+    since they do not depend on the instance."""
+    return tuple(_merge([*_lhs_refs(coeffs.pqrs), *_rhs_refs(coeffs, sign=-1)]).items())
+
+
 def _split_target(pqrs):
     """Combination pqrs's target, lhs minus the R-commutator, as (rest, offsets).
 
@@ -502,9 +510,9 @@ class IdentityWorkspace:
         return contract((1, 3), *self._pieces(_rhs_refs(coeffs)))
 
     def residual_pieces(self, coeffs: IdentityCoefficients):
-        """Weighted column tensors of :meth:`residual`, merged per column;
-        every weight is an int."""
-        return self._pieces([*_lhs_refs(coeffs.pqrs), *_rhs_refs(coeffs, sign=-1)])
+        """Weighted column tensors of :meth:`residual`, merged per column
+        (:func:`_residual_refs`); every weight is an int."""
+        return [(w, read, self._tensor(key)) for (read, key), w in _residual_refs(coeffs)]
 
     def residual(self, coeffs: IdentityCoefficients) -> TensorField:
         """Left minus right side in one pass over the cached column tensors;
@@ -530,9 +538,10 @@ class IdentityWorkspace:
         """:func:`~torsioncalc.algebra.nonzero_sums` of the residuals of
         identity members (:class:`IdentityCoefficients`), by member index.
         Members whose merged residual pieces are the same have the same
-        residual (every correct member's is SSa - SSa^(m<->n) - rcomm), so
-        each distinct piece list is packed once, and its result is reported
-        for every member that has it."""
+        residual, so each distinct piece list is packed once, and its result
+        is reported for every member that has it.  Every correct member of
+        all 81 merges to SSa - SSa^(m<->n) - rcomm, so a correct sweep packs
+        one residual however many members it checks."""
         index, distinct, slots = {}, [], []
         for ic in members:
             pieces = self.residual_pieces(ic)
@@ -581,24 +590,8 @@ class IdentityWorkspace:
 
 
 # ---------------------------------------------------------------------------
-# The 81 combinations: table offsets and the span basis
+# The 81 combinations: table offsets
 # ---------------------------------------------------------------------------
-
-
-def span_basis(members) -> list:
-    """The members whose :func:`identity_row` is independent of the rows
-    before them, in the order given: those whose row adds a pivot to one
-    :class:`LinearSystem`.  Every member is an exact rational combination
-    of the kept ones; the full 81-member sweep keeps 17.
-
-    A residual is linear in the member's :func:`identity_row`, so on a given
-    instance every member's residual vanishes exactly when the kept ones'
-    do: checking the kept members is the same predicate as checking all.  A
-    wrong coefficient moves its row out of the span of the true identities,
-    so that member is kept and its nonzero residual fails.
-    """
-    system = LinearSystem(36, nrhs=0)  # the width of identity_row
-    return [ic for ic in members if system.add_row(identity_row(ic))]
 
 
 def solve_all_identities() -> dict:
@@ -610,9 +603,9 @@ def solve_all_identities() -> dict:
     A target is its offsets times the basis plus the rest SSa - SSa^(m<->n)
     - R-commutator, so the offsets are the coefficients when that rest
     vanishes and the 17 basis tensors are independent; the CLI checks both
-    on fresh instances (:meth:`IdentityWorkspace.basis_rank` and the members
-    :func:`span_basis` keeps).  A combination whose rest differs from that
-    of (1, 1, 1, 1), or whose offsets leave {-1, 0, 1}, is refused
+    on fresh instances (:meth:`IdentityWorkspace.basis_rank`, and the
+    residual of every solved member).  A combination whose rest differs
+    from that of (1, 1, 1, 1), or whose offsets leave {-1, 0, 1}, is refused
     (IdentityUnsolvableError).
     """
     shared = (1, 1, 1, 1)

@@ -393,28 +393,45 @@ def test_linear_system_unique_solution():
     system = LinearSystem(2, nrhs=1)
     system.add_row([1, 1], [3])
     system.add_row([1, -1], [1])
-    assert system.solve(0) == [Fraction(2), Fraction(1)]
+    assert system.solve() == [Fraction(2), Fraction(1)]
 
 
 def test_linear_system_underdetermined():
     system = LinearSystem(2, nrhs=1)
     system.add_row([1, 1], [3])
     with pytest.raises(ValueError):
-        system.solve(0)
+        system.solve()
 
 
 def test_linear_system_flags_inconsistency():
-    system = LinearSystem(2, nrhs=2)
-    system.add_row([1, 1], [3, 3])
-    system.add_row([1, -1], [1, 1])
-    system.add_row([2, 0], [4, 5])  # consistent for rhs 0, not for rhs 1
-    assert system.inconsistent == [False, True]
+    system = LinearSystem(2, nrhs=1)
+    system.add_row([1, 1], [3])
+    system.add_row([1, -1], [1])
+    system.add_row([2, 0], [4])  # dependent and consistent
+    assert system.inconsistent is False
+    system.add_row([2, 0], [5])  # the same row with another value
+    assert system.inconsistent is True
+    with pytest.raises(ValueError, match="^system is inconsistent$"):
+        system.solve()
 
 
-def _fraction_reference(rows, rhs_rows, which):
+@pytest.mark.parametrize("nrhs", [2, -1])
+def test_linear_system_takes_at_most_one_right_side(nrhs):
+    with pytest.raises(ValueError, match="0 or 1 right sides"):
+        LinearSystem(2, nrhs=nrhs)
+    system = LinearSystem(2, nrhs=0)
+    system.add_row([1, 0])
+    system.add_row([0, 1])
+    with pytest.raises(ValueError, match="row shape mismatch"):
+        system.add_row([1, 1], [2])
+    with pytest.raises(ValueError, match="no right side"):
+        system.solve()
+
+
+def _fraction_reference(rows, rhs):
     """(rank, consistent, solution or None) of one right side, by textbook
     Gauss-Jordan elimination over Fractions on the augmented matrix."""
-    m = [[Fraction(x) for x in r] + [Fraction(b[which])] for r, b in zip(rows, rhs_rows)]
+    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
     rank, pivots = 0, []
     for col in range(ncols):
@@ -452,7 +469,7 @@ def test_matrix_rank_matches_fraction_reference(shape):
             for r in rows[2:]:
                 f, g = _random_rational(rng), _random_rational(rng)
                 r[:] = [f * x + g * y for x, y in zip(rows[0], rows[1])]
-        rank = _fraction_reference(rows, [[0]] * nrows, 0)[0]
+        rank = _fraction_reference(rows, [0] * nrows)[0]
         assert matrix_rank(rows) == rank
         if shape == "deficient":
             assert rank <= 2
@@ -507,32 +524,34 @@ def test_fraction_free_linear_system_matches_fraction_reference(shape):
             x[0] = Fraction(2 * rng.randint(1, 9) + 1, 2)  # never integral
         consistent_rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
         random_rhs = [_random_rational(rng) for _ in rows]
-        rhs_rows = [[c, d] for c, d in zip(consistent_rhs, random_rhs)]
         if shape == "inconsistent":
-            rhs_rows[-1][0] += 1  # a repeated row with a different value
+            consistent_rhs[-1] += 1  # a repeated row with a different value
 
-        system = LinearSystem(ncols, nrhs=2)
-        for r, b in zip(rows, rhs_rows):
-            system.add_row(r, b)
-        for which in (0, 1):
-            rank, consistent, solution = _fraction_reference(rows, rhs_rows, which)
+        systems = []
+        for rhs in (consistent_rhs, random_rhs):
+            system = LinearSystem(ncols, nrhs=1)
+            for r, b in zip(rows, rhs):
+                system.add_row(r, [b])
+            rank, consistent, solution = _fraction_reference(rows, rhs)
             assert system.rank == rank
-            assert system.inconsistent[which] == (not consistent)
+            assert system.inconsistent == (not consistent)
             if rank < ncols:
                 with pytest.raises(ValueError, match="underdetermined"):
-                    system.solve(which)
+                    system.solve()
             elif not consistent:
-                with pytest.raises(ValueError, match="inconsistent for this right side"):
-                    system.solve(which)
+                with pytest.raises(ValueError, match="inconsistent"):
+                    system.solve()
             else:
-                assert system.solve(which) == solution
+                assert system.solve() == solution
+            systems.append(system)
+        system = systems[0]  # the right side made from x
         if shape in ("unique", "fractional"):
-            assert system.solve(0) == x
-            assert all(type(v) is Fraction for v in system.solve(0))
+            assert system.solve() == x
+            assert all(type(v) is Fraction for v in system.solve())
         if shape == "fractional":
-            assert system.solve(0)[0].denominator == 2
+            assert system.solve()[0].denominator == 2
         if shape == "inconsistent":
-            assert system.inconsistent[0]
+            assert system.inconsistent
         if shape == "underdetermined":
             assert system.rank < ncols
 
@@ -544,7 +563,7 @@ def test_linear_system_keeps_integer_rows():
     system.add_row([0, 3, 1], [Fraction(-1, 2)])
     for row in system._pivot_rows.values():
         assert all(type(v) is int for v in row)
-    x = system.solve(0)
+    x = system.solve()
     rows = [[Fraction(1, 2), Fraction(1, 3), 0], [2, -1, 4], [0, 3, 1]]
     assert [sum(a * b for a, b in zip(r, x)) for r in rows] == [
         Fraction(5, 6), 7, Fraction(-1, 2)

@@ -322,38 +322,42 @@ def test_scope_all_echoes_only_the_fields_it_reads(tmp_path, monkeypatch, capsys
     assert report["config"] == {"seed": 20260809, "degree": 2}
 
 
-def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_span_basis(
+def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_identity_rows(
     tmp_path, monkeypatch, capsys
 ):
-    solves, systems = [], []
-    solve, init = LinearSystem.solve, LinearSystem.__init__
+    solves, systems, ranked = [], [], []
+    solve, init, rank = LinearSystem.solve, LinearSystem.__init__, cli.matrix_rank
 
-    def counted(self, which=0):
-        solves.append(which)
-        return solve(self, which)
+    def counted(self):
+        solves.append(self)
+        return solve(self)
 
     def recorded(self, ncols, nrhs=1):
         systems.append((ncols, nrhs))
         init(self, ncols, nrhs)
 
-    def second_elimination(rows):
-        raise AssertionError("the span rank must come from the checked span basis")
+    def recorded_rank(rows):
+        rows = list(rows)
+        ranked.append(rows)
+        return rank(rows)
 
     monkeypatch.setattr(LinearSystem, "solve", counted)
     monkeypatch.setattr(LinearSystem, "__init__", recorded)
-    monkeypatch.setattr(ricci, "matrix_rank", second_elimination)
+    monkeypatch.setattr(cli, "matrix_rank", recorded_rank)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert main(["verify-ricci", "--scope", "all", "--config", _config(tmp_path, degree=1)]) == 0
-    # the span basis, then the basis rank on the first check instance;
-    # neither has a right side
+    # the basis rank on the first check instance, then the span rank of the
+    # 81 members' identity rows; neither has a right side
     assert solves == []
-    assert systems == [(36, 0), (17, 0)]
+    assert systems == [(17, 0), (36, 0)]
+    solutions = ricci.solve_all_identities()
+    assert ranked == [[ricci.identity_row(solutions[pqrs]) for pqrs in ricci.ALL_COMBINATIONS]]
     assert "PASS cor2:span-rank" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, workers):
-    # one task per dim of INSTANCE_DIMS, each carrying the 17 kept members;
+    # one task per dim of INSTANCE_DIMS, each carrying all 81 solved members;
     # the first also asks for the basis rank certificate
     tasks, real = [], cli._sweep_task
     monkeypatch.setattr(cli, "_sweep_task", lambda args: tasks.append(args) or real(args))
@@ -365,7 +369,7 @@ def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, work
     if workers == 2:
         expected = expected[:1]  # the dim-4 task runs in a forked child, unseen here
     assert [task[:5] for task in tasks] == expected
-    assert all(len(task[5]) == 17 for task in tasks)
+    assert all([ic.pqrs for ic in task[5]] == list(ricci.ALL_COMBINATIONS) for task in tasks)
     assert [task[6] for task in tasks] == [True, False][: len(tasks)]
 
 
@@ -433,7 +437,8 @@ def test_a_negated_curvature_fails_thm2_solve_naming_the_check_instance(
     assert rendered[1] == rendered[2]
     (check,) = json.loads(rendered[1])["checks"]
     assert check["id"] == "thm2:solve" and not check["pass"]
-    # the first kept member is (1, 1, 1, 1); the dim-3 instance fails first
+    # every member fails alike and (1, 1, 1, 1) comes first; the dim-3
+    # instance fails first
     assert check["actual"] == "error: (1, 1, 1, 1): nonzero residual on a fresh instance"
     _, ws = _sampled(7, "check:3:0", 3, 1)
     entry, monomial = _first_term(ws.residual(ricci.CATALOGUE_BY_PQRS[1, 1, 1, 1]))

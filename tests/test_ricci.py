@@ -35,7 +35,6 @@ from torsioncalc.ricci import (
     identity_catalogue,
     identity_row,
     solve_all_identities,
-    span_basis,
 )
 from torsioncalc.sampling import derive_rng, random_tensor_field
 
@@ -409,16 +408,15 @@ def test_solver_swap_pairing(solved):
     assert left == -ws.rhs(b_sol)
 
 
-def test_solve_all_checks_a_seventeen_member_span_basis(solved):
+def test_solve_all_checks_every_member_on_one_instance(solved):
     solutions = solved
     assert len(solutions) == 81
     for pqrs, ic in CATALOGUE_BY_PQRS.items():
         assert solutions[pqrs].c == ic.c, pqrs
-    kept = span_basis(solutions.values())
-    assert len(kept) == 17
-    assert matrix_rank(identity_row(ic) for ic in kept) == 17
-    rows = _check(kept)
-    assert [tag for tag, _, _ in rows] == [str(ic.pqrs) for ic in kept]
+    members = list(solutions.values())
+    assert matrix_rank(identity_row(ic) for ic in members) == 17
+    rows = _check(members)
+    assert [tag for tag, _, _ in rows] == [str(pqrs) for pqrs in ALL_COMBINATIONS]
     assert all(ok for _, ok, _ in rows)
 
 
@@ -428,33 +426,22 @@ def test_every_solved_vector_is_its_split_offsets(solved):
         assert list(ic.c) == _split_target(pqrs)[1], pqrs
 
 
-def test_span_basis_keeps_rank_increasing_members_in_input_order():
-    catalogue = identity_catalogue()
-    first = catalogue[0]
-    repeat = IdentityCoefficients(first.c, first.pqrs)  # first's row again
-    for members in ([first, repeat, *catalogue[1:]], [*catalogue[::-1], repeat]):
-        rows = [identity_row(ic) for ic in members]
-        kept = span_basis(members)
-        # a member is kept exactly when its row raises the rank of the prefix
-        expected = [
-            ic for k, ic in enumerate(members)
-            if matrix_rank(rows[: k + 1]) > (matrix_rank(rows[:k]) if k else 0)
-        ]
-        assert [id(ic) for ic in kept] == [id(ic) for ic in expected]
-        assert len(kept) == catalogue_independence_rank() == 16
-        assert not any(ic is repeat for ic in kept)
-    assert span_basis([first, repeat]) == [first]
+def test_every_solved_member_merges_to_the_shared_rest(solved):
+    # lhs - rhs of each of the 81 members is the same three references, so
+    # one residual tensor per instance checks them all
+    shared = {(ID, "dd_sym"): 1, (SWAP, "dd_sym"): -1, (ID, "rcomm"): -1}
+    for pqrs in ALL_COMBINATIONS:
+        ic = solved[pqrs]
+        merged = ricci._merge([*ricci._lhs_refs(pqrs), *ricci._rhs_refs(ic, sign=-1)])
+        assert merged == shared, pqrs
 
 
-def test_verification_rejects_a_corrupted_member_outside_the_basis(solved, monkeypatch):
-    kept = {ic.pqrs for ic in span_basis(solved.values())}
-    pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
+def test_verification_rejects_a_corrupted_non_catalogue_member(solved, monkeypatch):
+    # the last one, so that every other failure would be named first
+    pqrs = [p for p in ALL_COMBINATIONS if p not in CATALOGUE_BY_PQRS][-1]
     corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
-    # the wrong row leaves the span of the true identities, so it is kept
-    assert len(span_basis(corrupted.values())) == 18
     monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
-    monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
     assert check.id == "thm2:solve" and not check.passed
@@ -1023,14 +1010,12 @@ def test_members_with_the_same_residual_pieces_share_one_slot(monkeypatch):
 def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
     solved, monkeypatch
 ):
-    kept = {ic.pqrs for ic in span_basis(solved.values())}
-    pqrs = [p for p in ALL_COMBINATIONS if p not in kept][-1]
+    pqrs = [p for p in ALL_COMBINATIONS if p not in CATALOGUE_BY_PQRS][-1]
     corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 9)
-    members = span_basis(corrupted.values())
-    terms, rows = _packed_terms(monkeypatch, _check, members)
+    terms, rows = _packed_terms(monkeypatch, _check, list(corrupted.values()))
     assert [tag for tag, ok, _ in rows if not ok] == [str(pqrs)]
-    # 18 kept members, two distinct residuals: the true one and the corrupted
+    # 81 members, two distinct residuals: the true one and the corrupted
     ws = _workspace(20260809, "check:3:0", 3, 1)
     true = ws.residual_pieces(next(iter(solved.values())))
     bad = ws.residual_pieces(corrupted[pqrs])
@@ -1042,8 +1027,7 @@ def test_verification_packs_distinct_residuals_and_names_the_corrupted_member(
 def test_verification_failure_names_instance_member_entry_and_monomial(
     solved, monkeypatch
 ):
-    kept = {ic.pqrs for ic in span_basis(solved.values())}
-    pqrs = next(p for p in ALL_COMBINATIONS if p not in kept)
+    pqrs = next(p for p in ALL_COMBINATIONS if p not in CATALOGUE_BY_PQRS)
     corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
