@@ -319,6 +319,12 @@ class TensorField:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
+    def constant_part(self) -> "TensorField":
+        """Every entry cut to its constant term, its value at the origin."""
+        dim = self.dim
+        cut = [ScalarField(dim, {0: c} if (c := e._terms.get(0)) else {}) for e in self.entries]
+        return TensorField(dim, self.valence, cut)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorField):
             return NotImplemented
@@ -614,7 +620,7 @@ def _product_sums(dim: int, xs, ys, plan) -> list:
     return sums
 
 
-def contract(valence: tuple, *terms, entries: range | None = None):
+def contract(valence: tuple, *terms) -> TensorField:
     """Weighted sum of index contractions with ``numpy.einsum`` letters.
 
     Each term is ``(weight, spec, *tensors)``, for example
@@ -626,32 +632,16 @@ def contract(valence: tuple, *terms, entries: range | None = None):
     full.  Weights may be ints or Fractions.  A spec whose letters do not
     match its operands' ranks, an output letter that no operand carries, or
     operands of different dimensions raise ValueError.
-
-    Returns a TensorField.  With ``entries``, a range of flat (row-major)
-    output entries, only those entries are formed, and their ScalarFields
-    come back as a list in range order; the operands are read wherever the
-    terms index them.
     """
     dim = next((t.dim for _, _, *tensors in terms for t in tensors), None)
     if dim is None:
         raise ValueError("contract needs at least one operand")
     rank = valence[0] + valence[1]
     count = dim**rank
-    if entries is not None:
-        if entries.step != 1 or not 0 <= entries.start <= entries.stop <= count:
-            raise ValueError(f"{entries!r} is not a range of entries 0..{count - 1}")
-        window = slice(entries.start, entries.stop)
-        count = len(entries)
-
-    def plan(spec):
-        ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
-        if entries is not None:
-            bases = tuple(b[window] for b in bases)
-        return ranks, out_rank, bases, inner
 
     singles, products = [], []
     for weight, spec, *tensors in terms:
-        ranks, out_rank, bases, inner = plan(spec)
+        ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
         if out_rank != rank:
             raise ValueError(f"{spec!r}: output rank {out_rank} does not match valence {valence}")
         if len(tensors) != len(ranks):
@@ -670,7 +660,7 @@ def contract(valence: tuple, *terms, entries: range | None = None):
             i, j, pair_spec, pair_rank, spec = _pair_first(spec)
             pair = contract((0, pair_rank), (1, pair_spec, tensors[i], tensors[j]))
             tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [pair]
-            ranks, out_rank, bases, inner = plan(spec)
+            ranks, out_rank, bases, inner = _contraction_plan(spec, dim)
         if len(tensors) == 1:
             # the operand's entries gathered in output order, once per
             # assignment of the summed letters (a trace has several)
@@ -697,7 +687,7 @@ def contract(valence: tuple, *terms, entries: range | None = None):
         for weight, per_term in scaled:
             _add_terms(acc, per_term[e], weight)
         out.append(ScalarField(dim, _strip_zeros(acc)))
-    return out if entries is not None else TensorField(dim, valence, out)
+    return TensorField(dim, valence, out)
 
 
 def _product_plan(count: int, products):

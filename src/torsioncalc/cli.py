@@ -4,7 +4,9 @@ Subcommands run the package's verification sweeps from a JSON config and
 emit a deterministic JSON report: ``verify-derivatives``, ``verify-ricci``
 (with ``--scope catalogue|all|mixed``), ``rank-rho`` and ``cosmology``.
 Exit status is 0 exactly when no check failed, 1 when one did, and 2 for an
-unusable config, config file or report path, named in the message.  Every
+unusable config, config file or report path, named in the message.  A
+reader that closes stdout early (``| head``) cuts the printed output short
+and nothing else: no traceback, and the status is still the report's.  Every
 residual check is ``algebra.nonzero_sums``, the one exact zero test.  The
 four residual sweeps (derivative relations, the catalogue, the mixed family
 and the check instances of ``--scope all``) run one instance task,
@@ -664,13 +666,17 @@ def main(argv=None) -> int:
                 fh.write(rendered)
         except OSError as exc:
             return _output_error(config.output, exc.strerror or exc)
-    if args.json:
-        sys.stdout.write(rendered)
-    else:
-        for check in sorted(report.checks, key=lambda c: c.id):
-            print(f"{'PASS' if check.passed else 'FAIL'} {check.id}")
-        summary = report.to_json()["summary"]
-        print(f"pass={summary['pass']} fail={summary['fail']}")
+    try:
+        if args.json:
+            sys.stdout.write(rendered)
+        else:
+            for check in sorted(report.checks, key=lambda c: c.id):
+                print(f"{'PASS' if check.passed else 'FAIL'} {check.id}")
+            summary = report.to_json()["summary"]
+            print(f"pass={summary['pass']} fail={summary['fail']}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code()
 
 

@@ -47,10 +47,9 @@ tensor facts on fresh instances: the rank on the first, through
 81 members, which merge to that one rest and so form one tensor.
 
 The workspace forms and caches every tensor through one builder,
-:meth:`IdentityWorkspace._tensor`.  The basis rank alone forms its ten (1,3)
-column contractions one (i, j) block of dim**2 entries at a time, from the
-cached operands (a, tor, d_sym, dtor, q2 and q3), and a block only while the
-rank is short of 17; the first block has reached it on every seed tried.
+:meth:`IdentityWorkspace._tensor`.  The basis rank forms its ten column
+contractions whole only when their constant terms fall short of rank 17:
+always at dim 2, rarely at dim 3 (when tor vanishes at the origin, say).
 
 The residual checks go through ``algebra.nonzero_sums`` and the rank's
 equations through ``LinearSystem.add_coefficient_rows``, so this module
@@ -559,33 +558,37 @@ class IdentityWorkspace:
         exactly when it does.
 
         Basis term k is w_k times column k, so the weight-1 columns have the
-        same rank; their equations, one per (entry, monomial), go to a
-        :class:`LinearSystem` through
+        same rank; their equations, one per (entry, monomial), go to
         :meth:`~torsioncalc.algebra.LinearSystem.add_coefficient_rows`.  The
-        ten column contractions are formed one (i, j) block of dim**2
-        entries at a time, from the cached operands, when the block's first
-        entry is drawn, so no block after the one that reaches rank 17 is
-        formed.  A read with m and n swapped stays inside its block."""
+        constant-term rows go first: a product's constant term is the
+        product of its factors', so a column's are the same contraction
+        over its operands' (q2's and q3's over tor's; d_sym and dtor are
+        formed whole, then cut).  Only if they fall short of 17 are the ten
+        columns formed whole, through :meth:`_tensor`; the constant rows are
+        some of their rows, so the rank is theirs."""
         dim = self.a.dim
-        size = dim * dim
-        # the block position of entry (m, n) read as (n, m)
-        swapped = [n * dim + m for m in range(dim) for n in range(dim)]
-        keys = dict.fromkeys(key for _, key in _COLUMN_BY_READ)
+        # the flat position of entry (i, j, m, n) read as (i, j, n, m)
+        swapped = [e - e % dim**2 + e % dim * dim + e // dim % dim for e in range(dim**4)]
 
-        def entries():
-            for start in range(0, size * size, size):
-                block = {
-                    key: contract(
-                        (1, 3), (1, key[0], *map(self._tensor, key[1:])),
-                        entries=range(start, start + size),
-                    )
-                    for key in keys
-                }
-                for e, s in enumerate(swapped):
-                    yield [block[key][e if read == ID else s] for read, key in _COLUMN_BY_READ]
+        @cache  # not recursive: a self-referencing closure would hold self past the call
+        def constant_operand(name):
+            if name in _BLOCKS:
+                spec, *names = _BLOCKS[name]
+                parts = [self._tensor(n).constant_part() for n in names]
+                return contract((1, 3), (1, spec, *parts))
+            return self._tensor(name).constant_part()
+
+        def constant_column(key):
+            spec, *names = key
+            return contract((1, 3), (1, spec, *map(constant_operand, names)))
+
+        def rows(read):
+            columns = {key: read(key).entries for _, key in _COLUMN_BY_READ}
+            for e, s in enumerate(swapped):
+                yield [columns[key][e if r == ID else s] for r, key in _COLUMN_BY_READ]
 
         system = LinearSystem(17, nrhs=0)
-        system.add_coefficient_rows(entries())
+        system.add_coefficient_rows(itertools.chain(rows(constant_column), rows(self._tensor)))
         return system.rank
 
 

@@ -19,7 +19,8 @@ reference forms and generators that only the tests use.
   the identity family's right side, against ``IdentityWorkspace.rhs``.
 - ``feed_rows_full``: the basis rank's equations from the 17 basis columns
   built as whole tensors, against ``IdentityWorkspace.basis_rank``, which
-  forms them one (i, j) block at a time.
+  feeds the columns' constant terms first and forms whole columns only when
+  those fall short of rank 17.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
   Fraction weights, against ``ricci._mixed_refs``, which carries the same
   weights as int numerators over one denominator.
@@ -480,22 +481,19 @@ def rhs_expanded(ws, coeffs):
 
 
 def feed_rows_full(system, ws) -> int:
-    """The equations of ``IdentityWorkspace.basis_rank`` from whole tensors:
-    the 17 weight-1 basis columns as full (1,3) tensors of the workspace's
-    cached contractions, then per entry in row-major order one row per
-    monomial in packed-key order (the last exponent first), whole entries
-    until the rank is 17.  Returns the number of entries fed."""
+    """The basis rank from whole tensors, against
+    ``IdentityWorkspace.basis_rank``: the 17 weight-1 basis columns as full
+    (1,3) tensors of the workspace's cached contractions, then per entry in
+    row-major order one row per monomial, constant term included, whole
+    entries until the rank is 17.  Returns the rank reached."""
     tensors = [contract((1, 3), *ws._pieces([_column(k, 1)])) for k in range(1, 18)]
-    fed = 0
     for fields in zip(*(t.entries for t in tensors)):
         if system.rank == 17:
             break
         terms = [f.terms() for f in fields]
-        for monomial in sorted(set().union(*terms), key=lambda exps: exps[::-1]):
-            row = [t.get(monomial, 0) for t in terms]
-            system.add_row(row)
-        fed += 1
-    return fed
+        for monomial in set().union(*terms):
+            system.add_row([t.get(monomial, 0) for t in terms])
+    return system.rank
 
 
 # ---------------------------------------------------------------------------

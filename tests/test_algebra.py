@@ -73,6 +73,18 @@ def test_terms_round_trip():
     assert f.terms() == {(1, 0): Fraction(3, 2), (0, 2): -1}
 
 
+def test_constant_part_keeps_each_entrys_constant_term():
+    rng = derive_rng(2, "constant-part")
+    t = random_tensor_field(rng, 3, (1, 2), degree=2)
+    origin = (0, 0, 0)
+    expected = [
+        ScalarField.from_terms({origin: e.terms().get(origin, 0)}, 3) for e in t.entries
+    ]
+    part = t.constant_part()
+    assert part.valence == (1, 2) and part.entries == expected
+    assert any(e.is_zero() for e in expected) and not part.is_zero()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_product_exponent_overflow_is_named(dim):
     # exponents are packed 8 bits per coordinate; 200 + 100 would carry into
@@ -310,26 +322,6 @@ def test_contract_matches_reference(case, dim):
     result = contract(valence, *terms)
     assert result.valence == valence
     assert result == _reference_contract(valence, dim, terms)
-
-
-@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
-def test_contract_entries_are_the_full_results_entries(case):
-    dim = 3
-    rng = derive_rng(11, f"contract-entries:{case}")
-    valence, table = CONTRACT_CASES[case]
-    terms = [
-        (weight, spec, *(random_tensor_field(rng, dim, v, degree=1) for v in valences))
-        for weight, spec, valences in table
-    ]
-    full = contract(valence, *terms).entries
-    count = len(full)
-    ranges = ((0, count), (0, 1), (count - 1, count), (count // 3, count // 2), (count, count))
-    for start, stop in ranges:
-        part = contract(valence, *terms, entries=range(start, stop))
-        assert type(part) is list and part == full[start:stop], (start, stop)
-    for bad in (range(0, count + 1), range(-1, 2), range(0, count, 2)):
-        with pytest.raises(ValueError, match="is not a range of entries"):
-            contract(valence, *terms, entries=bad)
 
 
 def test_contract_rejects_mistyped_specs():

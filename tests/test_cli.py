@@ -375,7 +375,9 @@ def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, work
 
 def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch):
     # the coefficients come from the tables; only the check tasks draw, and
-    # each builds one workspace
+    # each builds one workspace.  Neither forms a whole basis column: the
+    # rank is certified on their constant terms, and every residual merges
+    # to a rest that reads no column
     labels, workspaces = [], []
     derive, init = sampling.derive_rng, IdentityWorkspace.__init__
 
@@ -384,7 +386,7 @@ def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch)
         return derive(seed, label)
 
     def built(self, a, L):
-        workspaces.append(a.dim)
+        workspaces.append(self)
         init(self, a, L)
 
     monkeypatch.setattr(sampling, "derive_rng", drawn)
@@ -394,7 +396,10 @@ def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch)
     monkeypatch.setenv(cli.WORKERS_ENV, "1")
     assert cli.cmd_verify_ricci(cli.RunConfig(seed=7, degree=1), "all").exit_code() == 0
     assert labels == ["check:3:0", "check:4:1"]
-    assert workspaces == [3, 4]
+    assert [ws.a.dim for ws in workspaces] == [3, 4]
+    columns = {key for _, key in ricci._COLUMN_BY_READ}
+    assert all(not columns & set(ws._cache) for ws in workspaces)
+    assert "dtor" in workspaces[0]._cache and "q2" not in workspaces[0]._cache
 
 
 def test_a_basis_rank_short_of_seventeen_fails_thm2_solve_on_the_first_instance(
@@ -599,6 +604,22 @@ def _in_a_fresh_interpreter(code: str) -> str:
         timeout=60,
     )
     return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["lines", "json"])
+def test_a_closed_stdout_ends_a_passing_run_quietly_with_its_status(tmp_path, flags):
+    # the reader is gone before the report is printed, as in
+    # ``torsioncalc verify-ricci --scope all | head -n 1`` once head exits
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    config = _config(tmp_path, degree=1)
+    argv = ["verify-ricci", "--scope", "all", "--config", config, *flags]
+    with subprocess.Popen(
+        [sys.executable, "-m", "torsioncalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def _loaded_by_importing_the_cli(argv=()) -> set:

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsioncalc import algebra, cli, ricci
-from torsioncalc.algebra import ScalarField, contract, matrix_rank, nonzero_sums
+from torsioncalc.algebra import ScalarField, TensorField, contract, matrix_rank, nonzero_sums
 from torsioncalc.connection import (
     KIND_BY_NUMBER,
+    ConnectionField,
     DerivKind,
     covariant_derivative,
     derivative_relations,
@@ -520,60 +521,50 @@ def test_an_offset_outside_minus_one_to_one_is_refused(monkeypatch):
         solve_all_identities()
 
 
-class _RecordingSystem(algebra.LinearSystem):
-    """A LinearSystem that records each row it is fed."""
+def _origin_symmetric(L) -> ConnectionField:
+    """L with the constant part of every L^i_{jk} made symmetric in j, k,
+    so that tor vanishes at the origin; L is even, so the halves are ints."""
+    origin = (0,) * L.dim
 
-    def __init__(self, ncols, nrhs):
-        super().__init__(ncols, nrhs)
-        self.fed = []
+    def entry(i, j, k):
+        terms = L.coeffs.get(i, j, k).terms()
+        swapped = L.coeffs.get(i, k, j).terms().get(origin, 0)
+        terms[origin] = (terms.get(origin, 0) + swapped) // 2
+        return ScalarField.from_terms(terms, L.dim)
 
-    def add_row(self, coeffs, rhs=()):
-        self.fed.append(list(coeffs))
-        return super().add_row(coeffs, rhs)
+    return ConnectionField(TensorField.build(L.dim, (1, 2), entry))
 
 
-@pytest.mark.parametrize("dim, degree", [(3, 1), (3, 2), (4, 1), (2, 1)])
-def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(monkeypatch, dim, degree):
+@pytest.mark.parametrize(
+    "dim, degree, symmetric_origin",
+    [(3, 1, False), (3, 2, False), (4, 1, False), (2, 1, False), (3, 1, True), (3, 2, True)],
+    ids=["3-1", "3-2", "4-1", "2-1", "3-1-symmetric-origin", "3-2-symmetric-origin"],
+)
+def test_block_feed_adds_the_full_feed_rows_and_forms_no_later_block(
+    dim, degree, symmetric_origin
+):
+    """basis_rank reaches the rank of the full feed (every row of the whole
+    basis tensors) and forms no later block: the ten whole columns are
+    formed only where the constant rows fall short of rank 17."""
     from oracles import feed_rows_full
 
     label = f"check:{dim}:0"
-    systems, formed, real = [], [], ricci.contract
+    L, a = make_instance(20260809, label, dim, degree)
+    if symmetric_origin:
+        L = _origin_symmetric(L)
+        assert L.torsion_half().constant_part().is_zero()
+    ws = IdentityWorkspace(a, L)
+    rank = ws.basis_rank()
+    reference = algebra.LinearSystem(17, 0)
+    feed_rows_full(reference, IdentityWorkspace(a, L))
+    assert rank == reference.rank == (15 if dim == 2 else 17)
 
-    def recording_contract(valence, *terms, entries=None):
-        # whole tensors go through contract too; only ranges count here
-        if entries is not None:
-            (_, spec, *operands), = terms
-            formed.append((spec, *map(id, operands), entries.start, entries.stop))
-        return real(valence, *terms, entries=entries)
-
-    def recording_system(ncols, nrhs):
-        systems.append(_RecordingSystem(ncols, nrhs))
-        return systems[-1]
-
-    monkeypatch.setattr(ricci, "contract", recording_contract)
-    monkeypatch.setattr(ricci, "LinearSystem", recording_system)
-    rank = _workspace(20260809, label, dim, degree).basis_rank()
-    monkeypatch.undo()
-    (system,) = systems
-    reference = _RecordingSystem(17, 0)
-    entries = feed_rows_full(reference, _workspace(20260809, label, dim, degree))
-
-    assert rank == system.rank
-    assert system.fed == reference.fed
-    assert system._pivot_rows == reference._pivot_rows
-    # the blocks up to the one holding the last entry fed, each formed once
-    # for each of the 10 column contractions read
-    size = dim * dim
-    blocks = -(-entries // size)
-    assert sorted({(start, stop) for *_, start, stop in formed}) == [
-        (start, start + size) for start in range(0, blocks * size, size)
-    ]
-    assert len(formed) == len(set(formed)) == 10 * blocks
-    if dim == 2:
-        # rank 15 in dim 2: every block is walked
-        assert rank == 15 and blocks == dim**2
-    else:
-        assert rank == 17 and blocks == 1
+    # the ten column contractions, formed whole only when the constant rows
+    # fall short: at dim 2 (rank 15), and where tor vanishes at the origin
+    columns = {key for _, key in ricci._COLUMN_BY_READ}
+    assert len(columns) == 10
+    shortfall = dim == 2 or symmetric_origin
+    assert columns & set(ws._cache) == (columns if shortfall else set())
 
 
 # ---------------------------------------------------------------------------
