@@ -18,14 +18,8 @@ checks the residual of every one of them on each check instance; its first
 check instance also certifies the basis rank they rest on.  The span rank
 ``cor2`` is the rank of the 81 members' ``ricci.identity_row``s.
 
-Set TORSIONCALC_WORKERS to parallelise instance sweeps, ``--scope all``'s
-check instances included (at most one worker per CPU the process may run
-on).  The instances are split into one
-contiguous chunk per worker: the process forks a child for every chunk but
-the first, runs the first itself, then collects and reaps the children in
-chunk order.  Results are thus
-reduced in item order, and the report bytes do not depend on the worker
-count.  One worker, or a platform without ``os.fork``, runs serially.
+Sweeps run their instance tasks serially, in instance order, and
+``--scope all`` stops at its first failing check instance.
 
 Modules are imported per subcommand, because each spawn compiles the source
 it imports (there may be no bytecode cache): a ``cosmology`` run never
@@ -54,7 +48,6 @@ import argparse
 import errno
 import importlib
 import json
-import marshal
 import os
 import sys
 import time
@@ -106,6 +99,8 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# ``perfbench`` sets this variable and ``tests/test_bench_hooks.py`` pins its
+# name; the CLI does not read it.
 WORKERS_ENV = "TORSIONCALC_WORKERS"
 
 
@@ -243,95 +238,8 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def worker_count() -> int:
-    """Worker count from TORSIONCALC_WORKERS (default 1), capped at the CPUs
-    this process may run on: its affinity mask, or the CPU count on a
-    platform without one.  A non-integer or a value below 1 is a
-    ConfigError."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV}: expected a positive integer, got {raw!r}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(workers, cpus)
-
-
-def _parallel_map(fn, items):
-    """``[fn(item) for item in items]``, the items split into one contiguous
-    chunk per worker (sizes differ by at most one).  Chunks 1.. run in forked
-    children, each writing its results (marshal data: the tasks return core
-    types) or its exception (a pickle) to its own pipe; the parent runs chunk
-    0, then reads and reaps the children in chunk order.  The first failing
-    chunk's exception is raised; a child that dies without a result is a
-    RuntimeError.  On any error the children left are killed and reaped.
-    One worker, or no ``os.fork``, runs serially.
-    """
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    size, extra = divmod(len(items), workers)
-    cut = [k * size + min(k, extra) for k in range(workers + 1)]
-    live = {}  # pid -> read end of its pipe, in chunk order, until reaped
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_chunk(fn, items[cut[k] : cut[k + 1]], w)
-            os.close(w)
-            live[pid] = open(r, "rb")
-        results = [fn(item) for item in items[: cut[1]]]
-        for k, pid in enumerate(list(live), 1):
-            with live[pid] as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del live[pid]
-            if status or not data:
-                raise RuntimeError(f"worker of chunk {k} exited with wait status {status}")
-            if data[:1] == b"e":
-                import pickle  # only a failing chunk pays for this import
-
-                raise pickle.loads(data[1:])
-            results += marshal.loads(data[1:])
-        return results
-    finally:
-        if live:  # left by an error
-            import signal
-
-            for pid, fh in live.items():
-                fh.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _run_chunk(fn, chunk, fd):
-    """A forked child's side of :func:`_parallel_map`: it always leaves
-    through ``os._exit``, so it never returns into the caller's stack, runs
-    no atexit handlers and flushes no inherited buffers."""
-    status = 1
-    try:
-        try:
-            data = b"r" + marshal.dumps([fn(item) for item in chunk])
-        except Exception as exc:
-            import pickle
-
-            data = b"e" + pickle.dumps(exc)
-        with open(fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 # ---------------------------------------------------------------------------
-# instance tasks (their results cross process boundaries as marshal data)
+# instance tasks
 # ---------------------------------------------------------------------------
 
 
@@ -424,7 +332,7 @@ def _and_reduce(results):
 def _sweep(config: RunConfig, sweep: str, count: int):
     """The per-tag verdicts of a sweep over instances 0..count-1."""
     tasks = [(sweep, config.seed, config.dimension, config.degree, i) for i in range(count)]
-    return _and_reduce(_parallel_map(_sweep_task, tasks))
+    return _and_reduce(map(_sweep_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +371,13 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
             report.add(value_check("thm2:solve", "solved", f"error: {exc}"))
             return report
         members = list(solutions.values())
-        checks = [
-            ("check", config.seed, dim, config.degree, t, members, t == 0)
-            for t, dim in enumerate(INSTANCE_DIMS)
-        ]
-        try:
-            results = _parallel_map(_sweep_task, checks)
-        except IdentityAmbiguityError as exc:
-            dim = INSTANCE_DIMS[0]
-            detail = {"seed": config.seed, "label": f"check:{dim}:0", "dim": dim}
-            report.add(value_check("thm2:solve", "solved", f"error: {exc}", detail=detail))
-            return report
-        for rows in results:
+        for t, dim in enumerate(INSTANCE_DIMS):
+            try:
+                rows = _sweep_task(("check", config.seed, dim, config.degree, t, members, t == 0))
+            except IdentityAmbiguityError as exc:
+                detail = {"seed": config.seed, "label": f"check:{dim}:{t}", "dim": dim}
+                report.add(value_check("thm2:solve", "solved", f"error: {exc}", detail=detail))
+                return report
             for pqrs, ok, detail in rows:
                 if not ok:
                     actual = f"error: {pqrs}: nonzero residual on a fresh instance"
@@ -631,7 +534,6 @@ def _output_error(path, reason) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        worker_count()  # reject a bad TORSIONCALC_WORKERS before any work
         config = load_config(args.config)
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:

@@ -276,7 +276,6 @@ def _specs_the_package_plans(tmp_path, monkeypatch):
         return plan(spec, dim)
 
     monkeypatch.setattr(algebra, "_contraction_plan", recording)
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")  # no fork: a child's specs would be lost
     cosmology = {
         "s1": ["1", "1"], "s2": ["1"], "s3": ["2", "1"], "s4": ["1"], "n": ["0", "1"],
         "vprime_minus_w": "1/3", "panels": 10,

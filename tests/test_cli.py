@@ -2,17 +2,15 @@ import importlib
 import itertools
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
 import pytest
 
 from torsioncalc import cli, connection, cosmology, ricci, sampling
 from torsioncalc.algebra import LinearSystem, ScalarField
-from torsioncalc.cli import ConfigError, main, worker_count
+from torsioncalc.cli import main
 from torsioncalc.connection import DerivKind, covariant_derivative
 from torsioncalc.curvature import curvature_R
 from torsioncalc.ricci import (
@@ -29,12 +27,6 @@ def _config(tmp_path, name="config.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields))
     return str(path)
-
-
-def _see_cpus(monkeypatch, n):
-    """Make the CLI see n CPUs, in its affinity mask and in the CPU count."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: n)
 
 
 def test_cosmology_degenerate_window_fails_eq60(tmp_path, capsys):
@@ -226,19 +218,22 @@ def test_unwritable_report_path_exits_two_naming_the_path(
         assert not out.parent.exists()  # nothing was created on the way
 
 
-def test_mixed_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    # 8 instances make 2 tasks, so 2 workers fork one child
+def test_the_workers_variable_is_inert(tmp_path, monkeypatch):
+    # sweeps run in one process: no value of the variable changes the report
+    # or is refused, not even one that is not a number
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
-    _see_cpus(monkeypatch, 2)
     rendered = {}
-    for workers in (1, 2):
-        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-        out = tmp_path / f"mixed-{workers}.json"
+    for raw in (None, "2", "many"):
+        if raw is None:
+            monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.WORKERS_ENV, raw)
+        out = tmp_path / f"mixed-{raw}.json"
         code = main(["verify-ricci", "--scope", "mixed", "--config", config, "--out", str(out)])
         assert code == 0
-        rendered[workers] = out.read_bytes()
-    assert rendered[1] == rendered[2]
-    assert len(json.loads(rendered[1])["checks"]) == 17
+        rendered[raw] = out.read_bytes()
+    assert rendered[None] == rendered["2"] == rendered["many"]
+    assert len(json.loads(rendered[None])["checks"]) == 17
 
 
 def test_elapsed_ms_only_with_timings(tmp_path, capsys):
@@ -250,41 +245,6 @@ def test_elapsed_ms_only_with_timings(tmp_path, capsys):
     assert main(argv + ["--timings"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert any(c["elapsed_ms"] is not None for c in checks)
-
-
-def test_worker_count_caps_at_cpu_count(monkeypatch):
-    # the cap on a platform with no affinity mask
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    assert worker_count() == 1
-    for raw, expected in (("1", 1), ("2", 2), ("64", 2), ("1000000", 2)):
-        monkeypatch.setenv(cli.WORKERS_ENV, raw)
-        assert worker_count() == expected, raw
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert worker_count() == 1
-
-
-def test_worker_count_caps_at_the_cpus_this_process_may_run_on(monkeypatch):
-    # a one-CPU affinity mask on an 8-CPU machine allows one worker
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setenv(cli.WORKERS_ENV, "4")
-    assert worker_count() == 1
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])
-def test_worker_count_rejects_invalid_values(monkeypatch, raw):
-    monkeypatch.setenv(cli.WORKERS_ENV, raw)
-    with pytest.raises(ConfigError, match=cli.WORKERS_ENV):
-        worker_count()
-
-
-def test_invalid_workers_exit_two(monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    assert main(["rank-rho"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: TORSIONCALC_WORKERS")
 
 
 @pytest.mark.parametrize("error", [IdentityUnsolvableError])
@@ -344,7 +304,6 @@ def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_identity_rows(
     monkeypatch.setattr(LinearSystem, "solve", counted)
     monkeypatch.setattr(LinearSystem, "__init__", recorded)
     monkeypatch.setattr(cli, "matrix_rank", recorded_rank)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert main(["verify-ricci", "--scope", "all", "--config", _config(tmp_path, degree=1)]) == 0
     # the basis rank on the first check instance, then the span rank of the
     # 81 members' identity rows; neither has a right side
@@ -355,22 +314,16 @@ def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_identity_rows(
     assert "PASS cor2:span-rank" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch, workers):
+def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch):
     # one task per dim of INSTANCE_DIMS, each carrying all 81 solved members;
     # the first also asks for the basis rank certificate
     tasks, real = [], cli._sweep_task
     monkeypatch.setattr(cli, "_sweep_task", lambda args: tasks.append(args) or real(args))
-    _see_cpus(monkeypatch, 2)
-    monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
     config = cli.RunConfig(seed=7, degree=1)
     assert cli.cmd_verify_ricci(config, "all").exit_code() == 0
-    expected = [("check", 7, 3, 1, 0), ("check", 7, 4, 1, 1)]
-    if workers == 2:
-        expected = expected[:1]  # the dim-4 task runs in a forked child, unseen here
-    assert [task[:5] for task in tasks] == expected
+    assert [task[:5] for task in tasks] == [("check", 7, 3, 1, 0), ("check", 7, 4, 1, 1)]
     assert all([ic.pqrs for ic in task[5]] == list(ricci.ALL_COMBINATIONS) for task in tasks)
-    assert [task[6] for task in tasks] == [True, False][: len(tasks)]
+    assert [task[6] for task in tasks] == [True, False]
 
 
 def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch):
@@ -393,7 +346,6 @@ def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch)
     monkeypatch.setattr(IdentityWorkspace, "__init__", built)
     ricci.solve_all_identities()
     assert labels == workspaces == []
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
     assert cli.cmd_verify_ricci(cli.RunConfig(seed=7, degree=1), "all").exit_code() == 0
     assert labels == ["check:3:0", "check:4:1"]
     assert [ws.a.dim for ws in workspaces] == [3, 4]
@@ -408,18 +360,12 @@ def test_a_basis_rank_short_of_seventeen_fails_thm2_solve_on_the_first_instance(
     # in dim 2 the 17 basis tensors have rank 15, so a dim-2 first instance
     # cannot certify the coefficients
     monkeypatch.setattr(cli, "INSTANCE_DIMS", (2, 3))
-    _see_cpus(monkeypatch, 2)
     config = _config(tmp_path, degree=1)
-    rendered = {}
-    for workers in (1, 2):
-        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-        argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        rendered[workers] = captured.out
-        assert captured.err == ""
-    assert rendered[1] == rendered[2]
-    (check,) = json.loads(rendered[1])["checks"]
+    argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (check,) = json.loads(captured.out)["checks"]
     assert check["id"] == "thm2:solve" and not check["pass"]
     assert check["actual"] == "error: basis rank 15 < 17"
     assert check["detail"] == {"seed": 7, "label": "check:2:0", "dim": 2}
@@ -431,19 +377,18 @@ def test_a_negated_curvature_fails_thm2_solve_naming_the_check_instance(
     # a sign slip in R leaves the basis rank and the table offsets as they
     # are; only the shared rest, SSa - SSa^(m<->n) - rcomm, stops vanishing
     monkeypatch.setattr(ricci, "curvature_R", lambda Lsym: -curvature_R(Lsym))
-    _see_cpus(monkeypatch, 2)
+    labels, derive = [], sampling.derive_rng
+    monkeypatch.setattr(
+        sampling, "derive_rng", lambda seed, label: labels.append(label) or derive(seed, label)
+    )
     config = _config(tmp_path, degree=1)
-    rendered = {}
-    for workers in (1, 2):
-        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-        argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
-        assert main(argv) == 1
-        rendered[workers] = capsys.readouterr().out
-    assert rendered[1] == rendered[2]
-    (check,) = json.loads(rendered[1])["checks"]
+    argv = ["verify-ricci", "--scope", "all", "--config", config, "--seed", "7", "--json"]
+    assert main(argv) == 1
+    # the dim-3 instance fails, so the dim-4 one is never drawn
+    assert labels == ["check:3:0"]
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["id"] == "thm2:solve" and not check["pass"]
-    # every member fails alike and (1, 1, 1, 1) comes first; the dim-3
-    # instance fails first
+    # every member fails alike and (1, 1, 1, 1) comes first
     assert check["actual"] == "error: (1, 1, 1, 1): nonzero residual on a fresh instance"
     _, ws = _sampled(7, "check:3:0", 3, 1)
     entry, monomial = _first_term(ws.residual(ricci.CATALOGUE_BY_PQRS[1, 1, 1, 1]))
@@ -485,7 +430,6 @@ def _sampled(seed, label, dim, degree):
 def test_failing_catalogue_check_names_instance_entry_and_monomial(monkeypatch):
     broken = _broken_catalogue(3)
     monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=5)
     checks = {c.id: c for c in cli.cmd_verify_ricci(config, "catalogue").checks}
     bad = checks.pop(f"eq:{broken[3].tag}")
@@ -498,27 +442,9 @@ def test_failing_catalogue_check_names_instance_entry_and_monomial(monkeypatch):
     assert all(c.passed and c.detail is None for c in checks.values())
 
 
-def test_failing_catalogue_check_at_two_workers_names_the_parents_instance(monkeypatch):
-    # both instances fail; the first one runs in the parent's own chunk
-    broken = _broken_catalogue(3)
-    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
-    _see_cpus(monkeypatch, 2)
-    config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=5)
-    for idx in range(2):
-        assert not _sampled(5, f"ricci:2:{idx}", 2, 1)[1].residual(broken[3]).is_zero()
-    details = {}
-    for workers in (1, 2):
-        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-        checks = {c.id: c for c in cli.cmd_verify_ricci(config, "catalogue").checks}
-        details[workers] = checks[f"eq:{broken[3].tag}"].detail
-    assert details[2]["label"] == "ricci:2:0"
-    assert details[2] == details[1]
-
-
 def test_failing_mixed_check_names_its_weighting(monkeypatch):
     broken = _broken_catalogue(16)
     monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     config = cli.RunConfig(dimension=2, degree=1, instances=4, seed=6)
     checks = {c.id: c for c in cli.cmd_verify_ricci(config, "mixed").checks}
     bad = checks.pop(f"eq:29:{broken[16].tag}")
@@ -547,7 +473,6 @@ def test_a_mixed_check_names_its_first_failing_weighting(monkeypatch):
         return failing
 
     monkeypatch.setattr(cli, "nonzero_sums", first_weighting_passes)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     config = cli.RunConfig(dimension=2, degree=1, instances=4, seed=6)
     checks = {c.id: c for c in cli.cmd_verify_ricci(config, "mixed").checks}
     detail = checks[f"eq:29:{broken[16].tag}"].detail
@@ -561,7 +486,6 @@ def test_failing_derivative_relation_names_instance_entry_and_monomial(monkeypat
     assert tag == "eq:8"
     relations[0] = (tag, lhs, ((1, k1), second))
     monkeypatch.setattr(connection, "DERIVATIVE_RELATIONS", tuple(relations))
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     config = cli.RunConfig(dimension=2, degree=1, instances=2, seed=8)
     checks = {c.id: c for c in cli.cmd_verify_derivatives(config).checks}
     bad = checks.pop("eq:8")
@@ -592,13 +516,10 @@ def test_and_reduce_keeps_the_first_failing_instance():
 
 def _in_a_fresh_interpreter(code: str) -> str:
     """The last line printed by ``code``, run in a fresh interpreter that has
-    imported the CLI as ``cli`` and sees 2 CPUs, at 2 workers."""
+    imported the CLI as ``cli``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src, cli.WORKERS_ENV: "2"}
-    code = (
-        "import os, sys, torsioncalc.cli as cli\n"
-        f"os.cpu_count = lambda: 2\nos.sched_getaffinity = lambda pid: {{0, 1}}\n{code}"
-    )
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"import sys, torsioncalc.cli as cli\n{code}"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
@@ -624,14 +545,14 @@ def test_a_closed_stdout_ends_a_passing_run_quietly_with_its_status(tmp_path, fl
 
 def _loaded_by_importing_the_cli(argv=()) -> set:
     """The names in sys.modules of a fresh interpreter after it imports the
-    CLI and, given ``argv``, runs it at 2 workers."""
+    CLI and, given ``argv``, runs it."""
     run = f"if cli.main({list(argv)!r}): sys.exit(3)\n" if argv else ""
     return set(_in_a_fresh_interpreter(f"{run}print(*sys.modules)").split())
 
 
 def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
-    # the instance fan-out forks by itself: nothing loads multiprocessing,
-    # not even a 2-worker run whose 2 tasks take the fork path
+    # sweeps run their instance tasks in one process: nothing loads
+    # multiprocessing, not even a run of two instance tasks
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
     argv = ["verify-ricci", "--scope", "mixed", "--config", config]
     assert "multiprocessing" not in _loaded_by_importing_the_cli(argv)
@@ -750,98 +671,6 @@ def test_an_instance_task_runs_with_no_subcommand_before_it(sweep):
 
 
 # ---------------------------------------------------------------------------
-# the fork map behind TORSIONCALC_WORKERS
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def deadline():
-    """Fail a fork-map test that hangs after 20 s instead of stalling the
-    suite (alarms are not inherited by forked children)."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the fork map did not finish within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    _see_cpus(monkeypatch, 3)
-    return lambda workers: monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-
-
-def _item_and_pid(item):
-    return item, os.getpid()
-
-
-@pytest.mark.parametrize("workers, sizes", [(2, [4, 3]), (3, [3, 2, 2])])
-def test_parallel_map_gives_the_serial_result_with_chunk_zero_in_the_parent(
-    deadline, three_cpus, workers, sizes
-):
-    three_cpus(workers)
-    results = cli._parallel_map(_item_and_pid, range(7))
-    assert [item for item, _ in results] == list(range(7))
-    pids = [pid for _, pid in results]
-    assert pids[0] == os.getpid()
-    assert len(set(pids)) == workers
-    assert [len(list(run)) for _, run in itertools.groupby(pids)] == sizes
-
-
-def test_parallel_map_raises_the_exception_of_a_childs_chunk(deadline, three_cpus):
-    three_cpus(2)
-    parent = os.getpid()
-
-    def fn(item):
-        if os.getpid() != parent:
-            raise ValueError(f"item {item} is bad")
-        return item
-
-    with pytest.raises(ValueError, match="^item 4 is bad$"):
-        cli._parallel_map(fn, range(7))
-
-
-def test_parallel_map_names_a_child_result_that_marshal_cannot_carry(deadline, three_cpus):
-    # results travel as marshal data, so the tasks return core types only
-    three_cpus(2)
-    with pytest.raises(ValueError, match="unmarshallable object"):
-        cli._parallel_map(Fraction, range(1, 8))
-
-
-def test_parallel_map_names_a_child_killed_without_a_result(deadline, three_cpus):
-    three_cpus(3)
-    parent = os.getpid()
-
-    def fn(item):
-        if item == 5 and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return item
-
-    with pytest.raises(RuntimeError, match=r"chunk 2 exited with wait status 9$"):
-        cli._parallel_map(fn, range(7))
-
-
-def test_parallel_map_reaps_every_child_when_the_parents_chunk_raises(deadline, three_cpus):
-    three_cpus(3)
-    parent = os.getpid()
-
-    def fn(item):
-        if os.getpid() == parent:
-            raise ZeroDivisionError("parent chunk")
-        time.sleep(60)  # killed, not waited for: the deadline is 20 s
-        return item
-
-    with pytest.raises(ZeroDivisionError, match="parent chunk"):
-        cli._parallel_map(fn, range(7))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# ---------------------------------------------------------------------------
 # report bytes against committed golden reports
 # ---------------------------------------------------------------------------
 
@@ -895,22 +724,22 @@ GOLDEN_EXIT = {"cosmology-degenerate": 1}
 
 
 @pytest.mark.parametrize(
-    "stem, seed, workers",
+    "stem, seed",
     [
-        *((stem, 7, 1) for stem in GOLDEN),
-        # 2 instances or tasks each: the second runs in a forked child
-        *((stem, 7, 2) for stem in ("mixed", "catalogue-d2", "derivatives", "all")),
-        # the seed is only echoed by cosmology and rank-rho, so one seed covers
-        # them; catalogue-d4 and mixed-d3 pin one size each at one seed
-        *((stem, 99, 1) for stem in GOLDEN
-          if stem not in ("all", "rank-rho", "catalogue-d4", "mixed-d3")
-          and not stem.startswith("cosmology")),
+        # each id keeps its old "-1" suffix, so the test names stay stable
+        pytest.param(stem, seed, id=f"{stem}-{seed}-1")
+        for stem, seed in [
+            *((stem, 7) for stem in GOLDEN),
+            # the seed is only echoed by cosmology and rank-rho, so one seed
+            # covers them; catalogue-d4 and mixed-d3 pin one size each at one seed
+            *((stem, 99) for stem in GOLDEN
+              if stem not in ("all", "rank-rho", "catalogue-d4", "mixed-d3")
+              and not stem.startswith("cosmology")),
+        ]
     ],
 )
-def test_report_bytes_match_golden(tmp_path, monkeypatch, capsys, stem, seed, workers):
+def test_report_bytes_match_golden(tmp_path, capsys, stem, seed):
     argv, fields = GOLDEN[stem]
-    _see_cpus(monkeypatch, 2)
-    monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
     config = _config(tmp_path, **fields)
     code = main([*argv, "--config", config, "--seed", str(seed), "--json"])
     assert code == GOLDEN_EXIT.get(stem, 0)

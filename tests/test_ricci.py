@@ -443,7 +443,6 @@ def test_verification_rejects_a_corrupted_non_catalogue_member(solved, monkeypat
     corrupted = dict(solved)
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
     assert check.id == "thm2:solve" and not check.passed
     assert check.actual == f"error: {pqrs}: nonzero residual on a fresh instance"
@@ -948,7 +947,6 @@ def test_mixed_task_weights_stay_integers(monkeypatch):
     monkeypatch.setattr(ricci, "contract", contract_spy)
     monkeypatch.setattr(algebra, "contract", contract_spy)
     monkeypatch.setattr(IdentityWorkspace, "mixed_residual_pieces", pieces_spy)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     results = cli._sweep_task(("mixed", 7, 2, 1, 0))
     assert all(ok for _, ok, _ in results)
     assert len(piece_weights) > 17 * 5
@@ -1023,7 +1021,6 @@ def test_verification_failure_names_instance_member_entry_and_monomial(
     corrupted[pqrs] = flipped(corrupted[pqrs], 5)
     monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
     monkeypatch.setattr(cli, "INSTANCE_DIMS", (3,))
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
     ws = _workspace(20260809, "check:3:0", 3, 1)
     entry, terms = _first_term(ws.residual(corrupted[pqrs]))
