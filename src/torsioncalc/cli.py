@@ -9,24 +9,22 @@ reader that closes stdout early (``| head``) cuts the printed output short
 and nothing else: no traceback, and the status is still the report's.  Every
 residual check is ``algebra.nonzero_sums``, the one exact zero test.  The
 four residual sweeps (derivative relations, the catalogue, the mixed family
-and the check instances of ``--scope all``) run one instance task,
-``_sweep_task``: it draws the instance with ``sampling.sample_instance``,
-hands it to the sweep's members function in ``_SWEEPS`` and turns each
-failing slot into the detail that reruns it.  ``--scope all`` reads the 81
-coefficient vectors off the tables (``ricci.solve_all_identities``) and
-checks the residual of every one of them on each check instance; its first
+and the check instances of ``--scope all``) are one loop, ``_sweep``: for
+each (dim, index) instance in turn it draws the instance with
+``sampling.sample_instance``, hands it to the sweep's members function in
+``_SWEEPS`` and keeps each tag's first failing slot, with the detail that
+reruns it.  ``--scope all`` reads the 81 coefficient vectors off the tables
+(``ricci.solve_all_identities``) and checks the residual of every one of
+them on each check instance, stopping at the first that fails; its first
 check instance also certifies the basis rank they rest on.  The span rank
 ``cor2`` is the rank of the 81 members' ``ricci.identity_row``s.
-
-Sweeps run their instance tasks serially, in instance order, and
-``--scope all`` stops at its first failing check instance.
 
 Modules are imported per subcommand, because each spawn compiles the source
 it imports (there may be no bytecode cache): a ``cosmology`` run never
 compiles ``ricci``.  ``algebra`` and ``report``, which every subcommand uses,
 are imported at the top; the names read from the other modules are listed in
-``_NAMES`` and bound by ``_need``, which each subcommand, the instance task
-and the cosmology config parser call first.
+``_NAMES`` and bound by ``_need``, which each subcommand and the cosmology
+config parser call first.
 """
 
 from __future__ import annotations
@@ -239,7 +237,7 @@ def load_config(path: str | None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# instance tasks
+# sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -285,54 +283,36 @@ def _solved_members(rng, a, L, members, certify):
     return [(str(ic.pqrs), {}) for ic in members], ws.nonzero_residuals(members)
 
 
-# sweep -> (the modules its members function reads, that function).  A
-# members function maps an instance (rng, a, L), followed by the task's items
-# after the instance index, to its slots, (tag, extra failure detail) each,
+# sweep -> its members function, which maps an instance (rng, a, L), followed
+# by the sweep's given items, to its slots, (tag, extra failure detail) each,
 # and the nonzero_sums failures {slot: (entry, monomial)}.  The sweep name is
 # the prefix of its instance labels.
 _SWEEPS = {
-    "deriv": (("connection",), _relations_members),
-    "ricci": (("ricci",), _catalogue_members),
-    "mixed": (("ricci",), _mixed_members),
-    "check": (("ricci",), _solved_members),
+    "deriv": _relations_members,
+    "ricci": _catalogue_members,
+    "mixed": _mixed_members,
+    "check": _solved_members,
 }
 
 
-def _sweep_task(args):
-    """(tag, ok, detail) per slot of one instance of a sweep; a failing
-    slot's detail names enough to rerun that instance."""
-    sweep, seed, dim, degree, idx, *given = args
-    modules, members = _SWEEPS[sweep]
-    _need("sampling", *modules)
-    label = f"{sweep}:{dim}:{idx}"
-    slots, failing = members(*sample_instance(seed, label, dim, degree), *given)
-    return [
-        (tag, k not in failing, {
-            "seed": seed, "label": label, "dim": dim, **extra,
-            "entry": list(failing[k][0]), "monomial": repr(failing[k][1]),
-        } if k in failing else None)
-        for k, (tag, extra) in enumerate(slots)
-    ]
-
-
-def _and_reduce(results):
-    """AND per-tag across instance task outputs, preserving tag order.
-
-    Each task output lists (tag, ok, detail); a tag keeps the detail of its
-    first failing row, in task order (for mixed, the first failing
-    weighting of the first failing instance)."""
-    agg = {}
-    for task_result in results:
-        for tag, ok, detail in task_result:
-            if agg.get(tag, (True,))[0]:
-                agg[tag] = (ok, detail)
-    return [(tag, ok, detail) for tag, (ok, detail) in agg.items()]
-
-
-def _sweep(config: RunConfig, sweep: str, count: int):
-    """The per-tag verdicts of a sweep over instances 0..count-1."""
-    tasks = [(sweep, config.seed, config.dimension, config.degree, i) for i in range(count)]
-    return _and_reduce(map(_sweep_task, tasks))
+def _sweep(config: RunConfig, sweep: str, instances, *given):
+    """(tag, ok, detail) per tag of a sweep over its (dim, index) instances,
+    in first-seen tag order.  A tag keeps the detail of its first failing
+    slot, in instance order (for mixed, the first failing weighting of the
+    first failing instance); the detail names enough to rerun that instance."""
+    verdicts = {}
+    for dim, idx in instances:
+        label = f"{sweep}:{dim}:{idx}"
+        rng, a, L = sample_instance(config.seed, label, dim, config.degree)
+        slots, failing = _SWEEPS[sweep](rng, a, L, *given)
+        for k, (tag, extra) in enumerate(slots):
+            if verdicts.setdefault(tag, (True, None))[0] and k in failing:
+                entry, monomial = failing[k]
+                verdicts[tag] = (False, {
+                    "seed": config.seed, "label": label, "dim": dim, **extra,
+                    "entry": list(entry), "monomial": repr(monomial),
+                })
+    return [(tag, ok, detail) for tag, (ok, detail) in verdicts.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +324,7 @@ def cmd_verify_derivatives(config: RunConfig) -> Report:
     _need("connection", "sampling")
     report = Report("verify-derivatives", config.echo())
     t0 = time.perf_counter()
-    merged = _sweep(config, "deriv", config.instances)
+    merged = _sweep(config, "deriv", [(config.dimension, i) for i in range(config.instances)])
     elapsed = (time.perf_counter() - t0) * 1000 / max(1, len(merged))
     for tag, ok, detail in merged:
         report.add(residual_check(tag, ok, config.instances, elapsed_ms=elapsed, detail=detail))
@@ -362,7 +342,8 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         echo = {key: echo[key] for key in ("seed", "degree")}
     report = Report(f"verify-ricci:{scope}", echo)
     if scope == "catalogue":
-        for tag, ok, detail in _sweep(config, "ricci", config.instances):
+        instances = [(config.dimension, i) for i in range(config.instances)]
+        for tag, ok, detail in _sweep(config, "ricci", instances):
             report.add(residual_check(f"eq:{tag}", ok, config.instances, detail=detail))
     elif scope == "all":
         try:
@@ -373,7 +354,7 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         members = list(solutions.values())
         for t, dim in enumerate(INSTANCE_DIMS):
             try:
-                rows = _sweep_task(("check", config.seed, dim, config.degree, t, members, t == 0))
+                rows = _sweep(config, "check", [(dim, t)], members, t == 0)
             except IdentityAmbiguityError as exc:
                 detail = {"seed": config.seed, "label": f"check:{dim}:{t}", "dim": dim}
                 report.add(value_check("thm2:solve", "solved", f"error: {exc}", detail=detail))
@@ -397,7 +378,8 @@ def cmd_verify_ricci(config: RunConfig, scope: str) -> Report:
         report.add(rank_check("cor2:span-rank", 17, matrix_rank(map(identity_row, members))))
     elif scope == "mixed":
         count = max(1, config.instances // 4)
-        for tag, ok, detail in _sweep(config, "mixed", count):
+        instances = [(config.dimension, i) for i in range(count)]
+        for tag, ok, detail in _sweep(config, "mixed", instances):
             report.add(residual_check(f"eq:29:{tag}", ok, count * MIXED_WEIGHTINGS, detail=detail))
     else:
         raise ConfigError(f"unknown scope: {scope!r}")

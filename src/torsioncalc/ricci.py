@@ -16,7 +16,10 @@ the tests evaluate, ``rhs_expanded`` in ``tests/oracles.py``.
 
 The mixed form is implemented from the substitution rules relating the
 derivative kinds, with every bracket correction carried at the weight the
-substitution actually produces.
+substitution actually produces.  Its five derivative terms are basis
+columns 1..5 with d_sym replaced by d_1, d_2 and d_3, read as those columns
+are (2 and 5 as 1 and 4 with m and n swapped), so an instance forms nine
+tor.d_l contractions.
 
 Second derivatives come from one symmetric pass.  Every rule is
 D = S + sigma_up U + sigma_lo V, with S the symmetric-part rule and U, V the
@@ -245,15 +248,6 @@ _DERIVATIVES = {
     **{("dd", p, q): (kq, f"d_{p}") for p in KIND_BY_NUMBER for q, kq in KIND_BY_NUMBER.items()},
 }
 
-# Torsion-against-derivative pattern k in 1..5: tor, then X = a derivative of a.
-_DTERM_SPECS = (
-    "Ajm,iAn->ijmn",
-    "Ajn,iAm->ijmn",
-    "Amn,ijA->ijmn",
-    "iAn,Ajm->ijmn",
-    "iAm,Ajn->ijmn",
-)
-
 # Cached tor.tor (1,3) blocks: (spec, operand names); see IdentityWorkspace._tensor.
 _BLOCKS = {
     "q2": ("ijA,Amn->ijmn", "tor", "tor"),
@@ -264,11 +258,11 @@ _BLOCKS = {
 # term at weight 1, reads the cached contraction (spec, operand names) as it
 # is (ID) or with m and n swapped (SWAP); basis term k is weight times it.
 _BASIS = (
-    (2, ID, _DTERM_SPECS[0], "tor", "d_sym"),
-    (2, SWAP, _DTERM_SPECS[0], "tor", "d_sym"),
-    (2, ID, _DTERM_SPECS[2], "tor", "d_sym"),
-    (2, ID, _DTERM_SPECS[3], "tor", "d_sym"),
-    (2, SWAP, _DTERM_SPECS[3], "tor", "d_sym"),
+    (2, ID, "Ajm,iAn->ijmn", "tor", "d_sym"),
+    (2, SWAP, "Ajm,iAn->ijmn", "tor", "d_sym"),
+    (2, ID, "Amn,ijA->ijmn", "tor", "d_sym"),
+    (2, ID, "iAn,Ajm->ijmn", "tor", "d_sym"),
+    (2, SWAP, "iAn,Ajm->ijmn", "tor", "d_sym"),
     (1, ID, "Aj,iAmn->ijmn", "a", "dtor"),
     (1, SWAP, "Aj,iAmn->ijmn", "a", "dtor"),
     (1, ID, "Aj,iAmn->ijmn", "a", "q3"),
@@ -358,8 +352,10 @@ def _mixed_refs(coeffs: IdentityCoefficients, weights: MixWeights, sign=1):
     xl = (None, *(n1 - n2 - n3 for n1, n2, n3 in weights.num))
 
     refs = [(sign * d, ID, "rcomm")]
+    # term k in 1..5 is basis term k with d_sym replaced by row k's mixture
+    # of d_1, d_2 and d_3, read as column k is
     refs += [
-        (2 * c[k] * n, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}"))
+        (2 * c[k] * n, _BASIS[k - 1][1], (_BASIS[k - 1][2], "tor", f"d_{l}"))
         for k in range(1, 6) if c[k]
         for l, n in enumerate(weights.num[k - 1], start=1) if n
     ]

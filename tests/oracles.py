@@ -22,8 +22,10 @@ reference forms and generators that only the tests use.
   feeds the columns' constant terms first and forms whole columns only when
   those fall short of rank 17.
 - ``mixed_refs_rational``: the mixed-rule right side as references with
-  Fraction weights, against ``ricci._mixed_refs``, which carries the same
-  weights as int numerators over one denominator.
+  Fraction weights, one contraction per pattern of ``DTERM_SPECS``, against
+  ``ricci._mixed_refs``, which carries the same weights as int numerators
+  over one denominator and reads patterns 2 and 5 as basis columns 1 and 4
+  with m and n swapped.
 - ``poly_divmod`` and ``sturm_sequence_fraction``: polynomial division and
   the Sturm sequence over ``Fraction`` coefficients, against the integer
   sequence of ``ratfunc._sturm_sequence``.
@@ -56,8 +58,18 @@ from torsioncalc.cosmology import (
     levi_civita_connection,
 )
 from torsioncalc.ratfunc import ONE, RF_ZERO, Poly, RationalFunction
-from torsioncalc.ricci import _DTERM_SPECS, ID, _basis_ref, _column
+from torsioncalc.ricci import ID, _basis_ref, _column
 from torsioncalc.sampling import DEFAULT_DEGREE, random_tensor_field
+
+# The five torsion-against-derivative patterns of the identity family, written
+# out: tor, then X = a derivative of a.
+DTERM_SPECS = (
+    "Ajm,iAn->ijmn",
+    "Ajn,iAm->ijmn",
+    "Amn,ijA->ijmn",
+    "iAn,Ajm->ijmn",
+    "iAm,Ajn->ijmn",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +470,7 @@ def rhs_expanded(ws, coeffs):
     sym = ws.L.symmetric_part().coeffs
     da = a.partial_gradient()
     terms = [(1, ID, ws.r_commutator())]
-    terms += [(2 * c[k], _DTERM_SPECS[k - 1], tor, da) for k in range(1, 6)]
+    terms += [(2 * c[k], DTERM_SPECS[k - 1], tor, da) for k in range(1, 6)]
     terms += [(c[k], ID, ws.basis(k)) for k in range(6, 18)]
     terms += [
         (2 * c[3], "Aj,iAB,Bmn->ijmn", a, sym, tor),
@@ -522,7 +534,7 @@ def mixed_refs_rational(coeffs, weights):
         for l in (1, 2, 3):
             w = rows[k - 1][l - 1]
             if w:
-                refs.append((2 * c[k] * w, ID, (_DTERM_SPECS[k - 1], "tor", f"d_{l}")))
+                refs.append((2 * c[k] * w, ID, (DTERM_SPECS[k - 1], "tor", f"d_{l}")))
     bracket_weights = (
         c[6],
         c[7],

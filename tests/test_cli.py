@@ -315,19 +315,21 @@ def test_scope_all_runs_no_solve_and_takes_the_span_rank_from_the_identity_rows(
 
 
 def test_scope_all_checks_its_instances_through_the_sweep_task(monkeypatch):
-    # one task per dim of INSTANCE_DIMS, each carrying all 81 solved members;
-    # the first also asks for the basis rank certificate
-    tasks, real = [], cli._sweep_task
-    monkeypatch.setattr(cli, "_sweep_task", lambda args: tasks.append(args) or real(args))
+    # one sweep of one instance per dim of INSTANCE_DIMS, each given all 81
+    # solved members; the first also asks for the basis rank certificate
+    calls, real = [], cli._sweep
+    monkeypatch.setattr(cli, "_sweep", lambda *args: calls.append(args) or real(*args))
     config = cli.RunConfig(seed=7, degree=1)
     assert cli.cmd_verify_ricci(config, "all").exit_code() == 0
-    assert [task[:5] for task in tasks] == [("check", 7, 3, 1, 0), ("check", 7, 4, 1, 1)]
-    assert all([ic.pqrs for ic in task[5]] == list(ricci.ALL_COMBINATIONS) for task in tasks)
-    assert [task[6] for task in tasks] == [True, False]
+    assert [call[:3] for call in calls] == [
+        (config, "check", [(3, 0)]), (config, "check", [(4, 1)]),
+    ]
+    assert all([ic.pqrs for ic in call[3]] == list(ricci.ALL_COMBINATIONS) for call in calls)
+    assert [call[4] for call in calls] == [True, False]
 
 
 def test_scope_all_samples_its_two_check_instances_and_nothing_else(monkeypatch):
-    # the coefficients come from the tables; only the check tasks draw, and
+    # the coefficients come from the tables; only the check instances draw, and
     # each builds one workspace.  Neither forms a whole basis column: the
     # rank is certified on their constant terms, and every residual merges
     # to a rest that reads no column
@@ -502,15 +504,26 @@ def test_failing_derivative_relation_names_instance_entry_and_monomial(monkeypat
     assert all(c.passed and c.detail is None for c in checks.values())
 
 
-def test_and_reduce_keeps_the_first_failing_instance():
-    results = [
-        [("a", True, None), ("b", True, None)],
-        [("a", False, {"label": "x:1"}), ("b", True, None)],
-        [("a", False, {"label": "x:2"}), ("b", False, {"label": "x:2"})],
-    ]
-    assert cli._and_reduce(results) == [
-        ("a", False, {"label": "x:1"}),
-        ("b", False, {"label": "x:2"}),
+def test_sweep_keeps_each_tags_first_failing_instance(monkeypatch):
+    # over three instances, tag a fails on instances 1 and 2, b on 2 only
+    failing = [{}, {0: ((0, 1), "x")}, {0: ((1, 0), "y"), 1: ((1, 1), "z")}]
+    drawn = []
+
+    def members(rng, a, L):
+        drawn.append(a)
+        return [("a", {}), ("b", {"weighting": 4}), ("c", {})], failing[len(drawn) - 1]
+
+    monkeypatch.setitem(cli._SWEEPS, "x", members)
+    cli._need("sampling")  # no subcommand has bound it
+    verdicts = cli._sweep(cli.RunConfig(seed=3, degree=1), "x", [(2, i) for i in range(3)])
+    assert len(drawn) == 3
+    assert verdicts == [
+        ("a", False, {"seed": 3, "label": "x:2:1", "dim": 2, "entry": [0, 1], "monomial": "'x'"}),
+        ("b", False, {
+            "seed": 3, "label": "x:2:2", "dim": 2, "weighting": 4,
+            "entry": [1, 1], "monomial": "'z'",
+        }),
+        ("c", True, None),
     ]
 
 
@@ -551,8 +564,8 @@ def _loaded_by_importing_the_cli(argv=()) -> set:
 
 
 def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
-    # sweeps run their instance tasks in one process: nothing loads
-    # multiprocessing, not even a run of two instance tasks
+    # sweeps run in one process: nothing loads multiprocessing, not even a
+    # sweep of two instances
     config = _config(tmp_path, dimension=2, degree=1, instances=8)
     argv = ["verify-ricci", "--scope", "mixed", "--config", config]
     assert "multiprocessing" not in _loaded_by_importing_the_cli(argv)
@@ -661,13 +674,6 @@ def test_a_wrapper_set_on_the_cli_is_the_function_that_runs(tmp_path, monkeypatc
     config = cli.load_config(_config(tmp_path, cosmology=SMALL_COSMOLOGY))
     assert cli.cmd_cosmology(config).exit_code() == 0
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("sweep", ["deriv", "ricci", "mixed"])
-def test_an_instance_task_runs_with_no_subcommand_before_it(sweep):
-    # tests and profilers call a task directly, with no cmd_* before it
-    code = f"print(all(ok for _, ok, _ in cli._sweep_task({(sweep, 7, 2, 1, 0)!r})))"
-    assert _in_a_fresh_interpreter(code) == "True"
 
 
 # ---------------------------------------------------------------------------

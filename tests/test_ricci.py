@@ -64,9 +64,10 @@ def _workspace(seed, label, dim, degree) -> IdentityWorkspace:
 
 
 def _check(members):
-    """The CLI's check task on its first instance at degree 1, the basis rank
-    certified: (tag, ok, detail) per member."""
-    return cli._sweep_task(("check", 20260809, 3, 1, 0, members, True))
+    """The CLI's check sweep on its first instance at degree 1, the basis
+    rank certified: (tag, ok, detail) per member."""
+    cli._need("ricci", "sampling")  # no subcommand has bound them
+    return cli._sweep(cli.RunConfig(seed=20260809, degree=1), "check", [(3, 0)], members, True)
 
 
 @pytest.fixture(scope="module")
@@ -703,12 +704,13 @@ def test_integer_mixed_pieces_match_the_rational_oracle(good, bad, n, k):
     for member, weights in ((ic, good), (flipped(ic, k), bad)):
         pieces = ws.mixed_residual_pieces(member, weights)
         assert all(type(w) is int for w, _, _ in pieces)
-        # the int pieces over den are the oracle's merged rational pieces
+        # the int pieces over den contract to the oracle's rational residual
         refs = mixed_refs_rational(member, weights)
         expected = ws._pieces([*ricci._lhs_refs(member.pqrs), *((-w, r, t) for w, r, t in refs)])
-        assert [(Fraction(w, weights.den), r, t) for w, r, t in pieces] == expected
-        members.append(pieces)
         rational.append(contract((1, 3), *expected))
+        over_den = [(Fraction(w, weights.den), r, t) for w, r, t in pieces]
+        assert contract((1, 3), *over_den) == rational[-1]
+        members.append(pieces)
     # one packed check of both, each slot decoded over its own denominator
     found = nonzero_sums((1, 3), members, [good.den, bad.den])
     assert rational[0].is_zero()
@@ -929,7 +931,7 @@ def _packed_terms(monkeypatch, check, *args):
 
 
 def test_mixed_task_weights_stay_integers(monkeypatch):
-    """A full mixed task passes only int weights to contract, the packed
+    """A full mixed instance passes only int weights to contract, the packed
     check of nonzero_sums included, and no mixed piece weight is a
     Fraction."""
     contract_weights, piece_weights = [], []
@@ -947,7 +949,8 @@ def test_mixed_task_weights_stay_integers(monkeypatch):
     monkeypatch.setattr(ricci, "contract", contract_spy)
     monkeypatch.setattr(algebra, "contract", contract_spy)
     monkeypatch.setattr(IdentityWorkspace, "mixed_residual_pieces", pieces_spy)
-    results = cli._sweep_task(("mixed", 7, 2, 1, 0))
+    cli._need("ricci", "sampling")  # no subcommand has bound them
+    results = cli._sweep(cli.RunConfig(seed=7, degree=1), "mixed", [(2, 0)])
     assert all(ok for _, ok, _ in results)
     assert len(piece_weights) > 17 * 5
     assert not any(isinstance(w, Fraction) for w in piece_weights)
