@@ -38,6 +38,7 @@ from .report import (
     Report,
     quadrature_check,
     rank_check,
+    render_float,
     residual_check,
     value_check,
 )
@@ -464,8 +465,8 @@ def cmd_cosmology(config: RunConfig) -> Report:
         ts, n1, n2 = recover_n(m, t0, t1, config.panels)
         sign_gap = max(abs(x + y) for x, y in zip(n1, n2))
         detail = {
-            "t": [f"{x:.17g}" for x in ts[:: max(1, len(ts) // 8)]],
-            "n1": [f"{x:.17g}" for x in n1[:: max(1, len(n1) // 8)]],
+            "t": [render_float(x) for x in ts[:: max(1, len(ts) // 8)]],
+            "n1": [render_float(x) for x in n1[:: max(1, len(n1) // 8)]],
         }
         report.add(
             quadrature_check("eq:60", sign_gap, 0.0, detail=detail)
@@ -556,8 +557,8 @@ def main(argv=None) -> int:
         else:
             for check in sorted(report.checks, key=lambda c: c.id):
                 print(f"{'PASS' if check.passed else 'FAIL'} {check.id}")
-            summary = report.to_json()["summary"]
-            print(f"pass={summary['pass']} fail={summary['fail']}")
+            fail = len(report.failures)
+            print(f"pass={len(report.checks) - fail} fail={fail}")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader has gone: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -4,7 +4,8 @@ Reports are deterministic for a fixed (config, seed): checks are sorted by
 id, floats are rendered to 17 significant digits, exact rationals through
 ``str`` (so 1/2 prints as "1/2" and 2 as "2", not "2/1"), and wall-clock
 timings are omitted unless explicitly requested (a report with timings is
-not byte-reproducible).
+not byte-reproducible).  Each factory renders its values when it builds a
+``Check``, so a record's ``fields`` are already its JSON fields.
 """
 
 from __future__ import annotations
@@ -19,52 +20,28 @@ def render_float(x: float) -> str:
 
 
 class Check:
-    """One verification record; ``pass`` decides the process exit status."""
+    """One verification record; ``pass`` decides the process exit status.
 
-    __slots__ = (
-        "id", "kind", "passed", "instances", "expected", "actual", "status",
-        "max_abs_float", "tolerance", "detail", "elapsed_ms",
-    )
+    ``kind`` is residual, rank, quadrature or value.  ``fields`` holds the
+    record's other JSON fields as they render, less any given as None."""
 
-    def __init__(
-        self,
-        id: str,
-        kind: str,  # residual | rank | quadrature | value
-        passed: bool,
-        instances: int | None = None,
-        expected: object = None,
-        actual: object = None,
-        status: str | None = None,
-        max_abs_float: float | None = None,
-        tolerance: float | None = None,
-        detail: object = None,
-        elapsed_ms: float | None = None,
-    ):
+    __slots__ = ("id", "kind", "passed", "fields", "elapsed_ms")
+
+    def __init__(self, id: str, kind: str, passed: bool, *, elapsed_ms=None, **fields):
         self.id, self.kind, self.passed = id, kind, passed
-        self.instances, self.expected, self.actual = instances, expected, actual
-        self.status, self.max_abs_float, self.tolerance = status, max_abs_float, tolerance
-        self.detail, self.elapsed_ms = detail, elapsed_ms
+        self.fields = {k: v for k, v in fields.items() if v is not None}
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self, with_timings: bool) -> dict:
-        rec = {"id": self.id, "kind": self.kind, "pass": self.passed}
-        if self.instances is not None:
-            rec["instances"] = self.instances
-        if self.status is not None:
-            rec["status"] = self.status
-        if self.expected is not None:
-            rec["expected"] = self.expected
-        if self.actual is not None:
-            rec["actual"] = self.actual
-        if self.max_abs_float is not None:
-            rec["max_abs_float"] = render_float(self.max_abs_float)
-        if self.tolerance is not None:
-            rec["tolerance"] = render_float(self.tolerance)
-        if self.detail is not None:
-            rec["detail"] = self.detail
-        rec["elapsed_ms"] = (
-            round(self.elapsed_ms, 3) if (with_timings and self.elapsed_ms is not None) else None
-        )
-        return rec
+        return {
+            "id": self.id,
+            "kind": self.kind,
+            "pass": self.passed,
+            **self.fields,
+            "elapsed_ms": (
+                round(self.elapsed_ms, 3) if (with_timings and self.elapsed_ms is not None) else None
+            ),
+        }
 
 
 def residual_check(check_id, zero: bool, instances: int, elapsed_ms=None, detail=None) -> Check:
@@ -106,8 +83,8 @@ def quadrature_check(check_id, max_abs: float, tolerance: float, detail=None) ->
         kind="quadrature",
         passed=max_abs <= tolerance,
         status="max-abs-float",
-        max_abs_float=max_abs,
-        tolerance=tolerance,
+        max_abs_float=render_float(max_abs),
+        tolerance=render_float(tolerance),
         detail=detail,
     )
 

@@ -1,9 +1,9 @@
 """Seeded random generation of polynomial fields, tensors and connections.
 
 All generators take an explicit ``random.Random`` so that every sweep is
-reproducible from a recorded seed.  Sub-seeds for independent tasks are
-derived with :func:`derive_rng`, which hashes a label string; the result does
-not depend on scheduling order.
+reproducible from a recorded seed.  Sub-seeds for independent instances are
+derived with :func:`derive_rng`, which hashes a label string, so a draw
+depends only on (seed, label).
 """
 
 from __future__ import annotations

@@ -437,11 +437,11 @@ def test_failing_catalogue_check_names_instance_entry_and_monomial(monkeypatch):
     bad = checks.pop(f"eq:{broken[3].tag}")
     _, ws = _sampled(5, "ricci:2:0", 2, 1)
     entry, monomial = _first_term(ws.residual(broken[3]))
-    assert not bad.passed and bad.status == "nonzero-residual"
-    assert bad.detail == {
+    assert not bad.passed and bad.fields["status"] == "nonzero-residual"
+    assert bad.fields["detail"] == {
         "seed": 5, "label": "ricci:2:0", "dim": 2, "entry": entry, "monomial": monomial,
     }
-    assert all(c.passed and c.detail is None for c in checks.values())
+    assert all(c.passed and "detail" not in c.fields for c in checks.values())
 
 
 def test_failing_mixed_check_names_its_weighting(monkeypatch):
@@ -456,11 +456,11 @@ def test_failing_mixed_check_names_its_weighting(monkeypatch):
     w = next(k for k, r in enumerate(residuals) if not r.is_zero())
     entry, monomial = _first_term(residuals[w])
     assert not bad.passed
-    assert bad.detail == {
+    assert bad.fields["detail"] == {
         "seed": 6, "label": "mixed:2:0", "dim": 2, "weighting": w,
         "entry": entry, "monomial": monomial,
     }
-    assert all(c.passed and c.detail is None for c in checks.values())
+    assert all(c.passed and "detail" not in c.fields for c in checks.values())
 
 
 def test_a_mixed_check_names_its_first_failing_weighting(monkeypatch):
@@ -477,7 +477,7 @@ def test_a_mixed_check_names_its_first_failing_weighting(monkeypatch):
     monkeypatch.setattr(cli, "nonzero_sums", first_weighting_passes)
     config = cli.RunConfig(dimension=2, degree=1, instances=4, seed=6)
     checks = {c.id: c for c in cli.cmd_verify_ricci(config, "mixed").checks}
-    detail = checks[f"eq:29:{broken[16].tag}"].detail
+    detail = checks[f"eq:29:{broken[16].tag}"].fields["detail"]
     assert (detail["label"], detail["weighting"]) == ("mixed:2:0", 1)
 
 
@@ -497,11 +497,11 @@ def test_failing_derivative_relation_names_instance_entry_and_monomial(monkeypat
     residual = covariant_derivative(DerivKind.SYM, a, L) - covariant_derivative(k1, a, L)
     residual = residual + covariant_derivative(second[1], a, L).scale(-second[0])
     entry, monomial = _first_term(residual)
-    assert not bad.passed and bad.status == "nonzero-residual"
-    assert bad.detail == {
+    assert not bad.passed and bad.fields["status"] == "nonzero-residual"
+    assert bad.fields["detail"] == {
         "seed": 8, "label": "deriv:2:0", "dim": 2, "entry": entry, "monomial": monomial,
     }
-    assert all(c.passed and c.detail is None for c in checks.values())
+    assert all(c.passed and "detail" not in c.fields for c in checks.values())
 
 
 def test_sweep_keeps_each_tags_first_failing_instance(monkeypatch):
@@ -750,5 +750,36 @@ def test_report_bytes_match_golden(tmp_path, capsys, stem, seed):
     code = main([*argv, "--config", config, "--seed", str(seed), "--json"])
     assert code == GOLDEN_EXIT.get(stem, 0)
     with open(os.path.join(REPORTS, f"{stem}-s{seed}.json"), "rb") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def _break_ric21_11(monkeypatch):
+    broken = _broken_catalogue(3)
+    monkeypatch.setattr(cli, "identity_catalogue", lambda: list(broken))
+
+
+def _negate_curvature(monkeypatch):
+    monkeypatch.setattr(ricci, "curvature_R", lambda Lsym: -curvature_R(Lsym))
+
+
+# failing golden file name -> (fault, CLI arguments, config); the one
+# residual and the one thm2:solve record each name their instance, entry
+# and monomial
+FAILING_GOLDEN = {
+    "catalogue-broken-s5": (
+        _break_ric21_11, [*RICCI, "catalogue", "--seed", "5"],
+        {"dimension": 2, "degree": 1, "instances": 2},
+    ),
+    "all-negated-curvature-s7": (_negate_curvature, [*RICCI, "all", "--seed", "7"], {"degree": 1}),
+}
+
+
+@pytest.mark.parametrize("stem", FAILING_GOLDEN)
+def test_failing_report_bytes_match_golden(tmp_path, monkeypatch, capsys, stem):
+    fault, argv, fields = FAILING_GOLDEN[stem]
+    fault(monkeypatch)
+    assert main([*argv, "--config", _config(tmp_path, **fields), "--json"]) == 1
+    with open(os.path.join(REPORTS, f"{stem}.json"), "rb") as fh:
         expected = fh.read()
     assert capsys.readouterr().out.encode() == expected

@@ -59,15 +59,42 @@ def test_exit_code_follows_failures():
     assert [c.id for c in report.failures] == ["b"]
 
 
-def test_check_and_report_defaults():
-    check = Check("a", "rank", False, 3, 1, 2)
-    assert (check.id, check.kind, check.passed) == ("a", "rank", False)
-    assert (check.instances, check.expected, check.actual) == (3, 1, 2)
-    unset = (check.status, check.max_abs_float, check.tolerance, check.detail, check.elapsed_ms)
-    assert unset == (None,) * 5
-    assert Check(id="b", kind="value", passed=True).to_json(with_timings=True) == {
-        "id": "b", "kind": "value", "pass": True, "elapsed_ms": None,
+def test_each_factory_renders_its_own_key_set():
+    base = {"id", "kind", "pass", "elapsed_ms"}
+
+    def keys(check):
+        return set(check.to_json(with_timings=False))
+
+    assert keys(residual_check("a", True, 3)) == base | {"instances", "status"}
+    assert keys(rank_check("a", 1, 2)) == base | {"expected", "actual"}
+    assert keys(value_check("a", 1, 2)) == base | {"expected", "actual"}
+    quadrature = quadrature_check("a", 0.1, 0.5)
+    assert keys(quadrature) == base | {"status", "max_abs_float", "tolerance"}
+    # floats are rendered when the record is built
+    assert quadrature.fields["max_abs_float"] == "0.10000000000000001"
+    # residual, value and quadrature carry detail only when it is given
+    detail = {"seed": 1}
+    for check in (
+        residual_check("a", False, 3, detail=detail),
+        value_check("a", 1, 2, detail=detail),
+        quadrature_check("a", 0.1, 0.5, detail=detail),
+    ):
+        assert check.to_json(with_timings=False)["detail"] == detail
+
+
+def test_a_field_given_as_none_is_left_out():
+    check = Check("b", "value", True, expected=None, actual="x", elapsed_ms=None)
+    assert (check.id, check.kind, check.passed, check.elapsed_ms) == ("b", "value", True, None)
+    assert check.fields == {"actual": "x"}
+    assert check.to_json(with_timings=True) == {
+        "id": "b", "kind": "value", "pass": True, "actual": "x", "elapsed_ms": None,
     }
+    # a record has no attribute per field, so a misspelt read fails
+    assert not hasattr(check, "actual")
+
+
+def test_a_report_starts_with_its_own_check_list():
+    check = rank_check("a", 1, 2)
     first, second = Report("demo", {}), Report("demo", {})
     assert first.checks == [] and first.checks is not second.checks
     first.add(check)

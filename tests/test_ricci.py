@@ -446,7 +446,7 @@ def test_verification_rejects_a_corrupted_non_catalogue_member(solved, monkeypat
     monkeypatch.setattr(cli, "solve_all_identities", lambda: corrupted)
     (check,) = cli.cmd_verify_ricci(cli.RunConfig(degree=1), "all").checks
     assert check.id == "thm2:solve" and not check.passed
-    assert check.actual == f"error: {pqrs}: nonzero residual on a fresh instance"
+    assert check.fields["actual"] == f"error: {pqrs}: nonzero residual on a fresh instance"
 
 
 @pytest.mark.parametrize("even", [True, False])
@@ -1028,8 +1028,8 @@ def test_verification_failure_names_instance_member_entry_and_monomial(
     ws = _workspace(20260809, "check:3:0", 3, 1)
     entry, terms = _first_term(ws.residual(corrupted[pqrs]))
     assert not check.passed
-    assert check.actual == f"error: {pqrs}: nonzero residual on a fresh instance"
-    assert check.detail == {
+    assert check.fields["actual"] == f"error: {pqrs}: nonzero residual on a fresh instance"
+    assert check.fields["detail"] == {
         "seed": 20260809, "label": "check:3:0", "dim": 3,
         "entry": list(entry), "monomial": repr(ScalarField.from_terms(terms, 3)),
     }
